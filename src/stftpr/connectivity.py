@@ -28,12 +28,6 @@ class ConnectivityPartition:
     def is_connected(self) -> bool:
         return len(self.components) <= 1
 
-    def component_of(self, j: int) -> int:
-        for i, comp in enumerate(self.components):
-            if j in comp:
-                return i
-        raise KeyError(f"index {j} not in partition universe")
-
     def to_json(self) -> dict:
         return {"relation": self.relation, "components": [list(c) for c in self.components]}
 

@@ -12,7 +12,6 @@ reconstruct the shifts the direct division cannot reach.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,17 +190,18 @@ def recover_autocorrelations(
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
     if mask is None:
         mask = omega_mask(g, tau_rel)
-    amb = ambiguity(g).values
-    R = relation_transform(X).values
-    a = {}
-    for k in range(X.d):
-        if not mask.mask[k].all():
-            continue
-        row = amb[k]
-        if np.abs(row).min() <= 0.0:  # guard: mask said "true" but the value is zero
-            raise StftprError(f"internal: ambiguity row {k} vanishes under a true mask")
-        a[k] = np.fft.ifft(R[k] / np.conj(row))
-    return CorrelationData(X.d, a)
+    return _divide_full_rows(relation_transform(X).values, ambiguity(g).values, mask)
+
+
+def _divide_full_rows(R: np.ndarray, amb: np.ndarray, mask: OmegaMask) -> CorrelationData:
+    """Rows ifft(R[k] / conj(amb[k])) for every k whose mask row is all true, in one batch."""
+    rows = np.flatnonzero(mask.mask.all(axis=1))
+    divisors = amb[rows]
+    vanished = np.abs(divisors).min(axis=1) <= 0.0  # guard: mask said "true" but the value is zero
+    if vanished.any():
+        raise StftprError(f"internal: ambiguity row {rows[vanished][0]} vanishes under a true mask")
+    table = np.fft.ifft(R[rows] / np.conj(divisors), axis=1)
+    return CorrelationData(R.shape[0], dict(zip(rows.tolist(), table)))
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -213,8 +213,23 @@ def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) 
     return tuple(int(j) for j in np.nonzero(mags > tau_supp * peak)[0])
 
 
-def _wrap_angle(x: float) -> float:
+def _wrap(x: np.ndarray) -> np.ndarray:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _stacked_rows(corr: CorrelationData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Known shifts ascending, their rows as one array, and lag[i, j] = (j - k_i) mod d."""
+    shifts = np.array(corr.known_shifts, dtype=np.intp)
+    rows = np.array([corr.a[k] for k in corr.known_shifts], dtype=np.complex128).reshape(shifts.size, corr.d)
+    lag = (np.arange(corr.d) - shifts[:, None]) % corr.d
+    return shifts, rows, lag
+
+
+def _row_residual(stacked: tuple[np.ndarray, np.ndarray, np.ndarray], est: np.ndarray) -> float:
+    """Largest |a[k][j] - est_j conj(est_{j-k})| over stacked rows; a row holding NaN is skipped."""
+    _, rows, lag = stacked
+    per_row = np.abs(rows - est * np.conj(est[lag])).max(axis=1)
+    return float(np.fmax.reduce(per_row, initial=0.0))
 
 
 def propagate_phases(
@@ -226,52 +241,62 @@ def propagate_phases(
     """Assemble an estimate by anchoring one phase per component and walking edges.
 
     Magnitudes come from the shift-0 row; each component's smallest index gets a
-    real positive phase and breadth-first traversal (shifts ascending, both
-    directions) sets the rest.  A revisited index whose implied phase differs by
-    more than ``phase_tol`` radians flags the data as inconsistent.
+    real positive phase.  The walk then goes level by level in breadth-first
+    visit order: frontier index, then shift ascending, forward before backward.
+    Each support index not yet reached takes the first phase the frontier
+    implies for it, and the next frontier is those indices in the order they
+    were reached.  One array check then covers every known edge in both
+    directions: an implied phase that differs from the final one by more than
+    ``phase_tol`` radians flags the data as inconsistent.
     """
     if 0 not in corr.a:
         raise StftprError("shift-0 autocorrelation row is required")
     d = corr.d
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
-    support = set(partition.universe)
-    shifts = [k for k in corr.known_shifts if k != 0]
+    stacked = _stacked_rows(corr)
+    shifts, rows, lag = stacked
+    moving = shifts != 0
+    steps, back = shifts[moving], lag[moving]
+    angles = np.angle(rows[moving])  # angles[i, j] = arg f_j - arg f_{j - k_i}
+    row_of = np.arange(steps.size)
 
-    phases: dict[int, float] = {}
-    worst_cycle = 0.0
+    in_support = np.isin(np.arange(d), partition.universe)
+    unreached = int(in_support.sum())
+    reached = np.zeros(d, dtype=bool)
+    phases = np.zeros(d)
     for comp in partition.components:
         anchor = comp[0]
-        phases[anchor] = 0.0
-        queue = deque([anchor])
-        while queue:
-            j = queue.popleft()
-            for k in shifts:
-                fwd = (j + k) % d  # a[k][fwd] = f_fwd * conj(f_j)
-                if fwd in support:
-                    implied = _wrap_angle(float(np.angle(corr.a[k][fwd])) + phases[j])
-                    if fwd in phases:
-                        worst_cycle = max(worst_cycle, abs(_wrap_angle(implied - phases[fwd])))
-                    else:
-                        phases[fwd] = implied
-                        queue.append(fwd)
-                bwd = (j - k) % d  # a[k][j] = f_j * conj(f_bwd)
-                if bwd in support:
-                    implied = _wrap_angle(phases[j] - float(np.angle(corr.a[k][j])))
-                    if bwd in phases:
-                        worst_cycle = max(worst_cycle, abs(_wrap_angle(implied - phases[bwd])))
-                    else:
-                        phases[bwd] = implied
-                        queue.append(bwd)
+        unreached -= not reached[anchor]
+        reached[anchor], phases[anchor] = True, 0.0
+        frontier = np.array([anchor], dtype=np.intp)
+        while frontier.size and unreached:
+            here = phases[frontier][:, None]
+            fwd = (frontier[:, None] + steps) % d  # a[k][fwd] = f_fwd * conj(f_j)
+            bwd = (frontier[:, None] - steps) % d  # a[k][j] = f_j * conj(f_bwd)
+            fwd_phase = _wrap(angles[row_of, fwd] + here)
+            bwd_phase = _wrap(here - angles[row_of, frontier[:, None]])
+            targets = np.stack([fwd, bwd], axis=2).ravel()
+            implied = np.stack([fwd_phase, bwd_phase], axis=2).ravel()
+            fresh = in_support[targets] & ~reached[targets]
+            targets, implied = targets[fresh], implied[fresh]
+            first = np.sort(np.unique(targets, return_index=True)[1])
+            frontier = targets[first]
+            reached[frontier], phases[frontier] = True, implied[first]
+            unreached -= frontier.size
 
-    est = np.zeros(d, dtype=np.complex128)
-    for j, phi in phases.items():
-        est[j] = mags[j] * np.exp(1j * phi)
+    # edge (k_i, j) joins j - k_i and j; a phase never changes once set, so
+    # checking every edge from both ends against the final phases gives the
+    # maximum the walk would have seen
+    both = reached & reached[back]
+    edge, behind = angles[both], phases[back[both]]
+    ahead = np.broadcast_to(phases, back.shape)[both]
+    forward = np.abs(_wrap(_wrap(edge + behind) - ahead))
+    backward = np.abs(_wrap(_wrap(ahead - edge) - behind))
+    worst_cycle = float(np.fmax.reduce(np.concatenate([forward, backward]), initial=0.0))
+
+    est = np.where(reached, mags * np.exp(1j * phases), 0.0)
     estimate = CyclicSignal(d, est)
-
-    residual = 0.0
-    for k in corr.known_shifts:
-        predicted = est * np.conj(np.roll(est, k))
-        residual = max(residual, float(np.abs(corr.a[k] - predicted).max()))
+    residual = _row_residual(stacked, est)
 
     inconsistent = worst_cycle > phase_tol
     status = (
@@ -288,23 +313,24 @@ def propagate_phases(
 
 
 def _correlation_partition_all_shifts(
-    corr: CorrelationData, tau_supp: float, relation: str, excluded: set[int] | None = None
+    corr: CorrelationData, tau_supp: float, relation: str
 ) -> ConnectivityPartition:
-    """Partition of the detected support where any known nonzero shift is an edge."""
+    """Partition of the detected support where any known nonzero shift is an edge.
+
+    The routes that use it know every nonzero shift, or every one but d/2, and
+    both cases have a closed form.  With every shift any two support points are
+    joined directly.  Without d/2 two points still meet through a third, so
+    only an antipodal pair {j, j + d/2} splits in two.
+    """
     d = corr.d
     supp = support_from_magnitudes(corr.a[0], tau_supp)
-    excluded = excluded or set()
-    deltas = [k for k in corr.known_shifts if k != 0 and k not in excluded]
-    from .connectivity import _DisjointSet
-
-    dsu = _DisjointSet(supp)
-    supp_set = set(supp)
-    for j in supp:
-        for k in deltas:
-            other = (j + k) % d
-            if other in supp_set:
-                dsu.union(j, other)
-    return ConnectivityPartition(relation, dsu.groups(), tuple(sorted(supp)))
+    missing = set(range(1, d)).difference(corr.known_shifts)
+    half = d // 2 if d % 2 == 0 else None
+    if missing - {half}:
+        raise StftprError(f"no closed-form partition when shifts {sorted(missing)} are unknown")
+    if missing and len(supp) == 2 and supp[1] - supp[0] == half:
+        return ConnectivityPartition(relation, tuple((j,) for j in supp), supp)
+    return ConnectivityPartition(relation, (supp,) if supp else (), supp)
 
 
 def recover_full(
@@ -542,20 +568,6 @@ def recover_with_hole(
     return RecoveryOutcome(status, outcome.estimate, partition, partition.n_components, residual, notes)
 
 
-def _divided_rows(
-    X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, skip: set[int]
-) -> tuple[dict[int, np.ndarray], np.ndarray, np.ndarray]:
-    """Autocorrelations for all full rows except ``skip``; also returns R and ambiguity."""
-    amb = ambiguity(g).values
-    R = relation_transform(X).values
-    a = {}
-    for k in range(X.d):
-        if k in skip or not mask.mask[k].all():
-            continue
-        a[k] = np.fft.ifft(R[k] / np.conj(amb[k]))
-    return a, R, amb
-
-
 def recover_missing_center(
     corr: CorrelationData,
     center_row: np.ndarray,
@@ -588,8 +600,7 @@ def recover_missing_center(
             est[supp[0]] = mags[supp[0]]
         partition = ConnectivityPartition("all-shifts-but-center", tuple((j,) for j in supp), supp)
         estimate = CyclicSignal(d, est)
-        residual = _row_residual(corr, est)
-        residual = max(residual, _center_row_residual(est, center_row, half))
+        residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
         return RecoveryOutcome(STATUS_UNIQUE, estimate, partition, len(supp), residual, notes)
 
     antipodal = len(supp) == 2 and (supp[1] - supp[0]) % d == half
@@ -600,7 +611,7 @@ def recover_missing_center(
         est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
         partition = ConnectivityPartition("all-shifts-but-center", (tuple(supp),), supp)
         estimate = CyclicSignal(d, est)
-        residual = max(_row_residual(corr, est), _center_row_residual(est, center_row, half))
+        residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
         scale = float(np.clip(corr.a[0].real, 0.0, None).max())
         status = STATUS_UNIQUE if residual <= CONSISTENCY_REL_TOL * max(scale, 1e-300) else STATUS_INCONSISTENT
         notes["case"] = "antipodal-pair"
@@ -620,14 +631,6 @@ def recover_missing_center(
     notes.update(outcome.notes)
     notes["case"] = "propagation"
     return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
-
-
-def _row_residual(corr: CorrelationData, est: np.ndarray) -> float:
-    worst = 0.0
-    for k in corr.known_shifts:
-        predicted = est * np.conj(np.roll(est, k))
-        worst = max(worst, float(np.abs(corr.a[k] - predicted).max()))
-    return worst
 
 
 def _center_row_residual(est: np.ndarray, center_row: np.ndarray, half: int) -> float:
@@ -684,7 +687,7 @@ def recover_missing_dc_pair(
             supp = (j,)
         partition = ConnectivityPartition("all-nonzero-shifts", tuple((j,) for j in supp), supp)
         residual = _dc_residual(est, dc_row, trusted)
-        residual = max(residual, _row_residual(corr, est))
+        residual = max(residual, _row_residual(_stacked_rows(corr), est))
         status = STATUS_UNIQUE if residual <= CONSISTENCY_REL_TOL * max(energy, 1e-300) else STATUS_INCONSISTENT
         notes["case"] = "spike"
         return RecoveryOutcome(status, CyclicSignal(d, est), partition, len(supp), residual, notes)
@@ -710,7 +713,8 @@ def recover_missing_dc_pair(
             candidates.append(est)
         if not candidates:
             raise PreconditionViolated("energy split infeasible for a two-point support")
-        scored = [(max(_dc_residual(e, dc_row, trusted), _row_residual(corr, e)), i) for i, e in enumerate(candidates)]
+        stacked = _stacked_rows(corr)
+        scored = [(max(_dc_residual(e, dc_row, trusted), _row_residual(stacked, e)), i) for i, e in enumerate(candidates)]
         best_res, best_i = min(scored)
         est = candidates[best_i]
         partition = ConnectivityPartition("all-nonzero-shifts", (tuple(supp),), supp)
@@ -760,8 +764,8 @@ def recover_center_windowed(
     if d % 2 != 0 or set(mask.false_entries()) != {(d // 2, d // 2)}:
         raise WindowClassError("window mask is not punctured exactly at the center")
     half = d // 2
-    a, R, amb = _divided_rows(X, g, mask, skip={half})
-    corr = CorrelationData(d, a)
+    R, amb = relation_transform(X).values, ambiguity(g).values
+    corr = _divide_full_rows(R, amb, mask)
     center_row = np.zeros(d, dtype=np.complex128)
     keep = np.arange(d) != half
     center_row[keep] = R[half, keep] / np.conj(amb[half, keep])
@@ -782,8 +786,8 @@ def recover_dc_windowed(
     dc_pair = _dc_pair_from_false_set(false_set, d)
     if dc_pair is None:
         raise WindowClassError("window mask is not punctured on a dc-row conjugate pair")
-    a, R, amb = _divided_rows(X, g, mask, skip={0})
-    corr = CorrelationData(d, a)
+    R, amb = relation_transform(X).values, ambiguity(g).values
+    corr = _divide_full_rows(R, amb, mask)
     dc_row = np.zeros(d, dtype=np.complex128)
     keep = np.array([(0, l) not in false_set for l in range(d)])
     dc_row[keep] = R[0, keep] / np.conj(amb[0, keep])

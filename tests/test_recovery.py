@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from helpers import random_entries, random_short_window, random_signal, rng_for
-from oracles import naive_autocorrelation
+from oracles import loop_propagate_phases, naive_autocorrelation
 from stftpr.connectivity import components_mod_d
-from stftpr.errors import AnchorInvalid, EmptySupport, NonGenericWindow, PreconditionViolated, WindowClassError
+from stftpr.errors import (
+    AnchorInvalid,
+    EmptySupport,
+    NonGenericWindow,
+    PreconditionViolated,
+    StftprError,
+    WindowClassError,
+)
 from stftpr.recovery import (
     STATUS_INCONSISTENT,
     STATUS_PER_COMPONENT,
@@ -14,6 +21,7 @@ from stftpr.recovery import (
     VERDICT_RETRIEVABLE,
     VERDICT_UNDECIDABLE,
     CorrelationData,
+    _correlation_partition_all_shifts,
     compare_up_to_phase,
     decide_retrievability,
     hole_classifier,
@@ -222,6 +230,76 @@ def test_propagate_phases_flags_contradiction():
     assert out.status == STATUS_INCONSISTENT
 
 
+@pytest.mark.parametrize("case", range(12))
+def test_propagate_phases_matches_loop_walk_exactly(case):
+    rng = rng_for("walk-vs-loop", case)
+    d = int(rng.integers(12, 40))
+    all_shifts = case % 3 == 0
+    L = int(rng.integers(1, 4))  # short bands make the walk run several levels
+    shifts = range(d) if all_shifts else sorted({*range(L + 1), *(d - k for k in range(1, L + 1))})
+    f = random_signal(rng, d, support=np.flatnonzero(rng.uniform(size=d) < 0.8))
+    rows = {k: naive_autocorrelation(f.entries, k) for k in shifts}
+    if case % 2:  # phase noise on every nonzero shift: each edge implies its own phase
+        rows = {k: row * np.exp(1j * rng.normal(scale=0.1 if k else 0.0, size=d)) for k, row in rows.items()}
+    corr = CorrelationData(d, rows)
+    if all_shifts:
+        part = _correlation_partition_all_shifts(corr, 1e-10, "all-shifts")
+    else:
+        part = components_mod_d(f.support(), d, L)
+    out = propagate_phases(corr, part)
+    est, worst_cycle, residual = loop_propagate_phases(corr.a, d, part.components, part.universe)
+    assert np.array_equal(out.estimate.entries, est)
+    assert out.notes["worst_cycle_mismatch"] == worst_cycle
+    assert out.residual == residual
+
+
+def test_propagate_phases_single_twisted_entry():
+    rng = rng_for("twist-one")
+    d, twist = 64, 0.3
+    f = random_signal(rng, d)
+    rows = {k: naive_autocorrelation(f.entries, k) for k in range(d)}
+    rows[5][20] *= np.exp(1j * twist)  # f_20 conj(f_15), off the anchor's spanning star
+    corr = CorrelationData(d, rows)
+    out = propagate_phases(corr, _correlation_partition_all_shifts(corr, 1e-10, "all-shifts"))
+    assert out.status == STATUS_INCONSISTENT
+    assert out.notes["worst_cycle_mismatch"] == pytest.approx(twist, abs=1e-9)
+
+
+def test_propagate_phases_wrapping_component_anchor_is_real():
+    rng = rng_for("wrap-anchor")
+    d, L = 16, 2
+    g = random_short_window(rng, d, L)
+    f = random_signal(rng, d, support=[0, 1, d - 2, d - 1])
+    out = recover_generic_short(measure(f, g), g, L)
+    assert out.components.components == ((0, 1, d - 2, d - 1),)
+    est0 = out.estimate.entries[0]
+    assert est0.imag == 0.0 and est0.real > 0.0
+    assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
+
+
+def test_all_shifts_partition_closed_form():
+    d = 16
+    f = np.zeros(d, dtype=complex)
+    f[[3, 9]] = 1.0
+    rows = {k: naive_autocorrelation(f, k) for k in range(d) if k != d // 2}
+    part = _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts-but-center")
+    assert part.components == ((3, 9),)
+    f[9], f[11] = 0.0, 1.0  # antipodal pair {3, 11}: nothing joins it without the d/2 row
+    rows = {k: naive_autocorrelation(f, k) for k in range(d) if k != d // 2}
+    part = _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts-but-center")
+    assert part.components == ((3,), (11,))
+
+
+def test_all_shifts_partition_rejects_other_missing_shift():
+    d = 16
+    rows = {k: np.ones(d, dtype=complex) for k in range(d) if k not in (3, d // 2)}
+    with pytest.raises(StftprError):
+        _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts")
+    rows[d // 2] = np.ones(d, dtype=complex)
+    with pytest.raises(StftprError):
+        _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts")
+
+
 # ------------------------------------------------------------- generic route
 
 
@@ -366,6 +444,16 @@ def test_center_route_examples():
         out = recover_center_windowed(measure(f, g), g)
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
+
+
+def test_center_route_two_point_support_is_one_component():
+    rng = rng_for("center-two-point")
+    d = 16
+    g = construct_punctured_center_window(d)
+    f = random_signal(rng, d, support=[3, 9])
+    out = recover_center_windowed(measure(f, g), g)
+    assert out.components.components == ((3, 9),) and out.status == STATUS_UNIQUE
+    assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
 
 def test_center_route_rejects_other_windows():
