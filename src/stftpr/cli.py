@@ -22,12 +22,14 @@ from .acceptance import DEFAULT_SEED, run_all
 from .adversary import delta_pair, periodic_family, real_even_pair, small_d_witness
 from .errors import StftprError
 from .recovery import (
+    ROUTES,
     STATUS_INCONSISTENT,
     STATUS_PER_COMPONENT,
     STATUS_UNDECIDABLE,
     STATUS_UNIQUE,
     VERDICT_NOT_RETRIEVABLE,
     VERDICT_RETRIEVABLE,
+    VERDICT_UNDECIDABLE,
     decide_retrievability,
     recover,
 )
@@ -53,6 +55,11 @@ _STATUS_EXIT = {
     STATUS_PER_COMPONENT: EXIT_PER_COMPONENT,
     STATUS_INCONSISTENT: EXIT_INCONSISTENT,
     STATUS_UNDECIDABLE: EXIT_UNDECIDABLE,
+}
+_VERDICT_EXIT = {
+    VERDICT_RETRIEVABLE: EXIT_OK,
+    VERDICT_NOT_RETRIEVABLE: EXIT_PER_COMPONENT,
+    VERDICT_UNDECIDABLE: EXIT_UNDECIDABLE,
 }
 
 
@@ -222,11 +229,7 @@ def _cmd_decide(args) -> int:
         "witnesses": [serialize.signal_to_json(w) for w in decision.witnesses],
     }
     _emit(serialize.dump_json(doc), args.out)
-    if decision.verdict == VERDICT_RETRIEVABLE:
-        return EXIT_OK
-    if decision.verdict == VERDICT_NOT_RETRIEVABLE:
-        return EXIT_PER_COMPONENT
-    return EXIT_UNDECIDABLE
+    return _VERDICT_EXIT[decision.verdict]
 
 
 def _bundle_doc(bundle) -> dict:
@@ -327,7 +330,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("recover", help="reconstruct a signal from a measurement")
     p.add_argument("--measurement", required=True)
     p.add_argument("--window", required=True)
-    p.add_argument("--mode", choices=("auto", "full", "generic", "hole", "center", "dcpair"), default="auto")
+    p.add_argument("--mode", choices=("auto", *(route.name for route in ROUTES)), default="auto")
     p.add_argument("--L", type=int)
     p.add_argument("--out")
     _tolerances(p)

@@ -21,11 +21,11 @@ from .errors import (
     StftprError,
 )
 from .recovery import (
-    CONSISTENCY_REL_TOL,
     DEFAULT_PHASE_TOL,
     DEFAULT_TAU_SUPP,
     CorrelationData,
     RecoveryOutcome,
+    is_inconsistent,
     propagate_phases,
     support_from_magnitudes,
 )
@@ -219,7 +219,7 @@ def recover_line_limited(
             predicted = np.sum(prods * z ** (-idx[k:])) if prods is not None else 0.0 + 0.0j
             residual = max(residual, float(abs(predicted - v)))
     scale = float(peak)
-    if residual > CONSISTENCY_REL_TOL * max(scale, 1e-300):
+    if is_inconsistent(residual, scale):
         raise InconsistentData(f"sample residual {residual:.3e} exceeds tolerance")
 
     for j in range(extent_bound + 1):

@@ -7,12 +7,17 @@ support under the matching gap relation, then fix one phase per component and
 propagate.  Window classes whose ambiguity support has specific holes (a short
 band, a missing center entry, a missing dc-row pair) get dedicated routes that
 reconstruct the shifts the direct division cannot reach.
+
+``ROUTES`` lists the routes in the order the auto router tries them;
+``recover``, ``decide_retrievability`` and the CLI all read that one table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +54,11 @@ STATUS_UNDECIDABLE = "Undecidable"
 VERDICT_RETRIEVABLE = "Retrievable"
 VERDICT_NOT_RETRIEVABLE = "NotRetrievable"
 VERDICT_UNDECIDABLE = "Undecidable"
+
+
+def is_inconsistent(residual: float, scale: float) -> bool:
+    """Whether a residual exceeds the consistency tolerance at this data scale; NaN does."""
+    return not residual <= CONSISTENCY_REL_TOL * max(scale, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -160,9 +170,7 @@ def window_coeffs(g: CyclicSignal, L: int, tau_rel: float = DEFAULT_TAU_REL) -> 
     outside = mags[L + 1 :] > tau_rel * peak
     if not inside.all() or outside.any():
         raise WindowClassError(f"window support is not exactly 0..{L}")
-    c = {}
-    for k in range(L + 1):
-        c[k] = g.entries[k : L + 1] * np.conj(g.entries[: L + 1 - k])
+    c = {k: g.entries[k : L + 1] * np.conj(g.entries[: L + 1 - k]) for k in range(L + 1)}
     return WindowCoefficients(L, c)
 
 
@@ -298,23 +306,14 @@ def propagate_phases(
     estimate = CyclicSignal(d, est)
     residual = _row_residual(stacked, est)
 
-    inconsistent = worst_cycle > phase_tol
-    status = (
-        STATUS_INCONSISTENT
-        if inconsistent
-        else (STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT)
-    )
-    notes = {
-        "phase_tol": phase_tol,
-        "tau_supp": tau_supp,
-        "worst_cycle_mismatch": worst_cycle,
-    }
+    status = STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT
+    if worst_cycle > phase_tol:
+        status = STATUS_INCONSISTENT
+    notes = {"phase_tol": phase_tol, "tau_supp": tau_supp, "worst_cycle_mismatch": worst_cycle}
     return RecoveryOutcome(status, estimate, partition, partition.n_components, residual, notes)
 
 
-def _correlation_partition_all_shifts(
-    corr: CorrelationData, tau_supp: float, relation: str
-) -> ConnectivityPartition:
+def _correlation_partition_all_shifts(corr: CorrelationData, tau_supp: float, relation: str) -> ConnectivityPartition:
     """Partition of the detected support where any known nonzero shift is an edge.
 
     The routes that use it know every nonzero shift, or every one but d/2, and
@@ -333,17 +332,7 @@ def _correlation_partition_all_shifts(
     return ConnectivityPartition(relation, (supp,) if supp else (), supp)
 
 
-def recover_full(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Recovery with a window whose mask has no holes: every shift row divides."""
-    mask = omega_mask(g, tau_rel)
-    if not mask.all_true:
-        raise WindowClassError("window mask has holes; full-mask route does not apply")
+def _solve_full(X, g, mask: OmegaMask, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
     corr = recover_autocorrelations(X, g, mask, tau_rel)
     partition = _correlation_partition_all_shifts(corr, tau_supp, "all-shifts")
     outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
@@ -351,26 +340,7 @@ def recover_full(
     return outcome
 
 
-def recover_generic_short(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    L: int | None = None,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Recovery with a short window whose mask equals the full width-L band.
-
-    The verdict (connected or not, and the component count) is computable from
-    the measurement alone; disconnected supports return one estimate per
-    component, each with its own free phase.
-    """
-    anchored, shift = canonical_anchor(g, tau_rel)
-    if L is None:
-        L = max(anchored.support(tau_rel)) if anchored.support(tau_rel) else 0
-    mask = omega_mask(g, tau_rel)
-    if not mask.same_mask(omega_L_d(g.d, L)):
-        raise NonGenericWindow(f"mask does not equal the width-{L} band")
+def _solve_generic(X, g, L: int, mask: OmegaMask, shift: int, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
     corr = recover_autocorrelations(X, g, mask, tau_rel)
     supp = support_from_magnitudes(corr.a[0], tau_supp)
     partition = components_mod_d(supp, g.d, L)
@@ -389,31 +359,27 @@ def hole_classifier(
     """
     if L is None:
         L = b.L
+    if L < 1:
+        return []
     d = b.d
-    rows = [np.abs(b.b[k]) for k in range(L + 1)]
-    scale = max(float(rows[k].max()) for k in range(1, L + 1)) if L >= 1 else 0.0
-    if scale <= 0.0:
+    rows = np.abs(np.array([b.b[k] for k in range(1, L + 1)]))
+    scale = max(rows.max(axis=1).tolist())
+    if not scale > 0.0:
         return []
     thr = tau_rel * scale
-    anchors = []
-    for j_star in range(d):
-        cond_a = all(
-            rows[k][(j_star + off) % d] <= thr
-            for k in range(1, L + 1)
-            for off in range(1 - k, k + 1)
-        )
-        if not cond_a:
-            continue
-        cond_b = any(rows[k][(j_star - k) % d] > thr for k in range(1, L + 1))
-        if cond_b:
-            anchors.append(j_star)
-    return anchors
+    k = np.arange(1, L + 1)[:, None]
+    j = np.arange(d)
+    loud_before = (rows[k - 1, (j - k) % d] > thr).any(axis=0)
+    # entries of row k that are not quiet, counted over any window by prefix
+    # sums across three periods; row k's window starts at j+1-k and spans 2k
+    noisy = np.pad(np.cumsum(np.tile(~(rows <= thr), 3), axis=1), ((0, 0), (1, 0)))
+    start = (j - k + 1) % d
+    quiet_after = (noisy[k - 1, start + 2 * k] == noisy[k - 1, start]).all(axis=0)
+    return np.flatnonzero(quiet_after & loud_before).tolist()
 
 
 def _banded_equation_residual(a: np.ndarray, b_row: np.ndarray, coef: np.ndarray, k: int) -> float:
-    predicted = np.zeros_like(b_row)
-    for i, cf in enumerate(coef):
-        predicted = predicted + cf * np.roll(a, -(k + i))
+    predicted = sum(cf * np.roll(a, -(k + i)) for i, cf in enumerate(coef))
     return float(np.abs(predicted - b_row).max())
 
 
@@ -475,9 +441,8 @@ def _solve_banded_row(
     return best, gap, res
 
 
-def _anchored_problem(
-    X: SpectrogramMeasurement, g: CyclicSignal, tau_rel: float
-) -> tuple[SpectrogramMeasurement, CyclicSignal, int]:
+def _anchored_problem(X: SpectrogramMeasurement, g: CyclicSignal, tau_rel: float):
+    """The problem rotated so the window's support starts at 0, and the rotation."""
     anchored, shift = canonical_anchor(g, tau_rel)
     if shift == 0:
         return X, g, 0
@@ -486,14 +451,13 @@ def _anchored_problem(
 
 
 def _mirror_rows(a: dict[int, np.ndarray], d: int) -> dict[int, np.ndarray]:
-    out = dict(a)
-    for k in list(a):
-        if k == 0:
-            continue
-        mirror = (d - k) % d
-        if mirror not in out:
-            out[mirror] = np.conj(np.roll(a[k], -k))
-    return out
+    """Add row d-k = conj(roll(a[k], -k)) for each nonzero shift k whose mirror is missing."""
+    return {**a, **{(d - k) % d: np.conj(np.roll(row, -k)) for k, row in a.items() if k and (d - k) % d not in a}}
+
+
+def _zero_block(anchor: int, hole_len: int, L: int, k: int, d: int) -> tuple[int, int]:
+    """Start and length of the zero run a hole forces on row k (an exact-L hole starts after its anchor)."""
+    return (anchor + L + 1 - hole_len) % d, hole_len + k
 
 
 def recover_with_hole(
@@ -505,6 +469,7 @@ def recover_with_hole(
     tau_rel: float = DEFAULT_TAU_REL,
     tau_supp: float = DEFAULT_TAU_SUPP,
     phase_tol: float = DEFAULT_PHASE_TOL,
+    coeffs: MeasurementCoefficients | None = None,
 ) -> RecoveryOutcome:
     """Recovery with any length-(L+1) window when the signal has a known hole.
 
@@ -512,7 +477,8 @@ def recover_with_hole(
     the shift-0 band row).  ``hole_len = L``: the signal is nonzero at the anchor
     and vanishes on the next L indices, with mass within L before the anchor
     (validated by the hole classifier).  Each shift row is then unrolled from
-    the implied zero block of its autocorrelation.
+    the implied zero block of its autocorrelation.  ``coeffs`` are the band
+    rows of the window-anchored measurement, when the caller has built them.
     """
     if hole_len not in (L, L + 1):
         raise AnchorInvalid(f"hole length must be L or L+1, got {hole_len}")
@@ -520,26 +486,20 @@ def recover_with_hole(
     d = X0.d
     anchor = int(anchor) % d
     wc = window_coeffs(g0, L, tau_rel)
-    mc = measurement_coeffs(X0, L)
+    mc = measurement_coeffs(X0, L) if coeffs is None else coeffs
 
     b0 = np.abs(mc.b[0])
-    if hole_len == L + 1:
-        if b0.max() > 0.0 and b0[anchor] > tau_rel * b0.max():
-            raise AnchorInvalid(f"shift-0 band row is nonzero at {anchor}: no length-{L + 1} hole")
-    else:
-        if anchor not in hole_classifier(mc, L, tau_rel):
-            raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
+    if hole_len == L + 1 and b0.max() > 0.0 and b0[anchor] > tau_rel * b0.max():
+        raise AnchorInvalid(f"shift-0 band row is nonzero at {anchor}: no length-{L + 1} hole")
+    if hole_len == L and anchor not in hole_classifier(mc, L, tau_rel):
+        raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
 
     a: dict[int, np.ndarray] = {}
     worst_gap = 0.0
     eq_residual = 0.0
     for k in range(L + 1):
-        if hole_len == L + 1:
-            zero_start, zero_len = anchor, L + 1 + k
-        else:
-            zero_start, zero_len = (anchor + 1) % d, (L + k if k >= 1 else L)
         coef = np.conj(wc.c[k])
-        row, gap, res = _solve_banded_row(mc.b[k], coef, k, zero_start, zero_len, d)
+        row, gap, res = _solve_banded_row(mc.b[k], coef, k, *_zero_block(anchor, hole_len, L, k, d), d)
         worst_gap = max(worst_gap, gap)
         eq_residual = max(eq_residual, res)
         a[k] = row
@@ -551,20 +511,9 @@ def recover_with_hole(
 
     scale = float(np.clip(corr.a[0].real, 0.0, None).max())
     residual = max(outcome.residual, eq_residual)
-    status = outcome.status
-    if status != STATUS_INCONSISTENT and residual > CONSISTENCY_REL_TOL * max(scale, 1e-300):
-        status = STATUS_INCONSISTENT
-    notes = dict(outcome.notes)
-    notes.update(
-        {
-            "route": f"hole-{hole_len}",
-            "L": L,
-            "anchor": anchor,
-            "window_shift": shift,
-            "pass_gap": worst_gap,
-            "equation_residual": eq_residual,
-        }
-    )
+    status = STATUS_INCONSISTENT if is_inconsistent(residual, scale) else outcome.status
+    notes = {**outcome.notes, "route": f"hole-{hole_len}", "L": L, "anchor": anchor, "window_shift": shift,
+             "pass_gap": worst_gap, "equation_residual": eq_residual}
     return RecoveryOutcome(status, outcome.estimate, partition, partition.n_components, residual, notes)
 
 
@@ -591,43 +540,34 @@ def recover_missing_center(
     center_row = np.asarray(center_row, dtype=np.complex128)
 
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
+    scale = float(np.clip(corr.a[0].real, 0.0, None).max())
     supp = support_from_magnitudes(corr.a[0], tau_supp)
-    est = np.zeros(d, dtype=np.complex128)
     notes: dict = {"route": "center", "tau_supp": tau_supp}
 
-    if len(supp) <= 1:
+    antipodal = len(supp) == 2 and (supp[1] - supp[0]) % d == half
+    if len(supp) <= 1 or antipodal:
+        est = np.zeros(d, dtype=np.complex128)
         if supp:
             est[supp[0]] = mags[supp[0]]
-        partition = ConnectivityPartition("all-shifts-but-center", tuple((j,) for j in supp), supp)
-        estimate = CyclicSignal(d, est)
+        if antipodal:
+            j = supp[0]
+            cross = 0.5 * (center_row[0] + np.exp(2j * np.pi * j / d) * center_row[1])
+            est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
+            notes["case"] = "antipodal-pair"
         residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
-        return RecoveryOutcome(STATUS_UNIQUE, estimate, partition, len(supp), residual, notes)
-
-    antipodal = len(supp) == 2 and (supp[1] - supp[0]) % d == half
-    if antipodal:
-        j = supp[0]
-        cross = 0.5 * (center_row[0] + np.exp(2j * np.pi * j / d) * center_row[1])
-        est[j] = mags[j]
-        est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
-        partition = ConnectivityPartition("all-shifts-but-center", (tuple(supp),), supp)
-        estimate = CyclicSignal(d, est)
-        residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
-        scale = float(np.clip(corr.a[0].real, 0.0, None).max())
-        status = STATUS_UNIQUE if residual <= CONSISTENCY_REL_TOL * max(scale, 1e-300) else STATUS_INCONSISTENT
-        notes["case"] = "antipodal-pair"
-        return RecoveryOutcome(status, estimate, partition, 1, residual, notes)
+        # a support of at most one point is taken as consistent unchecked
+        status = STATUS_INCONSISTENT if antipodal and is_inconsistent(residual, scale) else STATUS_UNIQUE
+        partition = ConnectivityPartition("all-shifts-but-center", (supp,) if supp else (), supp)
+        return RecoveryOutcome(status, CyclicSignal(d, est), partition, min(len(supp), 1), residual, notes)
 
     partition = _correlation_partition_all_shifts(corr, tau_supp, "all-shifts-but-center")
     if partition.n_components != 1:
         raise StftprError("internal: non-antipodal support must be connected without the center shift")
     outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
     residual = max(outcome.residual, _center_row_residual(outcome.estimate.entries, center_row, half))
-    scale = float(np.clip(corr.a[0].real, 0.0, None).max())
-    status = outcome.status
+    status = STATUS_INCONSISTENT if is_inconsistent(residual, scale) else outcome.status
     if status == STATUS_PER_COMPONENT:
         status = STATUS_UNIQUE
-    if status != STATUS_INCONSISTENT and residual > CONSISTENCY_REL_TOL * max(scale, 1e-300):
-        status = STATUS_INCONSISTENT
     notes.update(outcome.notes)
     notes["case"] = "propagation"
     return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
@@ -657,11 +597,10 @@ def recover_missing_dc_pair(
     row and the trusted part of the dc row.
     """
     d = corr.d
-    if d < 5:
-        raise PreconditionViolated(f"need d >= 5, got {d}")
     ls = int(lstar_value) % d
-    if math.gcd(ls, d) != 1 and not (d == 6 and ls == 2):
-        raise PreconditionViolated(f"l*={ls} shares a factor with d={d} (and is not the d=6 case)")
+    violation = _dc_pair_violation(d, ls)
+    if violation is not None:
+        raise violation
     missing = {ls, (d - ls) % d}
     if 0 in corr.known_shifts:
         raise StftprError("dc-pair route expects the shift-0 row to be absent")
@@ -669,9 +608,7 @@ def recover_missing_dc_pair(
     trusted = np.array([l not in missing for l in range(d)])
 
     energy = float(dc_row[0].real)
-    offdiag = np.zeros(d, dtype=np.float64)
-    for k in corr.known_shifts:
-        offdiag = np.maximum(offdiag, np.abs(corr.a[k]))
+    offdiag = np.abs(_stacked_rows(corr)[1]).max(axis=0, initial=0.0)
     smax = float(offdiag.max())
     notes: dict = {"route": "dcpair", "lstar": ls, "tau_supp": tau_supp}
 
@@ -688,7 +625,7 @@ def recover_missing_dc_pair(
         partition = ConnectivityPartition("all-nonzero-shifts", tuple((j,) for j in supp), supp)
         residual = _dc_residual(est, dc_row, trusted)
         residual = max(residual, _row_residual(_stacked_rows(corr), est))
-        status = STATUS_UNIQUE if residual <= CONSISTENCY_REL_TOL * max(energy, 1e-300) else STATUS_INCONSISTENT
+        status = STATUS_INCONSISTENT if is_inconsistent(residual, energy) else STATUS_UNIQUE
         notes["case"] = "spike"
         return RecoveryOutcome(status, CyclicSignal(d, est), partition, len(supp), residual, notes)
 
@@ -718,7 +655,7 @@ def recover_missing_dc_pair(
         best_res, best_i = min(scored)
         est = candidates[best_i]
         partition = ConnectivityPartition("all-nonzero-shifts", (tuple(supp),), supp)
-        status = STATUS_UNIQUE if best_res <= CONSISTENCY_REL_TOL * max(energy, 1e-300) else STATUS_INCONSISTENT
+        status = STATUS_INCONSISTENT if is_inconsistent(best_res, energy) else STATUS_UNIQUE
         notes["case"] = "two-point"
         return RecoveryOutcome(status, CyclicSignal(d, est), partition, 1, best_res, notes)
 
@@ -736,11 +673,9 @@ def recover_missing_dc_pair(
     partition = _correlation_partition_all_shifts(full, tau_supp, "all-nonzero-shifts")
     outcome = propagate_phases(full, partition, phase_tol, tau_supp)
     residual = max(outcome.residual, _dc_residual(outcome.estimate.entries, dc_row, trusted))
-    status = outcome.status
+    status = STATUS_INCONSISTENT if is_inconsistent(residual, energy) else outcome.status
     if status == STATUS_PER_COMPONENT:
         status = STATUS_UNIQUE
-    if status != STATUS_INCONSISTENT and residual > CONSISTENCY_REL_TOL * max(energy, 1e-300):
-        status = STATUS_INCONSISTENT
     notes.update(outcome.notes)
     notes["case"] = "triangle"
     return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
@@ -751,56 +686,32 @@ def _dc_residual(est: np.ndarray, dc_row: np.ndarray, trusted: np.ndarray) -> fl
     return float(np.abs(predicted[trusted] - dc_row[trusted]).max())
 
 
-def recover_center_windowed(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Driver for windows whose mask misses exactly the center entry (d/2, d/2)."""
-    d = X.d
-    mask = omega_mask(g, tau_rel)
-    if d % 2 != 0 or set(mask.false_entries()) != {(d // 2, d // 2)}:
-        raise WindowClassError("window mask is not punctured exactly at the center")
-    half = d // 2
+def _divide_punctured(X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, k: int):
+    """Every full row divided, plus row k divided where its mask is true and zero elsewhere."""
     R, amb = relation_transform(X).values, ambiguity(g).values
-    corr = _divide_full_rows(R, amb, mask)
-    center_row = np.zeros(d, dtype=np.complex128)
-    keep = np.arange(d) != half
-    center_row[keep] = R[half, keep] / np.conj(amb[half, keep])
+    keep = mask.mask[k]
+    row = np.zeros(X.d, dtype=np.complex128)
+    row[keep] = R[k, keep] / np.conj(amb[k, keep])
+    return _divide_full_rows(R, amb, mask), row
+
+
+def _solve_center(X, g, mask: OmegaMask, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
+    corr, center_row = _divide_punctured(X, g, mask, X.d // 2)
     return recover_missing_center(corr, center_row, tau_supp, phase_tol)
 
 
-def recover_dc_windowed(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Driver for windows whose mask misses exactly the dc-row pair (0, +-l*)."""
-    d = X.d
-    mask = omega_mask(g, tau_rel)
-    false_set = set(mask.false_entries())
-    dc_pair = _dc_pair_from_false_set(false_set, d)
-    if dc_pair is None:
-        raise WindowClassError("window mask is not punctured on a dc-row conjugate pair")
-    R, amb = relation_transform(X).values, ambiguity(g).values
-    corr = _divide_full_rows(R, amb, mask)
-    dc_row = np.zeros(d, dtype=np.complex128)
-    keep = np.array([(0, l) not in false_set for l in range(d)])
-    dc_row[keep] = R[0, keep] / np.conj(amb[0, keep])
-    return recover_missing_dc_pair(corr, dc_row, dc_pair, tau_supp, phase_tol)
+def _solve_dcpair(X, g, mask: OmegaMask, lstar: int, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
+    corr, dc_row = _divide_punctured(X, g, mask, 0)
+    return recover_missing_dc_pair(corr, dc_row, lstar, tau_supp, phase_tol)
 
 
-def _dc_pair_from_false_set(false_set: set[tuple[int, int]], d: int) -> int | None:
-    if len(false_set) != 2 or any(k != 0 for k, _ in false_set):
-        return None
-    ls = sorted(l for _, l in false_set)
-    if ls[1] != (d - ls[0]) % d or ls[0] == 0:
-        return None
-    return ls[0]
+def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
+    """Why the dc-pair theorem does not cover (d, l*), or None when it does."""
+    if d < 5:
+        return PreconditionViolated(f"need d >= 5, got {d}")
+    if math.gcd(ls, d) != 1 and not (d == 6 and ls == 2):
+        return PreconditionViolated(f"l*={ls} shares a factor with d={d} (and is not the d=6 case)")
+    return None
 
 
 def _zero_measurement(X: SpectrogramMeasurement, g: CyclicSignal) -> bool:
@@ -812,13 +723,148 @@ def _zero_outcome(d: int, route: str) -> RecoveryOutcome:
     return RecoveryOutcome(STATUS_UNIQUE, CyclicSignal.zeros(d), partition, 0, 0.0, {"route": route, "case": "zero-signal"})
 
 
-def _hole_anchors(mc: MeasurementCoefficients, L: int, tau_rel: float) -> tuple[list[int], list[int]]:
-    """Anchors for length-(L+1) holes (shift-0 band zeros) and exact-L holes."""
+def _filled_band(report: WindowReport) -> int | None:
+    """L when the window is short and nonzero on every index of its band 0..L."""
+    return report.short_L if report.short_L is not None and len(report.support) == report.short_L + 1 else None
+
+
+def _plan_full(X, report: WindowReport, L, tau_rel):
+    if not report.is_full:
+        return WindowClassError("window mask has holes; full-mask route does not apply")
+    return {"mask": report.omega}
+
+
+def _plan_generic(X, report: WindowReport, L, tau_rel):
+    d = report.window.d
+    if L is None:  # the band width of the anchored window
+        L = max((j - report.canonical_shift) % d for j in report.support)
+    if not (0 <= L < d / 2):
+        return StftprError(f"need 0 <= L < d/2, got L={L}, d={d}")
+    if not report.omega.same_mask(omega_L_d(d, L)):
+        return NonGenericWindow(f"mask does not equal the width-{L} band")
+    return {"L": L, "mask": report.omega, "shift": report.canonical_shift}
+
+
+def _plan_hole(X, report: WindowReport, L, tau_rel):
+    """First signal hole: a zero of band row 0 (length L+1), else an exact-L anchor.
+
+    An all-zero measurement is answered first, whatever the window."""
+    g = report.window
+    if _zero_measurement(X, g):
+        return _zero_outcome(X.d, "hole")
+    band = _filled_band(report)
+    L = band if L is None else L
+    if band is None or L != band:
+        return AnchorInvalid("hole route needs a short window that is nonzero on all of 0..L")
+    mc = measurement_coeffs(_anchored_problem(X, g, tau_rel)[0], L)
     b0 = np.abs(mc.b[0])
     peak = float(b0.max())
-    long_holes = [int(j) for j in range(mc.d) if peak > 0.0 and b0[j] <= tau_rel * peak]
+    long_holes = np.flatnonzero(b0 <= tau_rel * peak) if peak > 0.0 else ()
+    if len(long_holes):
+        return {"L": L, "anchor": int(long_holes[0]), "hole_len": L + 1, "coeffs": mc}
     exact = hole_classifier(mc, L, tau_rel)
-    return long_holes, exact
+    if exact:
+        return {"L": L, "anchor": exact[0], "hole_len": L, "coeffs": mc}
+    return AnchorInvalid("no hole of length L or L+1 detected in the measurement")
+
+
+def _plan_center(X, report: WindowReport, L, tau_rel):
+    d, mask = report.window.d, report.omega.mask
+    if d % 2 != 0 or np.count_nonzero(~mask) != 1 or mask[d // 2, d // 2]:
+        return WindowClassError("window mask is not punctured exactly at the center")
+    if d < 4:
+        return PreconditionViolated(f"need even d >= 4, got {d}")
+    return {"mask": report.omega}
+
+
+def _plan_dcpair(X, report: WindowReport, L, tau_rel):
+    d, mask = report.window.d, report.omega.mask
+    ls = np.flatnonzero(~mask[0])
+    if np.count_nonzero(~mask) != 2 or ls.size != 2 or ls[0] == 0 or ls[1] != d - ls[0]:
+        return WindowClassError("window mask is not punctured on a dc-row conjugate pair")
+    return _dc_pair_violation(d, int(ls[0])) or {"mask": report.omega, "lstar": int(ls[0])}
+
+
+def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -> tuple[int, ...]:
+    """Support read off the divided shift-0 row, which the full, generic and center masks keep whole."""
+    a0 = np.fft.ifft(relation_transform(X).values[0] / np.conj(ambiguity(g).values[0]))
+    return support_from_magnitudes(a0, tau_supp)
+
+
+def _whole_support(relation: str, X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    """One component: the route knows enough shifts to join any two support points."""
+    supp = _row0_support(X, g, tau_supp)
+    return ConnectivityPartition(relation, (supp,) if supp else (), supp)
+
+
+def _band_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    return components_mod_d(_row0_support(X, g, tau_supp), X.d, plan["L"])
+
+
+def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    """Band components of the support, from band row 0 unrolled off the planned hole."""
+    d, L = X.d, plan["L"]
+    coef = np.conj(window_coeffs(canonical_anchor(g, tau_rel)[0], L, tau_rel).c[0])
+    zero_start, zero_len = _zero_block(plan["anchor"], plan["hole_len"], L, 0, d)
+    a0, _, _ = _solve_banded_row(plan["coeffs"].b[0], coef, 0, zero_start, zero_len, d)
+    return components_mod_d(support_from_magnitudes(a0, tau_supp), d, L)
+
+
+def _dcpair_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    """The dc-pair solver's own partition: its support comes from the off-diagonal rows."""
+    return _solve_dcpair(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp, phase_tol=DEFAULT_PHASE_TOL).components
+
+
+@dataclass(frozen=True)
+class Route:
+    """One uniqueness condition: window-class plan, solver, and judged partition.
+
+    ``plan(X, report, L, tau_rel)`` returns the solver's keyword arguments, or
+    the exception saying why the route does not apply: an explicit mode raises
+    it, the auto router and the decision try the next route.  (The hole plan
+    returns the zero outcome itself for an all-zero measurement, which only an
+    explicit mode reaches.)  ``solver`` is a
+    module-global name looked up at each call, so a wrapper installed on this
+    module (a tracer, a profiler) sees the solver run.  ``partition`` is the
+    support split the condition judges: connected means retrievable.
+    """
+
+    name: str
+    plan: Callable
+    solver: str
+    partition: Callable
+
+
+ROUTES = (
+    Route("full", _plan_full, "_solve_full", partial(_whole_support, "all-shifts")),
+    Route("generic", _plan_generic, "_solve_generic", _band_components),
+    Route("hole", _plan_hole, "recover_with_hole", _hole_components),
+    Route("center", _plan_center, "_solve_center", partial(_whole_support, "all-shifts-but-center")),
+    Route("dcpair", _plan_dcpair, "_solve_dcpair", _dcpair_components),
+)
+
+
+def _solve(route: Route, X, g, plan: dict, tols: dict) -> RecoveryOutcome:
+    return globals()[route.solver](X, g, **plan, **tols)
+
+
+def _first_route(X, report: WindowReport, tau_rel: float):
+    """The first route whose plan applies and its plan (or None, None), and every rejection before it."""
+    rejected: dict[str, StftprError] = {}
+    for route in ROUTES:
+        plan = route.plan(X, report, None, tau_rel)
+        if not isinstance(plan, StftprError):
+            return route, plan, rejected
+        rejected[route.name] = plan
+    return None, None, rejected
+
+
+def _open_case(rejected: dict[str, StftprError]) -> dict | None:
+    """Notes naming a route whose window class fits but whose theorem's hypotheses fail."""
+    for name, why in rejected.items():
+        if isinstance(why, PreconditionViolated):
+            return {"route": name, "reason": str(why)}
+    return None
 
 
 def recover(
@@ -832,99 +878,90 @@ def recover(
 ) -> RecoveryOutcome:
     """Route a measurement to the solver matching the window's certified class.
 
-    ``auto`` tries, in order: hole-free mask, generic short band, signal holes of
-    length L+1 then L (short non-generic windows), punctured center, punctured
-    dc pair.  When nothing applies the outcome is Undecidable with no estimate.
+    ``mode`` is ``auto`` or the name of one entry of ``ROUTES``.  A named route
+    runs alone and raises its plan's exception when it does not apply.
+    ``auto`` answers an all-zero measurement first, then runs the first route,
+    in ``ROUTES`` order, whose plan applies: hole-free mask, generic short band,
+    signal hole of length L+1 then L (short windows nonzero on all of 0..L),
+    punctured center, punctured dc pair.  When none applies the outcome is
+    Undecidable with no estimate.  Its notes name the route and give the
+    reason when the window fits a route's class but not its theorem, as for a
+    dc pair whose l* shares a factor with d.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
-    kwargs = {"tau_rel": tau_rel, "tau_supp": tau_supp, "phase_tol": phase_tol}
-
-    if mode == "full":
-        return recover_full(X, g, **kwargs)
-    if mode == "generic":
-        return recover_generic_short(X, g, L, **kwargs)
-    if mode == "center":
-        return recover_center_windowed(X, g, **kwargs)
-    if mode == "dcpair":
-        return recover_dc_windowed(X, g, **kwargs)
-    if mode == "hole":
-        return _recover_hole_auto_anchor(X, g, L, **kwargs)
+    tols = {"tau_rel": tau_rel, "tau_supp": tau_supp, "phase_tol": phase_tol}
     if mode != "auto":
-        raise StftprError(f"unknown recovery mode: {mode}")
+        route = next((r for r in ROUTES if r.name == mode), None)
+        if route is None:
+            raise StftprError(f"unknown recovery mode: {mode}")
+        plan = route.plan(X, classify_window(g, tau_rel), L, tau_rel)
+        if isinstance(plan, StftprError):
+            raise plan
+        return plan if isinstance(plan, RecoveryOutcome) else _solve(route, X, g, plan, tols)
 
     report = classify_window(g, tau_rel)
     if _zero_measurement(X, g):
         return _zero_outcome(X.d, "auto")
-    if report.is_full:
-        return recover_full(X, g, **kwargs)
-    if report.is_generic_short:
-        return recover_generic_short(X, g, report.short_L, **kwargs)
-    if report.short_L is not None and len(report.support) == report.short_L + 1:
-        try:
-            return _recover_hole_auto_anchor(X, g, report.short_L, **kwargs)
-        except AnchorInvalid:
-            pass
-    false_set = set(report.omega.false_entries())
-    d = X.d
-    if d % 2 == 0 and false_set == {(d // 2, d // 2)}:
-        return recover_center_windowed(X, g, **kwargs)
-    if _dc_pair_from_false_set(false_set, d) is not None:
-        return recover_dc_windowed(X, g, **kwargs)
-    partition = ConnectivityPartition("unknown", (), ())
-    notes = {"route": "auto", "reason": "window class matches no implemented solver"}
-    return RecoveryOutcome(STATUS_UNDECIDABLE, None, partition, 0, float("nan"), notes)
+    route, plan, rejected = _first_route(X, report, tau_rel)
+    if route is not None:
+        return _solve(route, X, g, plan, tols)
+    notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}
+    return RecoveryOutcome(STATUS_UNDECIDABLE, None, ConnectivityPartition("unknown", (), ()), 0, float("nan"), notes)
 
 
-def _recover_hole_auto_anchor(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    L: int | None,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
+def recover_full(
+    X: SpectrogramMeasurement, g: CyclicSignal,
+    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
-    anchored, _ = canonical_anchor(g, tau_rel)
-    if L is None:
-        L = max(anchored.support(tau_rel))
+    """Recovery with a window whose mask has no holes: every shift row divides."""
+    return recover(X, g, "full", None, tau_rel, tau_supp, phase_tol)
+
+
+def recover_generic_short(
+    X: SpectrogramMeasurement, g: CyclicSignal, L: int | None = None,
+    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+) -> RecoveryOutcome:
+    """Recovery with a short window whose mask equals the full width-L band.
+
+    Disconnected supports return one estimate per component, each with its
+    own free phase.
+    """
+    return recover(X, g, "generic", L, tau_rel, tau_supp, phase_tol)
+
+
+def recover_center_windowed(
+    X: SpectrogramMeasurement, g: CyclicSignal,
+    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+) -> RecoveryOutcome:
+    """Driver for windows whose mask misses exactly the center entry (d/2, d/2)."""
+    return recover(X, g, "center", None, tau_rel, tau_supp, phase_tol)
+
+
+def recover_dc_windowed(
+    X: SpectrogramMeasurement, g: CyclicSignal,
+    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+) -> RecoveryOutcome:
+    """Driver for windows whose mask misses exactly the dc-row pair (0, +-l*)."""
+    return recover(X, g, "dcpair", None, tau_rel, tau_supp, phase_tol)
+
+
+def _comb_witnesses(X: SpectrogramMeasurement, g: CyclicSignal, L: int, tau_rel: float) -> tuple[CyclicSignal, ...]:
+    """Equal-amplitude comb translates reproducing the window-anchored measurement, if any."""
     X0, g0, _ = _anchored_problem(X, g, tau_rel)
-    if _zero_measurement(X, g):
-        return _zero_outcome(X.d, "hole")
-    mc = measurement_coeffs(X0, L)
-    long_holes, exact = _hole_anchors(mc, L, tau_rel)
-    if long_holes:
-        return recover_with_hole(X, g, L, long_holes[0], L + 1, tau_rel, tau_supp, phase_tol)
-    if exact:
-        return recover_with_hole(X, g, L, exact[0], L, tau_rel, tau_supp, phase_tol)
-    raise AnchorInvalid("no hole of length L or L+1 detected in the measurement")
-
-
-def _comb_witnesses(
-    X0: SpectrogramMeasurement, g0: CyclicSignal, L: int, tau_rel: float
-) -> tuple[CyclicSignal, ...]:
-    """Equal-amplitude comb translates reproducing the measurement, if any."""
     d = X0.d
     scale = float(X0.sq_mag.max())
     if scale <= 0.0:
         return ()
     energy = X0.total_mass() / (d * g0.norm() ** 2)
-    witnesses = []
     for r in range(2, min(d, L + 1) + 1):
         if d % r != 0 or (L + 1) % r != 0:
             continue
-        amp = math.sqrt(energy * r / d)
-        matched = []
-        for s in range(r):
-            v = np.zeros(d, dtype=np.complex128)
-            v[s::r] = amp
-            cand = CyclicSignal(d, v)
-            gap = float(np.abs(measure(cand, g0).sq_mag - X0.sq_mag).max())
-            if gap <= 1e-9 * scale:
-                matched.append(cand)
+        combs = [CyclicSignal(d, np.where(np.arange(d) % r == s, math.sqrt(energy * r / d), 0.0)) for s in range(r)]
+        matched = [c for c in combs if np.abs(measure(c, g0).sq_mag - X0.sq_mag).max() <= 1e-9 * scale]
         if len(matched) >= 2:
-            witnesses = matched
-            break
-    return tuple(witnesses)
+            return tuple(matched)
+    return ()
 
 
 def decide_retrievability(
@@ -936,78 +973,37 @@ def decide_retrievability(
     """Decide, from the measurement alone, whether the underlying signal is
     determined up to one global phase by this window.
 
-    Implemented window classes reduce the question to support connectivity;
-    short non-generic windows additionally need a signal hole, and outside every
-    implemented uniqueness condition the honest answer is Undecidable.
+    An all-zero measurement is Retrievable.  Otherwise the first route in
+    ``ROUTES`` order whose plan applies judges its support partition: connected
+    is Retrievable, anything else NotRetrievable.  A short window nonzero on
+    all of its band whose signal shows no hole is NotRetrievable when comb
+    translates reproduce the measurement.  Outside every implemented uniqueness
+    condition the honest answer is Undecidable.
     """
-    g = report.window
-    d = X.d
+    g, d = report.window, X.d
     notes: dict = {"tau_rel": tau_rel, "tau_supp": tau_supp}
-
     if _zero_measurement(X, g):
         notes["case"] = "zero-signal"
         return DecisionReport(VERDICT_RETRIEVABLE, ConnectivityPartition("empty", (), ()), notes)
 
-    if report.is_full:
-        corr = recover_autocorrelations(X, g, report.omega, tau_rel)
-        partition = _correlation_partition_all_shifts(corr, tau_supp, "all-shifts")
-        notes["route"] = "full"
-        return DecisionReport(VERDICT_RETRIEVABLE, partition, notes)
-
-    if report.is_generic_short:
-        L = report.short_L
-        amb = ambiguity(g).values
-        R = relation_transform(X).values
-        a0 = np.fft.ifft(R[0] / np.conj(amb[0]))
-        supp = support_from_magnitudes(a0, tau_supp)
-        partition = components_mod_d(supp, d, L)
-        notes.update({"route": "generic", "L": L})
-        verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE
-        return DecisionReport(verdict, partition, notes)
-
-    if report.short_L is not None and len(report.support) == report.short_L + 1:
-        L = report.short_L
-        X0, g0, _ = _anchored_problem(X, g, tau_rel)
-        mc = measurement_coeffs(X0, L)
-        wc = window_coeffs(g0, L, tau_rel)
-        long_holes, exact = _hole_anchors(mc, L, tau_rel)
-        anchor_plan = None
-        if long_holes:
-            anchor_plan = (long_holes[0], L + 1, long_holes[0], L + 1)
-        elif exact:
-            anchor_plan = (exact[0], L, (exact[0] + 1) % d, L)
-        if anchor_plan is not None:
-            anchor, hole_len, zero_start, zero_len = anchor_plan
-            a0_row, _, _ = _solve_banded_row(mc.b[0], np.conj(wc.c[0]), 0, zero_start, zero_len, d)
-            supp = support_from_magnitudes(a0_row, tau_supp)
-            partition = components_mod_d(supp, d, L)
-            notes.update({"route": f"hole-{hole_len}", "L": L, "anchor": anchor})
-            verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE
-            return DecisionReport(verdict, partition, notes)
-        witnesses = _comb_witnesses(X0, g0, L, tau_rel)
-        if witnesses:
-            supp = witnesses[0].support()
-            partition = components_mod_d(supp, d, L)
-            notes.update({"route": "comb-family", "L": L, "translates": len(witnesses)})
-            return DecisionReport(VERDICT_NOT_RETRIEVABLE, partition, notes, witnesses)
-        # no hole condition applies: fall through to the punctured-window routes
+    route, plan, rejected = _first_route(X, report, tau_rel)
+    L = _filled_band(report) if "hole" in rejected else None
+    if L is not None:
+        if route is None:
+            witnesses = _comb_witnesses(X, g, L, tau_rel)
+            if witnesses:
+                partition = components_mod_d(witnesses[0].support(), d, L)
+                notes.update({"route": "comb-family", "L": L, "translates": len(witnesses)})
+                return DecisionReport(VERDICT_NOT_RETRIEVABLE, partition, notes, witnesses)
         notes.update({"L": L, "hole_routes": "no signal hole detected"})
         if d % (L + 1) == 0:
             notes["open_gap"] = "band width + 1 divides d; only hole-based uniqueness is implemented"
 
-    false_set = set(report.omega.false_entries())
-    if d % 2 == 0 and false_set == {(d // 2, d // 2)}:
-        outcome = recover_center_windowed(X, g, tau_rel, tau_supp)
-        notes["route"] = "center"
-        return DecisionReport(VERDICT_RETRIEVABLE, outcome.components, notes)
-    pair = _dc_pair_from_false_set(false_set, d)
-    if pair is not None:
-        if math.gcd(pair, d) != 1 and not (d == 6 and pair == 2):
-            notes.update({"route": "dcpair", "reason": f"l*={pair} shares a factor with d"})
-            return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
-        outcome = recover_dc_windowed(X, g, tau_rel, tau_supp)
-        notes["route"] = "dcpair"
-        return DecisionReport(VERDICT_RETRIEVABLE, outcome.components, notes)
-
-    notes.update({"route": "none", "reason": "window class matches no implemented uniqueness condition"})
-    return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
+    if route is None:
+        notes.update(_open_case(rejected) or {"route": "none", "reason": "window class matches no implemented uniqueness condition"})
+        return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
+    partition = route.partition(X, g, plan, tau_rel, tau_supp)
+    notes["route"] = f"hole-{plan['hole_len']}" if route.name == "hole" else route.name
+    notes.update({k: plan[k] for k in ("L", "anchor") if k in plan})
+    verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE
+    return DecisionReport(verdict, partition, notes)

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 
 from stftpr.spectral import CyclicSignal
+from stftpr.windows import omega_mask
 
 
 def rng_for(*branch) -> np.random.Generator:
@@ -30,3 +31,24 @@ def random_short_window(rng, d: int, L: int) -> CyclicSignal:
     v = np.zeros(d, dtype=np.complex128)
     v[: L + 1] = random_entries(rng, L + 1)
     return CyclicSignal(d, v)
+
+
+def forced_zero_window(rng, d, L):
+    """Short window on 0..L whose mask has a zero inside the band: neither generic nor full."""
+    while True:
+        k0 = int(rng.integers(1, L))
+        l0 = int(rng.integers(0, d))
+        tail = random_entries(rng, L)
+        acc = sum(
+            np.conj(tail[j - 1]) * tail[j - k0 - 1] * np.exp(2j * np.pi * j * l0 / d)
+            for j in range(k0 + 1, L + 1)
+        )
+        head = -np.exp(-2j * np.pi * k0 * l0 / d) / np.conj(tail[k0 - 1]) * acc
+        if not (0.1 < abs(head) < 10.0):
+            continue
+        v = np.zeros(d, dtype=np.complex128)
+        v[0] = head
+        v[1 : L + 1] = tail
+        g = CyclicSignal(d, v)
+        if not omega_mask(g).mask[k0, l0]:
+            return g

@@ -133,3 +133,30 @@ def loop_propagate_phases(a: dict, d: int, components, universe) -> tuple[np.nda
     for k in sorted(a):
         residual = max(residual, float(np.abs(a[k] - est * np.conj(np.roll(est, k))).max()))
     return est, worst_cycle, residual
+
+
+def loop_hole_classifier(b: dict, d: int, L: int, tau_rel: float) -> list[int]:
+    """Exact-L hole anchors by the defining conditions, one index and one shift at a time.
+
+    ``b`` maps shift k = 0..L to its band row.  An anchor j* has every row
+    k = 1..L at most ``tau_rel`` times the rows' peak on j*+1-k .. j*+k, and
+    some row k above it at j*-k.
+    """
+    rows = [np.abs(b[k]) for k in range(L + 1)]
+    scale = max(float(rows[k].max()) for k in range(1, L + 1)) if L >= 1 else 0.0
+    if scale <= 0.0:
+        return []
+    thr = tau_rel * scale
+    anchors = []
+    for j_star in range(d):
+        cond_a = all(
+            rows[k][(j_star + off) % d] <= thr
+            for k in range(1, L + 1)
+            for off in range(1 - k, k + 1)
+        )
+        if not cond_a:
+            continue
+        cond_b = any(rows[k][(j_star - k) % d] > thr for k in range(1, L + 1))
+        if cond_b:
+            anchors.append(j_star)
+    return anchors

@@ -1,11 +1,13 @@
+import argparse
 import json
 
 import pytest
 
 from helpers import random_short_window, random_signal, rng_for
-from stftpr import serialize
-from stftpr.cli import main
-from stftpr.recovery import compare_up_to_phase
+from stftpr import serialize, windows
+from stftpr.cli import build_parser, main
+from stftpr.recovery import ROUTES, compare_up_to_phase
+from stftpr.spectral import measure
 
 
 @pytest.fixture()
@@ -139,3 +141,22 @@ def test_line_difference_construct(workdir, capsys):
 def test_counterexample_delta_line_mode(workdir, capsys):
     assert main(["counterexample", "delta", "--line", "--n-terms", "6", "--drop", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_recover_mode_choices_are_the_route_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices["recover"]._actions if a.dest == "mode")
+    assert tuple(mode.choices) == ("auto", *(route.name for route in ROUTES))
+
+
+def test_non_coprime_dc_pair_recovers_undecidable(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(windows, "lstar", lambda d: 3)
+    g = windows.construct_punctured_dc_window(9, seed=1)
+    write_signal(workdir / "g.json", g)
+    (workdir / "X.csv").write_text(serialize.measurement_to_csv(measure(random_signal(rng_for("cli-dc-lstar"), 9), g)))
+    capsys.readouterr()
+    assert main(["recover", "--measurement", "X.csv", "--window", "g.json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "Undecidable" and "l*=3" in doc["notes"]["reason"]
+    assert main(["decide", "--measurement", "X.csv", "--window", "g.json"]) == 4
+    assert main(["recover", "--measurement", "X.csv", "--window", "g.json", "--mode", "dcpair"]) == 65

@@ -1,0 +1,133 @@
+"""Golden routing outputs: every decision, every recovery mode, and the CLI.
+
+``tests/golden/routing.json`` holds, for each case below, the full
+``decide_retrievability`` document, the ``recover(...).to_json()`` document for
+``auto`` and for each explicit mode (or the name of the exception that mode
+raises, or ``"same-as-auto"`` when the mode's document equals auto's), and for
+a few cases the stdout and exit code of the CLI's ``recover``, ``decide`` and
+``window analyze``.  It pins the route order and
+every route's applicability test, so a change to the dispatch that moves any
+case to another route, note or exception shows here.  Regenerate it only when
+an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden_routing.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from helpers import forced_zero_window, random_signal, rng_for
+from stftpr import serialize
+from stftpr.cli import main
+from stftpr.recovery import decide_retrievability, recover
+from stftpr.spectral import CyclicSignal, measure
+from stftpr.windows import classify_window, construct_punctured_dc_window
+from test_golden_propagation import golden_cases
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "routing.json"
+MODES = ("auto", "full", "generic", "hole", "center", "dcpair")
+CLI_CASES = (
+    "full-d16",
+    "generic-L3-disconnected",
+    "hole-box-L3-len4",
+    "center-d20",
+    "dc-d15",
+    "comb-box-d8-L3",
+    "undecidable-forced-zero",
+    "zero-box-d8-L3",
+)
+
+
+def _box(d, L):
+    v = np.zeros(d, dtype=np.complex128)
+    v[: L + 1] = 1.0
+    return CyclicSignal(d, v)
+
+
+def routing_cases(seed: int = 0) -> list[tuple[str, object, CyclicSignal]]:
+    """Non-line propagation cases plus the comb, zero, undecidable and hole-note shapes."""
+    cases = [(case_id, X, g) for case_id, X, g, line_L in golden_cases(seed) if line_L is None]
+
+    comb = CyclicSignal(8, np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=complex))
+    cases.append(("comb-box-d8-L3", measure(comb, _box(8, 3)), _box(8, 3)))
+    cases.append(("zero-box-d8-L3", measure(CyclicSignal.zeros(8), _box(8, 3)), _box(8, 3)))
+
+    rng = rng_for("golden-routing-forced-zero", seed)
+    g = forced_zero_window(rng, 12, 4)
+    cases.append(("undecidable-forced-zero", measure(random_signal(rng, 12), g), g))
+    cases.append(("hole-forced-zero-long", measure(random_signal(rng, 12, support=range(7)), g), g))
+    cases.append(("hole-forced-zero-split", measure(random_signal(rng, 12, support=(0, 6)), g), g))
+
+    rng = rng_for("golden-routing-dc", seed)
+    g = construct_punctured_dc_window(11, seed=1)
+    cases.append(("dc-d11-hole-routes", measure(random_signal(rng, 11), g), g))
+    return cases
+
+
+def _decide_doc(X, g) -> dict:
+    decision = decide_retrievability(X, classify_window(g))
+    return {
+        "verdict": decision.verdict,
+        "partition": decision.partition.to_json() if decision.partition is not None else None,
+        "notes": {k: v for k, v in sorted(decision.notes.items())},
+        "witnesses": [serialize.signal_to_json(w) for w in decision.witnesses],
+    }
+
+
+def _recover_doc(X, g, mode) -> dict:
+    try:
+        return recover(X, g, mode=mode).to_json()
+    except Exception as exc:  # the exception class is part of each mode's contract
+        return {"raises": type(exc).__name__}
+
+
+def _cli_doc(X, g) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        x_path, g_path = Path(tmp) / "X.csv", Path(tmp) / "g.json"
+        x_path.write_text(serialize.measurement_to_csv(X))
+        g_path.write_text(serialize.dump_json(serialize.signal_to_json(g)))
+        runs = {
+            "recover": ["recover", "--measurement", str(x_path), "--window", str(g_path)],
+            "decide": ["decide", "--measurement", str(x_path), "--window", str(g_path)],
+            "window-analyze": ["window", "analyze", "--window", str(g_path)],
+        }
+        doc = {}
+        for name, argv in runs.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            doc[name] = {"exit": code, "stdout": out.getvalue()}
+        return doc
+
+
+def routing_document(seed: int = 0) -> str:
+    doc = {}
+    for case_id, X, g in routing_cases(seed):
+        recovered = {mode: _recover_doc(X, g, mode) for mode in MODES}
+        # an explicit mode that reproduces auto's document is stored by reference
+        for mode in MODES[1:]:
+            if recovered[mode] == recovered["auto"]:
+                recovered[mode] = "same-as-auto"
+        entry = {"decide": _decide_doc(X, g), "recover": recovered}
+        if case_id in CLI_CASES:
+            entry["cli"] = _cli_doc(X, g)
+        doc[case_id] = entry
+    return serialize.dump_json(doc)
+
+
+def test_routing_outputs_match_golden():
+    assert routing_document() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_routing.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(routing_document())

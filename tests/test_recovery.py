@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_entries, random_short_window, random_signal, rng_for
-from oracles import loop_propagate_phases, naive_autocorrelation
+from helpers import forced_zero_window, random_short_window, random_signal, rng_for
+from oracles import loop_hole_classifier, loop_propagate_phases, naive_autocorrelation
+from stftpr import windows
 from stftpr.connectivity import components_mod_d
 from stftpr.errors import (
     AnchorInvalid,
@@ -13,6 +14,7 @@ from stftpr.errors import (
     WindowClassError,
 )
 from stftpr.recovery import (
+    ROUTES,
     STATUS_INCONSISTENT,
     STATUS_PER_COMPONENT,
     STATUS_UNDECIDABLE,
@@ -21,10 +23,12 @@ from stftpr.recovery import (
     VERDICT_RETRIEVABLE,
     VERDICT_UNDECIDABLE,
     CorrelationData,
+    MeasurementCoefficients,
     _correlation_partition_all_shifts,
     compare_up_to_phase,
     decide_retrievability,
     hole_classifier,
+    is_inconsistent,
     measurement_coeffs,
     propagate_phases,
     recover,
@@ -51,26 +55,6 @@ def box_window(d, L):
     v = np.zeros(d, dtype=np.complex128)
     v[: L + 1] = 1.0
     return CyclicSignal(d, v)
-
-
-def forced_zero_window(rng, d, L):
-    while True:
-        k0 = int(rng.integers(1, L))
-        l0 = int(rng.integers(0, d))
-        tail = random_entries(rng, L)
-        acc = sum(
-            np.conj(tail[j - 1]) * tail[j - k0 - 1] * np.exp(2j * np.pi * j * l0 / d)
-            for j in range(k0 + 1, L + 1)
-        )
-        head = -np.exp(-2j * np.pi * k0 * l0 / d) / np.conj(tail[k0 - 1]) * acc
-        if not (0.1 < abs(head) < 10.0):
-            continue
-        v = np.zeros(d, dtype=np.complex128)
-        v[0] = head
-        v[1 : L + 1] = tail
-        g = CyclicSignal(d, v)
-        if not omega_mask(g).mask[k0, l0]:
-            return g
 
 
 # ---------------------------------------------------------------- coefficients
@@ -378,6 +362,35 @@ def test_hole_classifier_zero_signal():
     assert anchors == []
 
 
+def _band_rows_with_zero_runs(rng):
+    """Random band rows, zeroed on shared and per-row runs, some entries near the threshold."""
+    d = int(rng.integers(5, 41))
+    L = int(rng.integers(1, min(d - 1, 9)))
+    rows = rng.normal(size=(L + 1, d)) + 1j * rng.normal(size=(L + 1, d))
+    for _ in range(int(rng.integers(1, 4))):
+        start, length = int(rng.integers(d)), int(rng.integers(1, 3 * L + 2))
+        rows[:, (start + np.arange(length)) % d] = 0.0
+    for k in range(1, L + 1):
+        start, length = int(rng.integers(d)), int(rng.integers(0, L + 1))
+        rows[k, (start + np.arange(length)) % d] = 0.0
+    scale = np.abs(rows[1:]).max()
+    near = rng.random(rows.shape) < 0.05
+    rows[near] = scale * 1e-9 * rng.choice([0.5, 1.0, 2.0], size=near.sum())
+    return d, L, {k: rows[k] for k in range(L + 1)}
+
+
+def test_hole_classifier_matches_loop_oracle():
+    # small d with L near d includes windows 2k that wrap past the whole circle
+    rng = rng_for("hole-classifier-oracle")
+    with_anchors = 0
+    for _ in range(1200):
+        d, L, b = _band_rows_with_zero_runs(rng)
+        anchors = hole_classifier(MeasurementCoefficients(d, L, b), L)
+        assert anchors == loop_hole_classifier(b, d, L, 1e-9)
+        with_anchors += bool(anchors)
+    assert with_anchors > 200  # the comparison covers the anchor-finding branch, not only empty lists
+
+
 def test_recover_with_hole_long_hole():
     rng = rng_for("hole-long")
     d, L = 8, 3
@@ -471,6 +484,22 @@ def test_dc_route_examples():
         out = recover_dc_windowed(measure(f, g), g)
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
+
+
+def test_non_coprime_dc_pair_is_undecidable(monkeypatch):
+    # l* = 3 shares a factor with d = 9: no dc-pair uniqueness theorem applies
+    monkeypatch.setattr(windows, "lstar", lambda d: 3)
+    g = construct_punctured_dc_window(9, seed=1)
+    assert set(omega_mask(g).false_entries()) == {(0, 3), (0, 6)}
+    X = measure(random_signal(rng_for("dc-non-coprime"), 9), g)
+    out = recover(X, g)
+    assert out.status == STATUS_UNDECIDABLE and out.estimate is None
+    assert out.notes["route"] == "dcpair" and "l*=3" in out.notes["reason"]
+    decision = decide_retrievability(X, classify_window(g))
+    assert decision.verdict == VERDICT_UNDECIDABLE
+    assert decision.notes["route"] == "dcpair" and "l*=3" in decision.notes["reason"]
+    with pytest.raises(PreconditionViolated):
+        recover(X, g, mode="dcpair")
 
 
 def test_dc_route_coprimality_guard():
@@ -634,6 +663,15 @@ def test_decide_full_and_punctured_windows():
     assert decide_retrievability(measure(random_signal(rng, 9), gd), classify_window(gd)).verdict == VERDICT_RETRIEVABLE
 
 
+def test_is_inconsistent_flags_nan_and_excess():
+    assert is_inconsistent(float("nan"), 1.0)
+    assert is_inconsistent(2e-6, 1.0)
+    assert not is_inconsistent(1e-6, 1.0)
+    assert not is_inconsistent(0.0, 0.0)
+    assert is_inconsistent(1e-300, 0.0)
+    assert is_inconsistent(0.0, float("nan"))  # an unmeasurable scale certifies nothing
+
+
 # ---------------------------------------------------------------- comparison
 
 
@@ -669,6 +707,10 @@ def test_compare_up_to_phase_rejects_zero_reference():
 
 
 # ----------------------------------------------------------------- auto route
+
+
+def test_route_table_order():
+    assert [route.name for route in ROUTES] == ["full", "generic", "hole", "center", "dcpair"]
 
 
 def test_auto_routing_reaches_each_solver():
