@@ -170,7 +170,9 @@ def window_coeffs(g: CyclicSignal, L: int, tau_rel: float = DEFAULT_TAU_REL) -> 
     outside = mags[L + 1 :] > tau_rel * peak
     if not inside.all() or outside.any():
         raise WindowClassError(f"window support is not exactly 0..{L}")
-    c = {k: g.entries[k : L + 1] * np.conj(g.entries[: L + 1 - k]) for k in range(L + 1)}
+    c = {}
+    for k in range(L + 1):
+        c[k] = g.entries[k : L + 1] * np.conj(g.entries[: L + 1 - k])
     return WindowCoefficients(L, c)
 
 
@@ -306,14 +308,23 @@ def propagate_phases(
     estimate = CyclicSignal(d, est)
     residual = _row_residual(stacked, est)
 
-    status = STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT
-    if worst_cycle > phase_tol:
-        status = STATUS_INCONSISTENT
-    notes = {"phase_tol": phase_tol, "tau_supp": tau_supp, "worst_cycle_mismatch": worst_cycle}
+    inconsistent = worst_cycle > phase_tol
+    status = (
+        STATUS_INCONSISTENT
+        if inconsistent
+        else (STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT)
+    )
+    notes = {
+        "phase_tol": phase_tol,
+        "tau_supp": tau_supp,
+        "worst_cycle_mismatch": worst_cycle,
+    }
     return RecoveryOutcome(status, estimate, partition, partition.n_components, residual, notes)
 
 
-def _correlation_partition_all_shifts(corr: CorrelationData, tau_supp: float, relation: str) -> ConnectivityPartition:
+def _correlation_partition_all_shifts(
+    corr: CorrelationData, tau_supp: float, relation: str
+) -> ConnectivityPartition:
     """Partition of the detected support where any known nonzero shift is an edge.
 
     The routes that use it know every nonzero shift, or every one but d/2, and
@@ -362,24 +373,28 @@ def hole_classifier(
     if L < 1:
         return []
     d = b.d
-    rows = np.abs(np.array([b.b[k] for k in range(1, L + 1)]))
+    rows = np.abs(np.array([b.b[k] for k in range(1, L + 1)]))  # rows[k - 1] is band row k
     scale = max(rows.max(axis=1).tolist())
     if not scale > 0.0:
         return []
     thr = tau_rel * scale
+    loud = ~(rows <= thr)  # a NaN entry is never quiet
+    # every row's range holds j*, so only indices quiet in all rows are candidates
+    anchors = np.flatnonzero(~loud.any(axis=0))
+    for k in range(1, L + 1):
+        if not anchors.size:
+            return []
+        near = (anchors[:, None] + np.arange(1 - k, k + 1)) % d
+        anchors = anchors[~loud[k - 1, near].any(axis=1)]
     k = np.arange(1, L + 1)[:, None]
-    j = np.arange(d)
-    loud_before = (rows[k - 1, (j - k) % d] > thr).any(axis=0)
-    # entries of row k that are not quiet, counted over any window by prefix
-    # sums across three periods; row k's window starts at j+1-k and spans 2k
-    noisy = np.pad(np.cumsum(np.tile(~(rows <= thr), 3), axis=1), ((0, 0), (1, 0)))
-    start = (j - k + 1) % d
-    quiet_after = (noisy[k - 1, start + 2 * k] == noisy[k - 1, start]).all(axis=0)
-    return np.flatnonzero(quiet_after & loud_before).tolist()
+    before = (rows[k - 1, (anchors - k) % d] > thr).any(axis=0)
+    return anchors[before].tolist()
 
 
 def _banded_equation_residual(a: np.ndarray, b_row: np.ndarray, coef: np.ndarray, k: int) -> float:
-    predicted = sum(cf * np.roll(a, -(k + i)) for i, cf in enumerate(coef))
+    predicted = np.zeros_like(b_row)
+    for i, cf in enumerate(coef):
+        predicted = predicted + cf * np.roll(a, -(k + i))
     return float(np.abs(predicted - b_row).max())
 
 
@@ -441,8 +456,9 @@ def _solve_banded_row(
     return best, gap, res
 
 
-def _anchored_problem(X: SpectrogramMeasurement, g: CyclicSignal, tau_rel: float):
-    """The problem rotated so the window's support starts at 0, and the rotation."""
+def _anchored_problem(
+    X: SpectrogramMeasurement, g: CyclicSignal, tau_rel: float
+) -> tuple[SpectrogramMeasurement, CyclicSignal, int]:
     anchored, shift = canonical_anchor(g, tau_rel)
     if shift == 0:
         return X, g, 0
@@ -451,8 +467,14 @@ def _anchored_problem(X: SpectrogramMeasurement, g: CyclicSignal, tau_rel: float
 
 
 def _mirror_rows(a: dict[int, np.ndarray], d: int) -> dict[int, np.ndarray]:
-    """Add row d-k = conj(roll(a[k], -k)) for each nonzero shift k whose mirror is missing."""
-    return {**a, **{(d - k) % d: np.conj(np.roll(row, -k)) for k, row in a.items() if k and (d - k) % d not in a}}
+    out = dict(a)
+    for k in list(a):
+        if k == 0:
+            continue
+        mirror = (d - k) % d
+        if mirror not in out:
+            out[mirror] = np.conj(np.roll(a[k], -k))
+    return out
 
 
 def _zero_block(anchor: int, hole_len: int, L: int, k: int, d: int) -> tuple[int, int]:
@@ -489,10 +511,12 @@ def recover_with_hole(
     mc = measurement_coeffs(X0, L) if coeffs is None else coeffs
 
     b0 = np.abs(mc.b[0])
-    if hole_len == L + 1 and b0.max() > 0.0 and b0[anchor] > tau_rel * b0.max():
-        raise AnchorInvalid(f"shift-0 band row is nonzero at {anchor}: no length-{L + 1} hole")
-    if hole_len == L and anchor not in hole_classifier(mc, L, tau_rel):
-        raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
+    if hole_len == L + 1:
+        if b0.max() > 0.0 and b0[anchor] > tau_rel * b0.max():
+            raise AnchorInvalid(f"shift-0 band row is nonzero at {anchor}: no length-{L + 1} hole")
+    else:
+        if anchor not in hole_classifier(mc, L, tau_rel):
+            raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
 
     a: dict[int, np.ndarray] = {}
     worst_gap = 0.0
@@ -511,9 +535,20 @@ def recover_with_hole(
 
     scale = float(np.clip(corr.a[0].real, 0.0, None).max())
     residual = max(outcome.residual, eq_residual)
-    status = STATUS_INCONSISTENT if is_inconsistent(residual, scale) else outcome.status
-    notes = {**outcome.notes, "route": f"hole-{hole_len}", "L": L, "anchor": anchor, "window_shift": shift,
-             "pass_gap": worst_gap, "equation_residual": eq_residual}
+    status = outcome.status
+    if is_inconsistent(residual, scale):
+        status = STATUS_INCONSISTENT
+    notes = dict(outcome.notes)
+    notes.update(
+        {
+            "route": f"hole-{hole_len}",
+            "L": L,
+            "anchor": anchor,
+            "window_shift": shift,
+            "pass_gap": worst_gap,
+            "equation_residual": eq_residual,
+        }
+    )
     return RecoveryOutcome(status, outcome.estimate, partition, partition.n_components, residual, notes)
 
 
@@ -540,34 +575,43 @@ def recover_missing_center(
     center_row = np.asarray(center_row, dtype=np.complex128)
 
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
-    scale = float(np.clip(corr.a[0].real, 0.0, None).max())
     supp = support_from_magnitudes(corr.a[0], tau_supp)
+    est = np.zeros(d, dtype=np.complex128)
     notes: dict = {"route": "center", "tau_supp": tau_supp}
 
-    antipodal = len(supp) == 2 and (supp[1] - supp[0]) % d == half
-    if len(supp) <= 1 or antipodal:
-        est = np.zeros(d, dtype=np.complex128)
+    if len(supp) <= 1:
         if supp:
             est[supp[0]] = mags[supp[0]]
-        if antipodal:
-            j = supp[0]
-            cross = 0.5 * (center_row[0] + np.exp(2j * np.pi * j / d) * center_row[1])
-            est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
-            notes["case"] = "antipodal-pair"
+        partition = ConnectivityPartition("all-shifts-but-center", tuple((j,) for j in supp), supp)
+        estimate = CyclicSignal(d, est)
         residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
-        # a support of at most one point is taken as consistent unchecked
-        status = STATUS_INCONSISTENT if antipodal and is_inconsistent(residual, scale) else STATUS_UNIQUE
-        partition = ConnectivityPartition("all-shifts-but-center", (supp,) if supp else (), supp)
-        return RecoveryOutcome(status, CyclicSignal(d, est), partition, min(len(supp), 1), residual, notes)
+        return RecoveryOutcome(STATUS_UNIQUE, estimate, partition, len(supp), residual, notes)
+
+    antipodal = len(supp) == 2 and (supp[1] - supp[0]) % d == half
+    if antipodal:
+        j = supp[0]
+        cross = 0.5 * (center_row[0] + np.exp(2j * np.pi * j / d) * center_row[1])
+        est[j] = mags[j]
+        est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
+        partition = ConnectivityPartition("all-shifts-but-center", (tuple(supp),), supp)
+        estimate = CyclicSignal(d, est)
+        residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
+        scale = float(np.clip(corr.a[0].real, 0.0, None).max())
+        status = STATUS_INCONSISTENT if is_inconsistent(residual, scale) else STATUS_UNIQUE
+        notes["case"] = "antipodal-pair"
+        return RecoveryOutcome(status, estimate, partition, 1, residual, notes)
 
     partition = _correlation_partition_all_shifts(corr, tau_supp, "all-shifts-but-center")
     if partition.n_components != 1:
         raise StftprError("internal: non-antipodal support must be connected without the center shift")
     outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
     residual = max(outcome.residual, _center_row_residual(outcome.estimate.entries, center_row, half))
-    status = STATUS_INCONSISTENT if is_inconsistent(residual, scale) else outcome.status
+    scale = float(np.clip(corr.a[0].real, 0.0, None).max())
+    status = outcome.status
     if status == STATUS_PER_COMPONENT:
         status = STATUS_UNIQUE
+    if is_inconsistent(residual, scale):
+        status = STATUS_INCONSISTENT
     notes.update(outcome.notes)
     notes["case"] = "propagation"
     return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
@@ -608,7 +652,9 @@ def recover_missing_dc_pair(
     trusted = np.array([l not in missing for l in range(d)])
 
     energy = float(dc_row[0].real)
-    offdiag = np.abs(_stacked_rows(corr)[1]).max(axis=0, initial=0.0)
+    offdiag = np.zeros(d, dtype=np.float64)
+    for k in corr.known_shifts:
+        offdiag = np.maximum(offdiag, np.abs(corr.a[k]))
     smax = float(offdiag.max())
     notes: dict = {"route": "dcpair", "lstar": ls, "tau_supp": tau_supp}
 
@@ -673,9 +719,11 @@ def recover_missing_dc_pair(
     partition = _correlation_partition_all_shifts(full, tau_supp, "all-nonzero-shifts")
     outcome = propagate_phases(full, partition, phase_tol, tau_supp)
     residual = max(outcome.residual, _dc_residual(outcome.estimate.entries, dc_row, trusted))
-    status = STATUS_INCONSISTENT if is_inconsistent(residual, energy) else outcome.status
+    status = outcome.status
     if status == STATUS_PER_COMPONENT:
         status = STATUS_UNIQUE
+    if is_inconsistent(residual, energy):
+        status = STATUS_INCONSISTENT
     notes.update(outcome.notes)
     notes["case"] = "triangle"
     return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
@@ -736,11 +784,15 @@ def _plan_full(X, report: WindowReport, L, tau_rel):
 
 def _plan_generic(X, report: WindowReport, L, tau_rel):
     d = report.window.d
-    if L is None:  # the band width of the anchored window
-        L = max((j - report.canonical_shift) % d for j in report.support)
-    if not (0 <= L < d / 2):
-        return StftprError(f"need 0 <= L < d/2, got L={L}, d={d}")
-    if not report.omega.same_mask(omega_L_d(d, L)):
+    if L is None and report.short_L is not None:
+        L, generic = report.short_L, report.is_generic_short
+    else:
+        if L is None:  # the band width of the anchored window, d/2 or more here
+            L = max((j - report.canonical_shift) % d for j in report.support)
+        if not (0 <= L < d / 2):
+            return StftprError(f"need 0 <= L < d/2, got L={L}, d={d}")
+        generic = report.omega.same_mask(omega_L_d(d, L))
+    if not generic:
         return NonGenericWindow(f"mask does not equal the width-{L} band")
     return {"L": L, "mask": report.omega, "shift": report.canonical_shift}
 
@@ -823,10 +875,10 @@ class Route:
     the exception saying why the route does not apply: an explicit mode raises
     it, the auto router and the decision try the next route.  (The hole plan
     returns the zero outcome itself for an all-zero measurement, which only an
-    explicit mode reaches.)  ``solver`` is a
-    module-global name looked up at each call, so a wrapper installed on this
-    module (a tracer, a profiler) sees the solver run.  ``partition`` is the
-    support split the condition judges: connected means retrievable.
+    explicit mode reaches.)  ``solver`` is a module-global name looked up at
+    each call, so a wrapper installed on this module (a tracer, a profiler)
+    sees the solver run.  ``partition`` is the support split the condition
+    judges: connected means retrievable.
     """
 
     name: str
@@ -842,10 +894,6 @@ ROUTES = (
     Route("center", _plan_center, "_solve_center", partial(_whole_support, "all-shifts-but-center")),
     Route("dcpair", _plan_dcpair, "_solve_dcpair", _dcpair_components),
 )
-
-
-def _solve(route: Route, X, g, plan: dict, tols: dict) -> RecoveryOutcome:
-    return globals()[route.solver](X, g, **plan, **tols)
 
 
 def _first_route(X, report: WindowReport, tau_rel: float):
@@ -890,7 +938,6 @@ def recover(
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
-    tols = {"tau_rel": tau_rel, "tau_supp": tau_supp, "phase_tol": phase_tol}
     if mode != "auto":
         route = next((r for r in ROUTES if r.name == mode), None)
         if route is None:
@@ -898,70 +945,96 @@ def recover(
         plan = route.plan(X, classify_window(g, tau_rel), L, tau_rel)
         if isinstance(plan, StftprError):
             raise plan
-        return plan if isinstance(plan, RecoveryOutcome) else _solve(route, X, g, plan, tols)
-
-    report = classify_window(g, tau_rel)
-    if _zero_measurement(X, g):
-        return _zero_outcome(X.d, "auto")
-    route, plan, rejected = _first_route(X, report, tau_rel)
-    if route is not None:
-        return _solve(route, X, g, plan, tols)
-    notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}
-    return RecoveryOutcome(STATUS_UNDECIDABLE, None, ConnectivityPartition("unknown", (), ()), 0, float("nan"), notes)
+        if isinstance(plan, RecoveryOutcome):
+            return plan
+    else:
+        report = classify_window(g, tau_rel)
+        if _zero_measurement(X, g):
+            return _zero_outcome(X.d, "auto")
+        route, plan, rejected = _first_route(X, report, tau_rel)
+        if route is None:
+            notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}
+            partition = ConnectivityPartition("unknown", (), ())
+            return RecoveryOutcome(STATUS_UNDECIDABLE, None, partition, 0, float("nan"), notes)
+    return globals()[route.solver](X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp, phase_tol=phase_tol)
 
 
 def recover_full(
-    X: SpectrogramMeasurement, g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+    X: SpectrogramMeasurement,
+    g: CyclicSignal,
+    tau_rel: float = DEFAULT_TAU_REL,
+    tau_supp: float = DEFAULT_TAU_SUPP,
+    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Recovery with a window whose mask has no holes: every shift row divides."""
     return recover(X, g, "full", None, tau_rel, tau_supp, phase_tol)
 
 
 def recover_generic_short(
-    X: SpectrogramMeasurement, g: CyclicSignal, L: int | None = None,
-    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+    X: SpectrogramMeasurement,
+    g: CyclicSignal,
+    L: int | None = None,
+    tau_rel: float = DEFAULT_TAU_REL,
+    tau_supp: float = DEFAULT_TAU_SUPP,
+    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Recovery with a short window whose mask equals the full width-L band.
 
-    Disconnected supports return one estimate per component, each with its
-    own free phase.
+    The verdict (connected or not, and the component count) is computable from
+    the measurement alone; disconnected supports return one estimate per
+    component, each with its own free phase.
     """
     return recover(X, g, "generic", L, tau_rel, tau_supp, phase_tol)
 
 
 def recover_center_windowed(
-    X: SpectrogramMeasurement, g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+    X: SpectrogramMeasurement,
+    g: CyclicSignal,
+    tau_rel: float = DEFAULT_TAU_REL,
+    tau_supp: float = DEFAULT_TAU_SUPP,
+    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Driver for windows whose mask misses exactly the center entry (d/2, d/2)."""
     return recover(X, g, "center", None, tau_rel, tau_supp, phase_tol)
 
 
 def recover_dc_windowed(
-    X: SpectrogramMeasurement, g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL, tau_supp: float = DEFAULT_TAU_SUPP, phase_tol: float = DEFAULT_PHASE_TOL,
+    X: SpectrogramMeasurement,
+    g: CyclicSignal,
+    tau_rel: float = DEFAULT_TAU_REL,
+    tau_supp: float = DEFAULT_TAU_SUPP,
+    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Driver for windows whose mask misses exactly the dc-row pair (0, +-l*)."""
     return recover(X, g, "dcpair", None, tau_rel, tau_supp, phase_tol)
 
 
-def _comb_witnesses(X: SpectrogramMeasurement, g: CyclicSignal, L: int, tau_rel: float) -> tuple[CyclicSignal, ...]:
-    """Equal-amplitude comb translates reproducing the window-anchored measurement, if any."""
-    X0, g0, _ = _anchored_problem(X, g, tau_rel)
+def _comb_witnesses(
+    X0: SpectrogramMeasurement, g0: CyclicSignal, L: int, tau_rel: float
+) -> tuple[CyclicSignal, ...]:
+    """Equal-amplitude comb translates reproducing the measurement, if any."""
     d = X0.d
     scale = float(X0.sq_mag.max())
     if scale <= 0.0:
         return ()
     energy = X0.total_mass() / (d * g0.norm() ** 2)
+    witnesses = []
     for r in range(2, min(d, L + 1) + 1):
         if d % r != 0 or (L + 1) % r != 0:
             continue
-        combs = [CyclicSignal(d, np.where(np.arange(d) % r == s, math.sqrt(energy * r / d), 0.0)) for s in range(r)]
-        matched = [c for c in combs if np.abs(measure(c, g0).sq_mag - X0.sq_mag).max() <= 1e-9 * scale]
+        amp = math.sqrt(energy * r / d)
+        matched = []
+        for s in range(r):
+            v = np.zeros(d, dtype=np.complex128)
+            v[s::r] = amp
+            cand = CyclicSignal(d, v)
+            gap = float(np.abs(measure(cand, g0).sq_mag - X0.sq_mag).max())
+            if gap <= 1e-9 * scale:
+                matched.append(cand)
         if len(matched) >= 2:
-            return tuple(matched)
-    return ()
+            witnesses = matched
+            break
+    return tuple(witnesses)
 
 
 def decide_retrievability(
@@ -990,7 +1063,8 @@ def decide_retrievability(
     L = _filled_band(report) if "hole" in rejected else None
     if L is not None:
         if route is None:
-            witnesses = _comb_witnesses(X, g, L, tau_rel)
+            X0, g0, _ = _anchored_problem(X, g, tau_rel)
+            witnesses = _comb_witnesses(X0, g0, L, tau_rel)
             if witnesses:
                 partition = components_mod_d(witnesses[0].support(), d, L)
                 notes.update({"route": "comb-family", "L": L, "translates": len(witnesses)})

@@ -121,10 +121,14 @@ def difference_set(support, d: int | None = None) -> DifferenceSet:
     supp = sorted({int(j) for j in support})
     if not supp:
         raise EmptySupport("difference set of an empty support")
-    diffs = {a - b for a in supp for b in supp}
-    if d is not None:
-        diffs = {x % d for x in diffs}
-    return DifferenceSet(d, frozenset(diffs))
+    if d is None:
+        return DifferenceSet(None, frozenset(a - b for a in supp for b in supp))
+    # k is a difference exactly when the support indicator meets its own
+    # k-shift: the cyclic autocorrelation counts those meetings
+    indicator = np.zeros(d)
+    indicator[np.array(supp) % d] = 1.0
+    meetings = np.fft.ifft(np.abs(np.fft.fft(indicator)) ** 2).real
+    return DifferenceSet(d, frozenset(np.flatnonzero(meetings > 0.5).tolist()))
 
 
 def construct_power_window(d: int, L: int) -> CyclicSignal:

@@ -502,6 +502,22 @@ def test_non_coprime_dc_pair_is_undecidable(monkeypatch):
         recover(X, g, mode="dcpair")
 
 
+def test_dc_pair_below_five_is_undecidable():
+    # l* = 1 is coprime to d = 4, but the dc-pair theorem needs d >= 5
+    rng = rng_for("dc-small-d")
+    mags = np.sqrt([1.0, 2.0, 1.0, 2.0])  # |g|^2 has period 2: dc row zero at l = 1, 3 only
+    draws = (CyclicSignal(4, mags * np.exp(2j * np.pi * rng.random(4))) for _ in range(100))
+    g = next(w for w in draws if set(omega_mask(w).false_entries()) == {(0, 1), (0, 3)})
+    X = measure(random_signal(rng, 4), g)
+    out = recover(X, g)
+    assert out.status == STATUS_UNDECIDABLE and out.estimate is None
+    assert out.notes == {"route": "dcpair", "reason": "need d >= 5, got 4"}
+    decision = decide_retrievability(X, classify_window(g))
+    assert decision.verdict == VERDICT_UNDECIDABLE and decision.notes["reason"] == "need d >= 5, got 4"
+    with pytest.raises(PreconditionViolated):
+        recover(X, g, mode="dcpair")
+
+
 def test_dc_route_coprimality_guard():
     from stftpr.recovery import recover_missing_dc_pair
 

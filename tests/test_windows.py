@@ -73,6 +73,15 @@ def test_difference_set_negation_closure():
         assert all(-k in dg.members for k in dg.members)
 
 
+def test_cyclic_difference_set_matches_pairwise_differences():
+    # supports of every density, some moved off 0..d-1 by a multiple of d
+    rng = rng_for("dg-cyclic")
+    for trial in range(300):
+        d = int(rng.integers(1, 200)) if trial < 290 else 1024
+        supp = (rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False) + d * rng.integers(-2, 3)).tolist()
+        assert difference_set(supp, d=d).members == frozenset((a - b) % d for a in supp for b in supp)
+
+
 def test_difference_set_full_block_covers_odd_cycle():
     for d in (5, 9, 13):
         L = (d - 1) // 2
