@@ -24,9 +24,6 @@ from .recovery import (
     hole_classifier,
     measurement_coeffs,
     recover,
-    recover_center_windowed,
-    recover_dc_windowed,
-    recover_generic_short,
 )
 from .spectral import CyclicSignal, dft, embed_line, measure, relation_transform, stft
 from .windows import (
@@ -57,22 +54,22 @@ def _rng(seed: int, *branch: int) -> np.random.Generator:
     return np.random.default_rng([seed, *branch])
 
 
-def _random_entries(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_entries(rng: np.random.Generator, n: int) -> np.ndarray:
     mags = rng.uniform(0.5, 1.5, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return mags * np.exp(1j * phases)
 
 
-def _random_signal(rng: np.random.Generator, d: int, support=None) -> CyclicSignal:
+def random_signal(rng: np.random.Generator, d: int, support=None) -> CyclicSignal:
     v = np.zeros(d, dtype=np.complex128)
     idx = list(range(d)) if support is None else list(support)
-    v[idx] = _random_entries(rng, len(idx))
+    v[idx] = random_entries(rng, len(idx))
     return CyclicSignal(d, v)
 
 
-def _random_short_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal:
+def random_short_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal:
     v = np.zeros(d, dtype=np.complex128)
-    v[: L + 1] = _random_entries(rng, L + 1)
+    v[: L + 1] = random_entries(rng, L + 1)
     return CyclicSignal(d, v)
 
 
@@ -82,8 +79,8 @@ def criterion_1_relation(seed: int = DEFAULT_SEED) -> CriterionResult:
     for d in range(2, 17):
         for trial in range(100):
             rng = _rng(seed, 1, d, trial)
-            f = _random_signal(rng, d)
-            g = _random_signal(rng, d)
+            f = random_signal(rng, d)
+            g = random_signal(rng, d)
             R = relation_transform(measure(f, g)).values
             target = stft(f, f).values * np.conj(stft(g, g).values)
             scale = float(np.abs(target).max())
@@ -97,7 +94,7 @@ def criterion_2_orthogonality(seed: int = DEFAULT_SEED) -> CriterionResult:
     for d in (3, 8, 16):
         for trial in range(100):
             rng = _rng(seed, 2, d, trial)
-            f, f2, g, g2 = (_random_signal(rng, d) for _ in range(4))
+            f, f2, g, g2 = (random_signal(rng, d) for _ in range(4))
             lhs = complex(np.sum(stft(f, g).values * np.conj(stft(f2, g2).values)))
             rhs = d * complex(np.sum(f.entries * np.conj(f2.entries))) * complex(
                 np.sum(g2.entries * np.conj(g.entries))
@@ -124,12 +121,12 @@ def criterion_3_generic_recovery(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for trial in range(trials):
         rng = _rng(seed, 3, trial)
-        g = _random_short_window(rng, d, L)
+        g = random_short_window(rng, d, L)
         if not omega_mask(g).same_mask(band):
             continue
         generic_count += 1
-        f = _random_signal(rng, d, _random_connected_support(rng, d, L))
-        out = recover_generic_short(measure(f, g), g, L)
+        f = random_signal(rng, d, _random_connected_support(rng, d, L))
+        out = recover(measure(f, g), g, mode="generic", L=L)
         if out.status != STATUS_UNIQUE:
             return CriterionResult(3, "generic-window recovery", False, f"trial {trial}: status {out.status}")
         worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
@@ -163,14 +160,14 @@ def criterion_4_disconnected(seed: int = DEFAULT_SEED) -> CriterionResult:
     for trial in range(100):
         for L, n_parts in ((7, 2), (4, 3)):
             rng = _rng(seed, 4, L, trial)
-            g = _random_short_window(rng, d, L)
+            g = random_short_window(rng, d, L)
             if not omega_mask(g).same_mask(omega_L_d(d, L)):
                 continue
             parts = _component_supports(rng, d, L, n_parts)
             supp = [j for part in parts for j in part]
-            f = _random_signal(rng, d, supp)
+            f = random_signal(rng, d, supp)
             X = measure(f, g)
-            out = recover_generic_short(X, g, L)
+            out = recover(X, g, mode="generic", L=L)
             if out.status != STATUS_PER_COMPONENT or out.free_phases != n_parts:
                 return CriterionResult(
                     4, "disconnected signals", False,
@@ -214,8 +211,8 @@ def criterion_5_center(seed: int = DEFAULT_SEED) -> CriterionResult:
         for trial in range(50):
             rng = _rng(seed, 5, d, trial)
             supp = _mixed_supports(rng, d, trial, antipodal_slot=True)
-            f = _random_signal(rng, d, supp)
-            out = recover_center_windowed(measure(f, g), g)
+            f = random_signal(rng, d, supp)
+            out = recover(measure(f, g), g, mode="center")
             if out.status != STATUS_UNIQUE:
                 return CriterionResult(5, "punctured-center window", False, f"d={d} trial {trial}: {out.status}")
             worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
@@ -237,20 +234,20 @@ def criterion_6_dc(seed: int = DEFAULT_SEED) -> CriterionResult:
         for trial in range(50):
             rng = _rng(seed, 6, d, trial)
             supp = _mixed_supports(rng, d, trial, antipodal_slot=False)
-            f = _random_signal(rng, d, supp)
-            out = recover_dc_windowed(measure(f, g), g)
+            f = random_signal(rng, d, supp)
+            out = recover(measure(f, g), g, mode="dcpair")
             if out.status != STATUS_UNIQUE:
                 return CriterionResult(6, "punctured-dc window", False, f"d={d} trial {trial}: {out.status}")
             worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
     return CriterionResult(6, "punctured-dc window", worst < 1e-7, f"max aligned error {worst:.3e} (< 1e-7)")
 
 
-def _forced_zero_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal:
-    # length-(L+1) window with one ambiguity zero forced at a random band entry
+def forced_zero_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal:
+    """Window on 0..L with one ambiguity zero forced at a random band entry: neither generic nor full."""
     while True:
         k0 = int(rng.integers(1, L))
         l0 = int(rng.integers(0, d))
-        tail = _random_entries(rng, L)  # entries 1..L
+        tail = random_entries(rng, L)  # entries 1..L
         acc = 0.0 + 0.0j
         for j in range(k0 + 1, L + 1):
             acc += np.conj(tail[j - 1]) * tail[j - k0 - 1] * np.exp(2j * np.pi * j * l0 / d)
@@ -261,8 +258,7 @@ def _forced_zero_window(rng: np.random.Generator, d: int, L: int) -> CyclicSigna
         v[0] = head
         v[1 : L + 1] = tail
         g = CyclicSignal(d, v)
-        mask = omega_mask(g)
-        if not mask.mask[k0, l0] and not mask.same_mask(omega_L_d(d, L)):
+        if not omega_mask(g).mask[k0, l0]:
             return g
 
 
@@ -272,11 +268,11 @@ def criterion_7_hole(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for trial in range(100):
         rng = _rng(seed, 7, trial)
-        g = _forced_zero_window(rng, d, L)
+        g = forced_zero_window(rng, d, L)
 
         j_star = int(rng.integers(0, d))
         supp_long = [(j_star + L + 1 + off) % d for off in range(d - L - 1)]
-        f = _random_signal(rng, d, supp_long)
+        f = random_signal(rng, d, supp_long)
         out = recover(measure(f, g), g, mode="hole", L=L)
         if out.status != STATUS_UNIQUE:
             return CriterionResult(7, "hole-based recovery", False, f"trial {trial} (L+1): {out.status}")
@@ -284,7 +280,7 @@ def criterion_7_hole(seed: int = DEFAULT_SEED) -> CriterionResult:
 
         # exact-L hole after j*, signal nonzero at j* and at j*+L+1
         supp_exact = [(j_star + L + 1 + off) % d for off in range(d - L)]
-        f = _random_signal(rng, d, supp_exact)
+        f = random_signal(rng, d, supp_exact)
         X = measure(f, g)
         from .recovery import _anchored_problem
 
@@ -328,8 +324,8 @@ def criterion_9_line(seed: int = DEFAULT_SEED) -> CriterionResult:
         for trial in range(40):
             rng = _rng(seed, 9, L, trial)
             supp = sorted({int(j) for j in rng.choice(13, size=int(rng.integers(1, 7)), replace=False)})
-            f_map = {j: complex(z) for j, z in zip(supp, _random_entries(rng, len(supp)))}
-            g_map = {j: complex(z) for j, z in zip(range(L + 1), _random_entries(rng, L + 1))}
+            f_map = {j: complex(z) for j, z in zip(supp, random_entries(rng, len(supp)))}
+            g_map = {j: complex(z) for j, z in zip(range(L + 1), random_entries(rng, L + 1))}
             f_emb, g_emb, d = embed_line(f_map, g_map)
             out = recover_line_block(measure(f_emb, g_emb), g_emb, L)
             from .connectivity import components_line
@@ -361,7 +357,7 @@ def criterion_9_line(seed: int = DEFAULT_SEED) -> CriterionResult:
         size = int(rng.integers(2, min(extent + 1, 6) + 1))
         supp = sorted({0, extent, *rng.choice(extent + 1, size=size, replace=False).tolist()})
         f = np.zeros(extent + 1, dtype=np.complex128)
-        f[supp] = _random_entries(rng, len(supp))
+        f[supp] = random_entries(rng, len(supp))
         n_nodes = 2 * extent + 5
         nodes = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
 
@@ -392,12 +388,12 @@ def criterion_10_oracles(seed: int = DEFAULT_SEED) -> CriterionResult:
         W = np.exp(-2j * np.pi * np.outer(j, j) / d)
         for trial in range(50):
             rng = _rng(seed, 10, d, trial)
-            v = _random_entries(rng, d)
+            v = random_entries(rng, d)
             naive = W @ v
             worst = max(worst, float(np.abs(dft(v) - naive).max() / np.abs(naive).max()))
 
-            f = _random_signal(rng, d)
-            g = _random_signal(rng, d)
+            f = random_signal(rng, d)
+            g = random_signal(rng, d)
             shifted = g.entries[(j[None, :] - j[:, None]) % d]
             naive_stft = (f.entries[None, :] * np.conj(shifted)) @ W.T
             fast = stft(f, g).values

@@ -4,9 +4,11 @@ All solvers share one pipeline: turn the squared-magnitude measurement into
 shift-autocorrelation data ``a[k][j] = f_j * conj(f_{j-k})`` for whichever
 shifts the window's ambiguity support makes available, partition the recovered
 support under the matching gap relation, then fix one phase per component and
-propagate.  Window classes whose ambiguity support has specific holes (a short
-band, a missing center entry, a missing dc-row pair) get dedicated routes that
-reconstruct the shifts the direct division cannot reach.
+propagate.  Every route gets its rows by dividing by the window ambiguity
+where the mask is true.  Window classes whose ambiguity support has specific
+holes (a short band, a missing center entry, a missing dc-row pair) get
+dedicated routes that supply what the division cannot reach; on the hole route
+a known run of zeros in the signal fixes each band row's vanished frequencies.
 
 ``ROUTES`` lists the routes in the order the auto router tries them;
 ``recover``, ``decide_retrievability`` and the CLI all read that one table.
@@ -399,61 +401,35 @@ def _banded_equation_residual(a: np.ndarray, b_row: np.ndarray, coef: np.ndarray
 
 
 def _solve_banded_row(
-    b_row: np.ndarray, coef: np.ndarray, k: int, zero_start: int, zero_len: int, d: int
-) -> tuple[np.ndarray, float, float]:
-    """Unroll b[j] = sum_i coef[i] a[j+k+i] from a known block of zeros of a.
+    b_row: np.ndarray, coef: np.ndarray, k: int, zero_start: int, zero_len: int, floor: float
+) -> tuple[np.ndarray, float]:
+    """Solve b[j] = sum_i coef[i] a[j+k+i] for a row a that vanishes on a known block.
 
-    Runs a forward pass (divide by the trailing coefficient) and an independent
-    backward pass (divide by the leading coefficient).  One direction is always
-    numerically stable, the other may amplify roundoff, so the pass satisfying
-    all d equations better is kept; its residual doubles as the inconsistency
-    detector, and the passes' disagreement is reported for diagnostics.
+    In frequency the equation reads fft(b) = fft(a) * C with
+    C(l) = sum_i coef[i] e^{2 pi i (k+i) l / d}, and |C(l)| = |V_gg(k, l)|.
+    Where |C| exceeds ``floor`` the row divides, as on every other route.  C
+    vanishes on at most W-1 frequencies; those are fitted so that a is zero on
+    the block, which is at least W-1 long, and the block is then set to zero.
+    The residual over all d equations flags data that no such row satisfies.
     """
-    W = len(coef)
+    d, W = b_row.size, coef.size
     if zero_len < W - 1:
-        raise AnchorInvalid(f"zero block of length {zero_len} cannot seed a width-{W} recurrence")
-    steps = d - zero_len
-
-    fwd = np.zeros(d, dtype=np.complex128)
-    for step in range(steps):
-        p = (zero_start + zero_len + step) % d
-        j = (p - k - (W - 1)) % d
-        acc = b_row[j]
-        for i in range(W - 1):
-            acc -= coef[i] * fwd[(j + k + i) % d]
-        fwd[p] = acc / coef[W - 1]
-
-    bwd = np.zeros(d, dtype=np.complex128)
-    for step in range(steps):
-        p = (zero_start - 1 - step) % d
-        j = (p - k) % d
-        acc = b_row[j]
-        for i in range(1, W):
-            acc -= coef[i] * bwd[(j + k + i) % d]
-        bwd[p] = acc / coef[0]
-
-    gap = float(np.abs(fwd - bwd).max())
-    res_f = _banded_equation_residual(fwd, b_row, coef, k)
-    res_b = _banded_equation_residual(bwd, b_row, coef, k)
-    best, res = (bwd, res_b) if res_b < res_f else (fwd, res_f)
-    if res > 1e-10 * max(1.0, float(np.abs(b_row).max())):
-        # recurrence roots straddling the unit circle make both unroll
-        # directions explosive; fall back to the overdetermined banded system
-        unknowns = [p for p in range(d) if (p - zero_start) % d >= zero_len]
-        col = {p: i for i, p in enumerate(unknowns)}
-        M = np.zeros((d, len(unknowns)), dtype=np.complex128)
-        for j in range(d):
-            for i, cf in enumerate(coef):
-                p = (j + k + i) % d
-                if p in col:
-                    M[j, col[p]] += cf
-        sol, *_ = np.linalg.lstsq(M, b_row, rcond=None)
-        alt = np.zeros(d, dtype=np.complex128)
-        alt[unknowns] = sol
-        res_alt = _banded_equation_residual(alt, b_row, coef, k)
-        if res_alt < res:
-            best, res = alt, res_alt
-    return best, gap, res
+        raise AnchorInvalid(f"zero block of length {zero_len} cannot pin a width-{W} row")
+    taps = np.zeros(d, dtype=np.complex128)
+    taps[k : k + W] = coef
+    C = d * np.fft.ifft(taps)
+    divides = np.abs(C) > floor
+    A = np.zeros(d, dtype=np.complex128)
+    A[divides] = np.fft.fft(b_row)[divides] / C[divides]
+    block = (zero_start + np.arange(zero_len)) % d
+    missing = np.flatnonzero(~divides)
+    if missing.size:
+        # ifft(A) on the block is linear in the missing A[l]; make it vanish there
+        basis = np.exp(2j * np.pi * (np.outer(block, missing) % d) / d) / d
+        A[missing] = np.linalg.lstsq(basis, -np.fft.ifft(A)[block], rcond=None)[0]
+    a = np.fft.ifft(A)
+    a[block] = 0.0
+    return a, _banded_equation_residual(a, b_row, coef, k)
 
 
 def _anchored_problem(
@@ -498,9 +474,11 @@ def recover_with_hole(
     ``hole_len = L + 1``: the signal vanishes on anchor..anchor+L (validated via
     the shift-0 band row).  ``hole_len = L``: the signal is nonzero at the anchor
     and vanishes on the next L indices, with mass within L before the anchor
-    (validated by the hole classifier).  Each shift row is then unrolled from
-    the implied zero block of its autocorrelation.  ``coeffs`` are the band
-    rows of the window-anchored measurement, when the caller has built them.
+    (validated by the hole classifier).  Each shift row k <= L is then solved in
+    frequency: divided where the window's ambiguity row is nonzero, with the
+    frequencies where it vanishes fitted to the zero block the hole implies for
+    that row.  ``coeffs`` are the band rows of the window-anchored measurement,
+    when the caller has built them.
     """
     if hole_len not in (L, L + 1):
         raise AnchorInvalid(f"hole length must be L or L+1, got {hole_len}")
@@ -518,15 +496,12 @@ def recover_with_hole(
         if anchor not in hole_classifier(mc, L, tau_rel):
             raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
 
+    floor = tau_rel * g0.norm() ** 2
     a: dict[int, np.ndarray] = {}
-    worst_gap = 0.0
     eq_residual = 0.0
     for k in range(L + 1):
-        coef = np.conj(wc.c[k])
-        row, gap, res = _solve_banded_row(mc.b[k], coef, k, *_zero_block(anchor, hole_len, L, k, d), d)
-        worst_gap = max(worst_gap, gap)
+        a[k], res = _solve_banded_row(mc.b[k], np.conj(wc.c[k]), k, *_zero_block(anchor, hole_len, L, k, d), floor)
         eq_residual = max(eq_residual, res)
-        a[k] = row
 
     corr = CorrelationData(d, _mirror_rows(a, d))
     supp = support_from_magnitudes(corr.a[0], tau_supp)
@@ -545,7 +520,6 @@ def recover_with_hole(
             "L": L,
             "anchor": anchor,
             "window_shift": shift,
-            "pass_gap": worst_gap,
             "equation_residual": eq_residual,
         }
     )
@@ -854,11 +828,11 @@ def _band_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
 
 
 def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    """Band components of the support, from band row 0 unrolled off the planned hole."""
+    """Band components of the support, from band row 0 solved off the planned hole."""
     d, L = X.d, plan["L"]
     coef = np.conj(window_coeffs(canonical_anchor(g, tau_rel)[0], L, tau_rel).c[0])
     zero_start, zero_len = _zero_block(plan["anchor"], plan["hole_len"], L, 0, d)
-    a0, _, _ = _solve_banded_row(plan["coeffs"].b[0], coef, 0, zero_start, zero_len, d)
+    a0, _ = _solve_banded_row(plan["coeffs"].b[0], coef, 0, zero_start, zero_len, tau_rel * g.norm() ** 2)
     return components_mod_d(support_from_magnitudes(a0, tau_supp), d, L)
 
 
@@ -957,56 +931,6 @@ def recover(
             partition = ConnectivityPartition("unknown", (), ())
             return RecoveryOutcome(STATUS_UNDECIDABLE, None, partition, 0, float("nan"), notes)
     return globals()[route.solver](X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp, phase_tol=phase_tol)
-
-
-def recover_full(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Recovery with a window whose mask has no holes: every shift row divides."""
-    return recover(X, g, "full", None, tau_rel, tau_supp, phase_tol)
-
-
-def recover_generic_short(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    L: int | None = None,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Recovery with a short window whose mask equals the full width-L band.
-
-    The verdict (connected or not, and the component count) is computable from
-    the measurement alone; disconnected supports return one estimate per
-    component, each with its own free phase.
-    """
-    return recover(X, g, "generic", L, tau_rel, tau_supp, phase_tol)
-
-
-def recover_center_windowed(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Driver for windows whose mask misses exactly the center entry (d/2, d/2)."""
-    return recover(X, g, "center", None, tau_rel, tau_supp, phase_tol)
-
-
-def recover_dc_windowed(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-) -> RecoveryOutcome:
-    """Driver for windows whose mask misses exactly the dc-row pair (0, +-l*)."""
-    return recover(X, g, "dcpair", None, tau_rel, tau_supp, phase_tol)
 
 
 def _comb_witnesses(

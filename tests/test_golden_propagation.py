@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import random_entries, random_short_window, random_signal, rng_for
+from helpers import changed_cases, random_entries, random_short_window, random_signal, rng_for
 from stftpr import serialize
 from stftpr.linemode import recover_line_block
 from stftpr.recovery import decide_retrievability, recover
@@ -120,7 +120,10 @@ def golden_document(seed: int = 0) -> str:
 
 
 def test_propagation_outputs_match_golden():
-    assert golden_document() == GOLDEN.read_text()
+    actual, expected = golden_document(), GOLDEN.read_text()
+    changed = changed_cases(actual, expected)
+    assert not changed, f"cases whose output changed: {', '.join(changed)}"
+    assert actual == expected
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import forced_zero_window, random_signal, rng_for
+from helpers import changed_cases, forced_zero_window, random_signal, rng_for
 from stftpr import serialize
 from stftpr.cli import main
 from stftpr.recovery import decide_retrievability, recover
@@ -123,7 +123,10 @@ def routing_document(seed: int = 0) -> str:
 
 
 def test_routing_outputs_match_golden():
-    assert routing_document() == GOLDEN.read_text()
+    actual, expected = routing_document(), GOLDEN.read_text()
+    changed = changed_cases(actual, expected)
+    assert not changed, f"cases whose output changed: {', '.join(changed)}"
+    assert actual == expected
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,6 @@ from stftpr.recovery import (
     propagate_phases,
     recover,
     recover_autocorrelations,
-    recover_center_windowed,
-    recover_dc_windowed,
-    recover_full,
-    recover_generic_short,
     recover_with_hole,
     window_coeffs,
 )
@@ -198,7 +196,7 @@ def test_propagate_phases_connected_random():
     g = random_short_window(rng, d, L)
     assert omega_mask(g).same_mask(omega_L_d(d, L))
     f = random_signal(rng, d)
-    out = recover_generic_short(measure(f, g), g, L)
+    out = recover(measure(f, g), g, mode="generic", L=L)
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
 
 
@@ -254,7 +252,7 @@ def test_propagate_phases_wrapping_component_anchor_is_real():
     d, L = 16, 2
     g = random_short_window(rng, d, L)
     f = random_signal(rng, d, support=[0, 1, d - 2, d - 1])
-    out = recover_generic_short(measure(f, g), g, L)
+    out = recover(measure(f, g), g, mode="generic", L=L)
     assert out.components.components == ((0, 1, d - 2, d - 1),)
     est0 = out.estimate.entries[0]
     assert est0.imag == 0.0 and est0.real > 0.0
@@ -292,7 +290,7 @@ def test_generic_short_connected_example():
     d, L = 8, 3
     g = random_short_window(rng, d, L)
     f = random_signal(rng, d, support=[0, 1, 2])
-    out = recover_generic_short(measure(f, g), g, L)
+    out = recover(measure(f, g), g, mode="generic", L=L)
     assert out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -302,7 +300,7 @@ def test_generic_short_antipodal_pair():
     d, L = 8, 3
     g = random_short_window(rng, d, L)
     f = random_signal(rng, d, support=[0, 4])
-    out = recover_generic_short(measure(f, g), g, L)
+    out = recover(measure(f, g), g, mode="generic", L=L)
     assert out.status == STATUS_PER_COMPONENT and out.free_phases == 2
 
 
@@ -312,7 +310,7 @@ def test_generic_short_full_band_case():
     g = random_short_window(rng, d, L)
     for trial in range(10):
         f = random_signal(rng, d, support=[j for j in range(d) if rng.uniform() < 0.6] or [0])
-        out = recover_generic_short(measure(f, g), g, L)
+        out = recover(measure(f, g), g, mode="generic", L=L)
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -322,7 +320,7 @@ def test_generic_short_rejects_nongeneric_window():
     g = forced_zero_window(rng, 12, 4)
     X = measure(random_signal(rng, 12), g)
     with pytest.raises(NonGenericWindow):
-        recover_generic_short(X, g, 4)
+        recover(X, g, mode="generic", L=4)
 
 
 def test_generic_short_handles_shifted_window():
@@ -331,7 +329,7 @@ def test_generic_short_handles_shifted_window():
     g0 = random_short_window(rng, d, L)
     g = g0.shifted(6)
     f = random_signal(rng, d)
-    out = recover_generic_short(measure(f, g), g, L)
+    out = recover(measure(f, g), g, mode="generic", L=L)
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
 
 
@@ -439,10 +437,46 @@ def test_hole_and_generic_solvers_agree():
     assert omega_mask(g).same_mask(omega_L_d(d, L))
     f = random_signal(rng, d, support=[0, 1, 2, 3, 4, 5, 6])  # zeros on 7..11
     X = measure(f, g)
-    a = recover_generic_short(X, g, L)
+    a = recover(X, g, mode="generic", L=L)
     b = recover_with_hole(X, g, L, anchor=7, hole_len=L + 1)
     gamma, err = compare_up_to_phase(a.estimate, b.estimate)
     assert err < 1e-9
+
+
+def _with_hole(rng, d, hole):
+    v = random_signal(rng, d).entries.copy()
+    v[(int(rng.integers(d)) + np.arange(hole)) % d] = 0.0
+    return CyclicSignal(d, v)
+
+
+def test_hole_route_straddle_window_at_large_d():
+    # |g|^2 are the coefficients of (1+z)^2 (1+4z+z^2)^2: band row 0 loses
+    # l = d/2, and the roots -2 +- sqrt(3) lie on both sides of the unit circle,
+    # so a recurrence over the row grows without bound in either direction
+    d, L = 1024, 6
+    head = np.sqrt(np.convolve(np.convolve([1.0, 2.0, 1.0], [1.0, 4.0, 1.0]), [1.0, 4.0, 1.0]))
+    g = CyclicSignal(d, np.concatenate([head, np.zeros(d - L - 1)]))
+    rng = rng_for("hole-straddle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for hole in (L + 1, L):
+            f = _with_hole(rng, d, hole)
+            out = recover(measure(f, g), g, mode="hole")
+            assert out.status == STATUS_UNIQUE and out.notes["route"] == f"hole-{hole}"
+            assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hole_route_wide_band_sweep(seed):
+    d = 256
+    rng = rng_for("hole-sweep", seed)
+    for L in (3, 30, 60, 120):
+        g = CyclicSignal(d, np.concatenate([np.abs(rng.standard_normal(L + 1)) + 0.05, np.zeros(d - L - 1)]))
+        for hole in (L + 1, L):
+            f = _with_hole(rng, d, hole)
+            out = recover(measure(f, g), g, mode="hole", L=L)
+            assert out.status == STATUS_UNIQUE, (L, hole, out.status)
+            assert compare_up_to_phase(f, out.estimate)[1] < 1e-9, (L, hole)
 
 
 # ----------------------------------------------------------- punctured routes
@@ -454,7 +488,7 @@ def test_center_route_examples():
     g = construct_punctured_center_window(d)
     for supp in ([0, 4], [0, 1, 4], [0]):
         f = random_signal(rng, d, support=supp)
-        out = recover_center_windowed(measure(f, g), g)
+        out = recover(measure(f, g), g, mode="center")
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -464,7 +498,7 @@ def test_center_route_two_point_support_is_one_component():
     d = 16
     g = construct_punctured_center_window(d)
     f = random_signal(rng, d, support=[3, 9])
-    out = recover_center_windowed(measure(f, g), g)
+    out = recover(measure(f, g), g, mode="center")
     assert out.components.components == ((3, 9),) and out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -473,7 +507,7 @@ def test_center_route_rejects_other_windows():
     rng = rng_for("center-guard")
     g = random_signal(rng, 8)
     with pytest.raises(WindowClassError):
-        recover_center_windowed(measure(random_signal(rng, 8), g), g)
+        recover(measure(random_signal(rng, 8), g), g, mode="center")
 
 
 def test_dc_route_examples():
@@ -481,7 +515,7 @@ def test_dc_route_examples():
     for d, supp in ((7, [0, 2, 5]), (6, None), (9, [3])):
         g = construct_punctured_dc_window(d, seed=50 + d)
         f = random_signal(rng, d, support=supp)
-        out = recover_dc_windowed(measure(f, g), g)
+        out = recover(measure(f, g), g, mode="dcpair")
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -550,7 +584,7 @@ def test_round_trip_recovery(path, d):
             if not omega_mask(g).all_true:
                 continue
             f = random_signal(rng, d)
-            out = recover_full(measure(f, g), g)
+            out = recover(measure(f, g), g, mode="full")
         elif path == "generic":
             L = (d - 1) // 2
             g = random_short_window(rng, d, L)
@@ -561,7 +595,7 @@ def test_round_trip_recovery(path, d):
                 if supp and components_mod_d(supp, d, L).is_connected:
                     break
             f = random_signal(rng, d, support=supp)
-            out = recover_generic_short(measure(f, g), g, L)
+            out = recover(measure(f, g), g, mode="generic", L=L)
         elif path in ("hole-long", "hole-exact"):
             L = 2
             g = forced_zero_window(rng, d, L)
@@ -579,11 +613,11 @@ def test_round_trip_recovery(path, d):
         elif path == "center":
             g = construct_punctured_center_window(d)
             f = random_signal(rng, d)
-            out = recover_center_windowed(measure(f, g), g)
+            out = recover(measure(f, g), g, mode="center")
         else:
             g = construct_punctured_dc_window(d, seed=trial + 31 * d)
             f = random_signal(rng, d)
-            out = recover_dc_windowed(measure(f, g), g)
+            out = recover(measure(f, g), g, mode="dcpair")
         assert out.status == STATUS_UNIQUE, (path, d, trial, out.status)
         worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
     assert worst < 1e-7, (path, d, worst)
@@ -603,7 +637,7 @@ def test_two_signal_consistency_both_directions():
     X2 = measure(CyclicSignal(d, twisted), g)
     assert np.abs(X2.sq_mag - X.sq_mag).max() < 1e-9 * X.sq_mag.max()
 
-    out = recover_generic_short(X, g, L)
+    out = recover(X, g, mode="generic", L=L)
     assert out.status == STATUS_PER_COMPONENT
     for comp in out.components.components:
         proj = np.zeros(d, dtype=complex)
