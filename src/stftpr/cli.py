@@ -18,8 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .acceptance import DEFAULT_SEED, run_all
-from .adversary import delta_pair, periodic_family, real_even_pair, small_d_witness
 from .errors import StftprError
 from .recovery import (
     ROUTES,
@@ -244,6 +242,7 @@ def _bundle_doc(bundle) -> dict:
 
 
 def _cmd_counterexample(args) -> int:
+    from .adversary import delta_pair, periodic_family, real_even_pair, small_d_witness
     kind = args.family
     if kind == "periodic":
         bundle = periodic_family(args.d, args.L, args.r)
@@ -290,6 +289,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import DEFAULT_SEED, run_all
     seed = _resolve_seed(args, required=False)
     results = run_all(DEFAULT_SEED if seed is None else seed)
     for r in results:

@@ -65,25 +65,24 @@ class _DisjointSet:
         return tuple(sorted(comps, key=lambda c: c[0]))
 
 
-def _partition(support: set[int], deltas: Iterable[int], members_fn, relation: str) -> ConnectivityPartition:
-    dsu = _DisjointSet(support)
-    for j in support:
-        for delta in deltas:
-            other = members_fn(j, delta)
-            if other in support:
-                dsu.union(j, other)
-    return ConnectivityPartition(relation, dsu.groups(), tuple(sorted(support)))
+def _gap_runs(supp: list[int], L: int) -> list[list[int]]:
+    """Runs of a sorted support, split wherever consecutive points lie more than L apart."""
+    cuts = [0, *(i for i in range(1, len(supp)) if supp[i] - supp[i - 1] > L), len(supp)]
+    return [supp[a:b] for a, b in zip(cuts, cuts[1:])] if supp else []
 
 
 def components_mod_d(support: Iterable[int], d: int, L: int) -> ConnectivityPartition:
-    """Partition of a support in Z_d under cyclic distance <= L."""
+    """Partition of a support in Z_d under cyclic distance <= L: the sorted runs split at
+    gaps over L, the last joined to the first when the wrap-around gap is at most L."""
     if not (0 <= L < d / 2):
         raise StftprError(f"gap bound out of range: need 0 <= L < d/2, got L={L}, d={d}")
-    supp = {int(j) for j in support}
-    if any(j < 0 or j >= d for j in supp):
+    supp = sorted({int(j) for j in support})
+    if supp and (supp[0] < 0 or supp[-1] >= d):
         raise StftprError(f"support must lie in 0..{d - 1}")
-    relation = f"L-mod-d(d={d},L={L})"
-    return _partition(supp, range(1, L + 1), lambda j, delta: (j + delta) % d, relation)
+    runs = _gap_runs(supp, L)
+    if len(runs) > 1 and supp[0] + d - supp[-1] <= L:
+        runs[0] += runs.pop()
+    return ConnectivityPartition(f"L-mod-d(d={d},L={L})", tuple(map(tuple, runs)), tuple(supp))
 
 
 def components_line(support: Iterable[int], gaps) -> ConnectivityPartition:
@@ -93,12 +92,13 @@ def components_line(support: Iterable[int], gaps) -> ConnectivityPartition:
     object with a ``members`` collection of allowed signed differences, e.g. a
     window difference set.
     """
-    supp = {int(j) for j in support}
+    supp = sorted({int(j) for j in support})
     if isinstance(gaps, int):
-        deltas = range(1, gaps + 1)
-        relation = f"L-line(L={gaps})"
-    else:
-        members = {int(k) for k in gaps.members}
-        deltas = sorted(k for k in members if k > 0)
-        relation = f"g-line(D={deltas})"
-    return _partition(supp, deltas, lambda j, delta: j + delta, relation)
+        return ConnectivityPartition(f"L-line(L={gaps})", tuple(map(tuple, _gap_runs(supp, gaps))), tuple(supp))
+    deltas = sorted(k for k in {int(k) for k in gaps.members} if k > 0)
+    dsu, members = _DisjointSet(supp), set(supp)
+    for j in supp:
+        for delta in deltas:
+            if j + delta in members:
+                dsu.union(j, j + delta)
+    return ConnectivityPartition(f"g-line(D={deltas})", dsu.groups(), tuple(supp))

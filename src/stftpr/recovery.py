@@ -813,7 +813,9 @@ def _plan_dcpair(X, report: WindowReport, L, tau_rel):
 
 def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -> tuple[int, ...]:
     """Support read off the divided shift-0 row, which the full, generic and center masks keep whole."""
-    a0 = np.fft.ifft(relation_transform(X).values[0] / np.conj(ambiguity(g).values[0]))
+    # relation row 0 transforms the row sums of X, ambiguity row 0 transforms |g|^2
+    r0 = np.fft.fft(X.sq_mag.sum(axis=1)) / X.d
+    a0 = np.fft.ifft(r0 / np.conj(np.fft.fft(g.entries * np.conj(g.entries))))
     return support_from_magnitudes(a0, tau_supp)
 
 

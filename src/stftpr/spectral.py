@@ -129,11 +129,27 @@ def inverse_dft(v) -> np.ndarray:
     return np.fft.ifft(vec)
 
 
-def _shift_matrix(g: np.ndarray) -> np.ndarray:
-    # row k holds g[(j - k) mod d]
-    d = g.shape[0]
-    idx = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
-    return g[idx]
+def meeting_shifts(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Shifts k = j - i with a[j] and b[i] set (b = a when omitted), from one indicator correlation."""
+    fa = np.fft.rfft(a)
+    fb = fa if b is None else np.fft.rfft(b)
+    return np.flatnonzero(np.fft.irfft(fa * np.conj(fb), a.shape[0]) > 0.5)
+
+
+def stft_rows(f: CyclicSignal, g: CyclicSignal) -> tuple[np.ndarray, np.ndarray]:
+    """The rows k of :func:`stft` where exact nonzeros of f and ``roll(g, k)`` meet, and their
+    values; every other row is exactly zero.  A non-finite entry meets every row (inf * 0 is NaN)."""
+    if f.d != g.d:
+        raise DimensionMismatch(f"signal has d={f.d}, window has d={g.d}")
+    d, fv, gv = f.d, f.entries, g.entries
+    # at most nnz(f) * nnz(g) rows meet: below d, find them and skip the others
+    if np.count_nonzero(fv) * np.count_nonzero(gv) < d and np.isfinite(fv.sum() + gv.sum()):
+        rows = meeting_shifts(fv != 0, None if g is f else gv != 0)
+    else:
+        rows = np.arange(d)
+    # row k holds f[j] * conj(g[(j - k) mod d])
+    shifted = gv[(np.arange(d)[None, :] - rows[:, None]) % d]
+    return rows, np.fft.fft(fv[None, :] * np.conj(shifted), axis=1)
 
 
 def stft(f: CyclicSignal, g: CyclicSignal) -> ComplexTable:
@@ -141,11 +157,12 @@ def stft(f: CyclicSignal, g: CyclicSignal) -> ComplexTable:
 
     Computed row-wise: row k is the forward transform of ``f * conj(shift(g, k))``.
     """
-    if f.d != g.d:
-        raise DimensionMismatch(f"signal has d={f.d}, window has d={g.d}")
-    shifted = _shift_matrix(g.entries)
-    rows = f.entries[None, :] * np.conj(shifted)
-    return ComplexTable(f.d, np.fft.fft(rows, axis=1))
+    rows, values = stft_rows(f, g)
+    if rows.size == f.d:
+        return ComplexTable(f.d, values)
+    table = np.zeros((f.d, f.d), dtype=np.complex128)
+    table[rows] = values
+    return ComplexTable(f.d, table)
 
 
 def measure(f: CyclicSignal, g: CyclicSignal) -> SpectrogramMeasurement:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupport, RejectionLimit, StftprError
-from .spectral import CyclicSignal, ambiguity
+from .spectral import CyclicSignal, meeting_shifts, stft_rows
 
 DEFAULT_TAU_REL = 1e-9
 
@@ -90,16 +90,19 @@ def omega_mask(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> OmegaMask:
     """
     if not (0.0 < tau_rel < 1.0):
         raise StftprError(f"tau_rel must lie in (0, 1), got {tau_rel}")
-    mags = np.abs(ambiguity(g).values)
-    # |V(-k,-l)| = |V(k,l)| exactly; fold the pair so roundoff can never split a
-    # boundary entry across the conjugate symmetry
+    # rows off the support's difference set are exactly zero and stay false
+    rows, mags = stft_rows(g, g)
+    mags = np.abs(mags)
+    # |V(-k,-l)| = |V(k,l)| exactly; fold the pair so roundoff can never split a boundary
+    # entry across the conjugate symmetry (rows hold 0 and -k with k: row i pairs with -i)
     neg = (-np.arange(g.d)) % g.d
-    mags = np.maximum(mags, mags[np.ix_(neg, neg)])
-    peak = float(mags.max())
+    mags = np.maximum(mags, mags[np.ix_((-np.arange(rows.size)) % rows.size, neg)])
+    peak = float(mags.max(initial=0.0))
     if peak == 0.0:
         raise EmptySupport("cannot certify the zero window")
     threshold = tau_rel * peak
-    mask = mags > threshold
+    mask = np.zeros((g.d, g.d), dtype=bool)
+    mask[rows] = mags > threshold
     rule = f"|V| > {tau_rel:g} * max|V| (max|V| = {peak:.6g})"
     return OmegaMask(g.d, mask, threshold, rule)
 
@@ -123,12 +126,10 @@ def difference_set(support, d: int | None = None) -> DifferenceSet:
         raise EmptySupport("difference set of an empty support")
     if d is None:
         return DifferenceSet(None, frozenset(a - b for a in supp for b in supp))
-    # k is a difference exactly when the support indicator meets its own
-    # k-shift: the cyclic autocorrelation counts those meetings
-    indicator = np.zeros(d)
-    indicator[np.array(supp) % d] = 1.0
-    meetings = np.fft.ifft(np.abs(np.fft.fft(indicator)) ** 2).real
-    return DifferenceSet(d, frozenset(np.flatnonzero(meetings > 0.5).tolist()))
+    # k is a difference exactly when the support indicator meets its own k-shift
+    indicator = np.zeros(d, dtype=bool)
+    indicator[np.array(supp) % d] = True
+    return DifferenceSet(d, frozenset(meeting_shifts(indicator).tolist()))
 
 
 def construct_power_window(d: int, L: int) -> CyclicSignal:

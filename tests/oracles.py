@@ -67,6 +67,48 @@ def naive_stft(f, g) -> np.ndarray:
     return (f[None, :] * np.conj(shifted)) @ _exponent_matrix(d)
 
 
+def dense_stft(f, g) -> np.ndarray:
+    """The windowed transform with every one of the d shift rows transformed.
+
+    Row k is ``fft(f * conj(roll(g, k)))`` from one d x d shift matrix: the
+    package's former path, which the row-restricted one must match bit for bit.
+    """
+    f = np.asarray(f, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    d = len(f)
+    idx = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    return np.fft.fft(f[None, :] * np.conj(g[idx]), axis=1)
+
+
+def dense_omega_mask(g, tau_rel: float) -> tuple[np.ndarray, float, str]:
+    """(mask, threshold, rule) of the window certification folded over the full dense table."""
+    mags = np.abs(dense_stft(g, g))
+    neg = (-np.arange(len(g))) % len(g)
+    mags = np.maximum(mags, mags[np.ix_(neg, neg)])
+    peak = float(mags.max())
+    return mags > tau_rel * peak, tau_rel * peak, f"|V| > {tau_rel:g} * max|V| (max|V| = {peak:.6g})"
+
+
+def union_find_components(support, d: int | None, L: int) -> tuple[tuple[int, ...], ...]:
+    """Components under steps of magnitude 1..L (mod d when given), by union-find over every step."""
+    parent = {j: j for j in support}
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for j in support:
+        for step in range(1, L + 1):
+            other = (j + step) % d if d is not None else j + step
+            if other in parent:
+                parent[find(j)] = find(other)
+    groups: dict[int, list[int]] = {}
+    for j in support:
+        groups.setdefault(find(j), []).append(j)
+    return tuple(sorted((tuple(sorted(c)) for c in groups.values()), key=lambda c: c[0]))
+
+
 def naive_relation(sq_mag) -> np.ndarray:
     """Entrywise double sum (1/d) sum X[k',l'] e^(-2 pi i k'l/d) e^(+2 pi i l'k/d)."""
     X = np.asarray(sq_mag, dtype=np.float64)

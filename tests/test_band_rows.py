@@ -1,0 +1,145 @@
+"""The spectral layer transforms only the shift rows where the supports meet.
+
+Row k of ``stft(f, g)`` is exactly zero unless an exact nonzero of f meets one
+of ``roll(g, k)``.  Every output is compared bit for bit with
+``oracles.dense_stft``, which transforms all d rows.  A counting wrapper on
+``np.fft.fft`` checks, without timing anything, that a short window's ambiguity
+transforms only its band rows and that a generic decision builds no relation
+table.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import random_short_window, random_signal, rng_for
+from oracles import dense_omega_mask, dense_stft
+from stftpr import recovery, spectral
+from stftpr.recovery import DEFAULT_TAU_SUPP, _row0_support, decide_retrievability, support_from_magnitudes
+from stftpr.spectral import CyclicSignal, ambiguity, measure, relation_transform, stft, stft_rows
+from stftpr.windows import DEFAULT_TAU_REL, classify_window, difference_set, omega_mask
+from test_golden_propagation import golden_cases
+
+DIMENSIONS = (2, 3, 16, 17, 1024)
+
+
+def _signals_and_windows(d):
+    """Seeded signals (dense, half zero, comb, single spike) and windows (dense, short L = 0..7)."""
+    rng = rng_for("band-rows", d)
+    dense = rng.normal(size=d) + 1j * rng.normal(size=d)
+    comb = np.zeros(d, dtype=np.complex128)
+    comb[:: max(1, d // 4)] = 1.0
+    spike = np.zeros(d, dtype=np.complex128)
+    spike[int(rng.integers(d))] = 2.0 - 1.0j
+    signals = (dense, np.where(rng.random(d) < 0.5, dense, 0.0), comb, spike)
+    windows = [rng.normal(size=d) + 1j * rng.normal(size=d)]
+    for L in range(min(8, (d + 1) // 2)):
+        g = np.zeros(d, dtype=np.complex128)
+        g[: L + 1] = rng.normal(size=L + 1) + 1j * rng.normal(size=L + 1)
+        if L >= 2:
+            g[1] *= 1e-12  # below tau_rel * peak, yet its rows are not zero
+        windows.append(np.roll(g, int(rng.integers(d))))
+    return signals, windows
+
+
+def _nonzero_rows(table):
+    return np.flatnonzero(np.any(table != 0, axis=1))
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_stft_matches_the_dense_path_bitwise(d):
+    signals, windows = _signals_and_windows(d)
+    sparse = 0
+    for g in windows:
+        for f in signals:
+            expected = dense_stft(f, g)
+            F, G = CyclicSignal(d, f), CyclicSignal(d, g)
+            assert np.array_equal(stft(F, G).values, expected)
+            rows = stft_rows(F, G)[0]
+            assert np.isin(_nonzero_rows(expected), rows).all()
+            if np.count_nonzero(f) * np.count_nonzero(g) < d:  # rows are sought only then
+                assert np.array_equal(rows, _nonzero_rows(expected))
+                sparse += 1
+    assert sparse > 0
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_window_certification_matches_the_dense_path_bitwise(d):
+    for g in _signals_and_windows(d)[1]:
+        G = CyclicSignal(d, g)
+        table = dense_stft(g, g)
+        assert np.array_equal(ambiguity(G).values, table)
+        mask, threshold, rule = dense_omega_mask(g, DEFAULT_TAU_REL)
+        got = omega_mask(G)
+        assert np.array_equal(got.mask, mask)
+        assert (got.threshold, got.threshold_rule) == (threshold, rule)
+        assert difference_set(np.flatnonzero(g), d).members == frozenset(_nonzero_rows(table).tolist())
+
+
+def test_non_finite_entries_meet_every_row():
+    # inf * 0 is NaN, so a non-finite entry reaches rows its support never meets
+    f = np.zeros(16, dtype=np.complex128)
+    f[3] = np.inf
+    g = np.zeros(16, dtype=np.complex128)
+    g[:2] = 1.0
+    with np.errstate(invalid="ignore"):
+        expected = dense_stft(f, g)
+        got = stft(CyclicSignal(16, f), CyclicSignal(16, g)).values
+    assert np.isnan(expected).all(axis=1).any()
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_row0_support_matches_the_dense_tables():
+    # the full, generic and center routes read row 0, which their masks keep
+    # whole; the dc-pair and box windows' row 0 vanishes somewhere, and their
+    # routes read the support from other rows or from a solved band row
+    cases, skipped = [], set()
+    for case in golden_cases():
+        if omega_mask(case[2]).mask[0].all():
+            cases.append(case)
+        else:
+            skipped.add(case[0].split("-")[0])
+    assert skipped == {"dc", "hole"}
+    for case_id, X, g, _ in cases:
+        with np.errstate(all="ignore"):
+            a0 = np.fft.ifft(relation_transform(X).values[0] / np.conj(dense_stft(g.entries, g.entries)[0]))
+            expected = support_from_magnitudes(a0, DEFAULT_TAU_SUPP)
+            assert _row0_support(X, g, DEFAULT_TAU_SUPP) == expected, case_id
+
+
+def _count_fft_rows(monkeypatch) -> list[int]:
+    """Rows each ``np.fft.fft`` call transforms, as ``stftpr.spectral`` sees the function."""
+    counted = []
+    fft = spectral.np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        counted.append(a.size // a.shape[kwargs.get("axis", -1)])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.np.fft, "fft", counting)
+    return counted
+
+
+def test_short_window_ambiguity_transforms_only_its_band_rows(monkeypatch):
+    g = random_short_window(rng_for("band-rows-count"), 1024, 3)
+    counted = _count_fft_rows(monkeypatch)
+    ambiguity(g)
+    assert 0 < sum(counted) <= 7
+
+
+def test_generic_decision_builds_no_relation_table(monkeypatch):
+    rng = rng_for("band-rows-decide")
+    g = random_short_window(rng, 1024, 3)
+    X = measure(random_signal(rng, 1024), g)
+    calls = []
+
+    def counting(X):
+        calls.append(X.d)
+        return relation_transform(X)
+
+    monkeypatch.setattr(spectral, "relation_transform", counting)
+    monkeypatch.setattr(recovery, "relation_transform", counting)
+    report = classify_window(g)
+    decision = decide_retrievability(X, report)
+    assert report.is_generic_short and decision.notes["route"] == "generic"
+    assert calls == []

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +164,11 @@ def test_non_coprime_dc_pair_recovers_undecidable(workdir, monkeypatch, capsys):
     assert doc["status"] == "Undecidable" and "l*=3" in doc["notes"]["reason"]
     assert main(["decide", "--measurement", "X.csv", "--window", "g.json"]) == 4
     assert main(["recover", "--measurement", "X.csv", "--window", "g.json", "--mode", "dcpair"]) == 65
+
+
+def test_cli_import_leaves_the_battery_unloaded():
+    # only selftest and counterexample need these; every other command skips loading them
+    code = "import sys, stftpr.cli; print(sorted(m for m in ('stftpr.acceptance', 'stftpr.adversary') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

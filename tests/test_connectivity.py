@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from helpers import rng_for
+from oracles import union_find_components
 from stftpr.connectivity import components_line, components_mod_d
 from stftpr.errors import StftprError
 from stftpr.windows import DifferenceSet
@@ -106,3 +108,23 @@ def test_gap_bound_range_checked():
 def test_components_ordered_by_minimum():
     part = components_mod_d({7, 0, 3}, d=16, L=1)
     assert part.components == ((0,), (3,), (7,))
+
+
+def test_gap_splits_match_the_union_find_oracle():
+    rng = rng_for("gap-splits")
+    wrapped = 0
+    for trial in range(600):
+        d = int(rng.integers(2, 90))
+        supp = sorted(set(np.flatnonzero(rng.random(d) < rng.uniform(0.05, 0.9)).tolist()))
+        if trial % 3 == 0:  # arcs across the wrap-around
+            supp = sorted(set(supp) | {0, d - 1})
+        for L in {0, int(rng.integers(0, (d + 1) // 2)), (d + 1) // 2 - 1}:
+            part = components_mod_d(supp, d, L)
+            assert part.components == union_find_components(supp, d, L)
+            assert part.universe == tuple(supp)
+            wrapped += any(c[0] == 0 and c[-1] == d - 1 for c in part.components)  # crosses the wrap
+        offset = int(rng.integers(-40, 40))
+        line = [j + offset for j in supp]
+        for L in (0, int(rng.integers(0, d))):
+            assert components_line(line, L).components == union_find_components(line, None, L)
+    assert wrapped > 50
