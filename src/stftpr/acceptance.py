@@ -126,7 +126,7 @@ def criterion_3_generic_recovery(seed: int = DEFAULT_SEED) -> CriterionResult:
             continue
         generic_count += 1
         f = random_signal(rng, d, _random_connected_support(rng, d, L))
-        out = recover(measure(f, g), g, mode="generic", L=L)
+        out = recover(measure(f, g), g, mode="known", L=L)
         if out.status != STATUS_UNIQUE:
             return CriterionResult(3, "generic-window recovery", False, f"trial {trial}: status {out.status}")
         worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
@@ -167,7 +167,7 @@ def criterion_4_disconnected(seed: int = DEFAULT_SEED) -> CriterionResult:
             supp = [j for part in parts for j in part]
             f = random_signal(rng, d, supp)
             X = measure(f, g)
-            out = recover(X, g, mode="generic", L=L)
+            out = recover(X, g, mode="known", L=L)
             if out.status != STATUS_PER_COMPONENT or out.free_phases != n_parts:
                 return CriterionResult(
                     4, "disconnected signals", False,

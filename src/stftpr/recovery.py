@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .windows import (
     WindowReport,
     canonical_anchor,
     classify_window,
-    omega_L_d,
     omega_mask,
 )
 
@@ -324,41 +322,14 @@ def propagate_phases(
     return RecoveryOutcome(status, estimate, partition, partition.n_components, residual, notes)
 
 
-def _correlation_partition_all_shifts(
-    corr: CorrelationData, tau_supp: float, relation: str
-) -> ConnectivityPartition:
-    """Partition of the detected support where any known nonzero shift is an edge.
-
-    The routes that use it know every nonzero shift, or every one but d/2, and
-    both cases have a closed form.  With every shift any two support points are
-    joined directly.  Without d/2 two points still meet through a third, so
-    only an antipodal pair {j, j + d/2} splits in two.
-    """
-    d = corr.d
-    supp = support_from_magnitudes(corr.a[0], tau_supp)
-    missing = set(range(1, d)).difference(corr.known_shifts)
-    half = d // 2 if d % 2 == 0 else None
-    if missing - {half}:
-        raise StftprError(f"no closed-form partition when shifts {sorted(missing)} are unknown")
-    if missing and len(supp) == 2 and supp[1] - supp[0] == half:
-        return ConnectivityPartition(relation, tuple((j,) for j in supp), supp)
-    return ConnectivityPartition(relation, (supp,) if supp else (), supp)
-
-
-def _solve_full(X, g, mask: OmegaMask, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
+def _solve_known(X, g, mask: OmegaMask, steps, route: str, tau_rel, tau_supp, phase_tol, L=None, shift=None):
+    """Divide every whole row, split the support under the steps of D_g, then propagate."""
     corr = recover_autocorrelations(X, g, mask, tau_rel)
-    partition = _correlation_partition_all_shifts(corr, tau_supp, "all-shifts")
+    partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
     outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
-    outcome.notes["route"] = "full"
-    return outcome
-
-
-def _solve_generic(X, g, L: int, mask: OmegaMask, shift: int, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
-    corr = recover_autocorrelations(X, g, mask, tau_rel)
-    supp = support_from_magnitudes(corr.a[0], tau_supp)
-    partition = components_mod_d(supp, g.d, L)
-    outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
-    outcome.notes.update({"route": "generic", "L": L, "window_shift": shift})
+    outcome.notes["route"] = route
+    if L is not None:
+        outcome.notes.update({"L": L, "window_shift": shift})
     return outcome
 
 
@@ -575,9 +546,8 @@ def recover_missing_center(
         notes["case"] = "antipodal-pair"
         return RecoveryOutcome(status, estimate, partition, 1, residual, notes)
 
-    partition = _correlation_partition_all_shifts(corr, tau_supp, "all-shifts-but-center")
-    if partition.n_components != 1:
-        raise StftprError("internal: non-antipodal support must be connected without the center shift")
+    # without the d/2 shift two support points still meet through a third
+    partition = ConnectivityPartition("all-shifts-but-center", (supp,), supp)
     outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
     residual = max(outcome.residual, _center_row_residual(outcome.estimate.entries, center_row, half))
     scale = float(np.clip(corr.a[0].real, 0.0, None).max())
@@ -690,7 +660,8 @@ def recover_missing_dc_pair(
     rows = dict(corr.a)
     rows[0] = a0.astype(np.complex128)
     full = CorrelationData(d, rows)
-    partition = _correlation_partition_all_shifts(full, tau_supp, "all-nonzero-shifts")
+    supp = support_from_magnitudes(full.a[0], tau_supp)
+    partition = ConnectivityPartition("all-nonzero-shifts", (supp,) if supp else (), supp)
     outcome = propagate_phases(full, partition, phase_tol, tau_supp)
     residual = max(outcome.residual, _dc_residual(outcome.estimate.entries, dc_row, trusted))
     status = outcome.status
@@ -736,8 +707,9 @@ def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
     return None
 
 
-def _zero_measurement(X: SpectrogramMeasurement, g: CyclicSignal) -> bool:
-    return X.total_mass() <= 1e-20 * max(1.0, g.norm() ** 4)
+def _zero_measurement(X: SpectrogramMeasurement) -> bool:
+    """No positive entry: any other measurement, however small against the window, carries a signal."""
+    return not X.sq_mag.any()
 
 
 def _zero_outcome(d: int, route: str) -> RecoveryOutcome:
@@ -750,25 +722,27 @@ def _filled_band(report: WindowReport) -> int | None:
     return report.short_L if report.short_L is not None and len(report.support) == report.short_L + 1 else None
 
 
-def _plan_full(X, report: WindowReport, L, tau_rel):
-    if not report.is_full:
-        return WindowClassError("window mask has holes; full-mask route does not apply")
-    return {"mask": report.omega}
+def _plan_known(X, report: WindowReport, L, tau_rel):
+    """The mask is D_g x Z_d: every row of the window's difference set whole, every other row empty.
 
-
-def _plan_generic(X, report: WindowReport, L, tau_rel):
-    d = report.window.d
-    if L is None and report.short_L is not None:
-        L, generic = report.short_L, report.is_generic_short
-    else:
-        if L is None:  # the band width of the anchored window, d/2 or more here
-            L = max((j - report.canonical_shift) % d for j in report.support)
-        if not (0 <= L < d / 2):
-            return StftprError(f"need 0 <= L < d/2, got L={L}, d={d}")
-        generic = report.omega.same_mask(omega_L_d(d, L))
-    if not generic:
+    The notes keep the two classic cases' names: ``full`` when D_g is all of
+    Z_d, ``generic`` with the band width L when D_g is a band {-L..L} (an
+    explicit L must name that band), ``known`` for any other D_g.
+    """
+    d, dg = report.window.d, report.dg
+    rows = np.zeros(d, dtype=bool)
+    rows[list(dg.members)] = True
+    if not (report.omega.mask == rows[:, None]).all():
+        error = WindowClassError if L is None else NonGenericWindow
+        return error("window mask is not D_g x Z_d: a difference-set row has a hole, or another row is not empty")
+    if L is None and dg.covers_all:
+        return {"mask": report.omega, "steps": dg, "route": "full"}
+    reach = max(min(k, d - k) for k in dg.members)
+    if 2 * reach < d and len(dg.members) == 2 * reach + 1 and L in (None, reach):
+        return {"mask": report.omega, "steps": reach, "route": "generic", "L": reach, "shift": report.canonical_shift}
+    if L is not None:
         return NonGenericWindow(f"mask does not equal the width-{L} band")
-    return {"L": L, "mask": report.omega, "shift": report.canonical_shift}
+    return {"mask": report.omega, "steps": dg, "route": "known"}
 
 
 def _plan_hole(X, report: WindowReport, L, tau_rel):
@@ -776,7 +750,7 @@ def _plan_hole(X, report: WindowReport, L, tau_rel):
 
     An all-zero measurement is answered first, whatever the window."""
     g = report.window
-    if _zero_measurement(X, g):
+    if _zero_measurement(X):
         return _zero_outcome(X.d, "hole")
     band = _filled_band(report)
     L = band if L is None else L
@@ -812,21 +786,21 @@ def _plan_dcpair(X, report: WindowReport, L, tau_rel):
 
 
 def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -> tuple[int, ...]:
-    """Support read off the divided shift-0 row, which the full, generic and center masks keep whole."""
+    """Support read off the divided shift-0 row, which the known and center masks keep whole."""
     # relation row 0 transforms the row sums of X, ambiguity row 0 transforms |g|^2
     r0 = np.fft.fft(X.sq_mag.sum(axis=1)) / X.d
     a0 = np.fft.ifft(r0 / np.conj(np.fft.fft(g.entries * np.conj(g.entries))))
     return support_from_magnitudes(a0, tau_supp)
 
 
-def _whole_support(relation: str, X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    """One component: the route knows enough shifts to join any two support points."""
+def _known_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    return components_mod_d(_row0_support(X, g, tau_supp), X.d, plan["steps"])
+
+
+def _center_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    """One component: without only the d/2 shift, any two support points meet through a third."""
     supp = _row0_support(X, g, tau_supp)
-    return ConnectivityPartition(relation, (supp,) if supp else (), supp)
-
-
-def _band_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    return components_mod_d(_row0_support(X, g, tau_supp), X.d, plan["L"])
+    return ConnectivityPartition("all-shifts-but-center", (supp,) if supp else (), supp)
 
 
 def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
@@ -864,10 +838,9 @@ class Route:
 
 
 ROUTES = (
-    Route("full", _plan_full, "_solve_full", partial(_whole_support, "all-shifts")),
-    Route("generic", _plan_generic, "_solve_generic", _band_components),
+    Route("known", _plan_known, "_solve_known", _known_components),
     Route("hole", _plan_hole, "recover_with_hole", _hole_components),
-    Route("center", _plan_center, "_solve_center", partial(_whole_support, "all-shifts-but-center")),
+    Route("center", _plan_center, "_solve_center", _center_components),
     Route("dcpair", _plan_dcpair, "_solve_dcpair", _dcpair_components),
 )
 
@@ -905,10 +878,11 @@ def recover(
     ``mode`` is ``auto`` or the name of one entry of ``ROUTES``.  A named route
     runs alone and raises its plan's exception when it does not apply.
     ``auto`` answers an all-zero measurement first, then runs the first route,
-    in ``ROUTES`` order, whose plan applies: hole-free mask, generic short band,
-    signal hole of length L+1 then L (short windows nonzero on all of 0..L),
-    punctured center, punctured dc pair.  When none applies the outcome is
-    Undecidable with no estimate.  Its notes name the route and give the
+    in ``ROUTES`` order, whose plan applies: a mask made of the window's
+    difference-set rows, each whole (hole-free, a generic short band, or any
+    other difference set); a signal hole of length L+1 then L (short windows
+    nonzero on all of 0..L); punctured center; punctured dc pair.  When none
+    applies the outcome is Undecidable with no estimate.  Its notes name the route and give the
     reason when the window fits a route's class but not its theorem, as for a
     dc pair whose l* shares a factor with d.
     """
@@ -925,7 +899,7 @@ def recover(
             return plan
     else:
         report = classify_window(g, tau_rel)
-        if _zero_measurement(X, g):
+        if _zero_measurement(X):
             return _zero_outcome(X.d, "auto")
         route, plan, rejected = _first_route(X, report, tau_rel)
         if route is None:
@@ -981,7 +955,7 @@ def decide_retrievability(
     """
     g, d = report.window, X.d
     notes: dict = {"tau_rel": tau_rel, "tau_supp": tau_supp}
-    if _zero_measurement(X, g):
+    if _zero_measurement(X):
         notes["case"] = "zero-signal"
         return DecisionReport(VERDICT_RETRIEVABLE, ConnectivityPartition("empty", (), ()), notes)
 
@@ -1003,7 +977,7 @@ def decide_retrievability(
         notes.update(_open_case(rejected) or {"route": "none", "reason": "window class matches no implemented uniqueness condition"})
         return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
     partition = route.partition(X, g, plan, tau_rel, tau_supp)
-    notes["route"] = f"hole-{plan['hole_len']}" if route.name == "hole" else route.name
+    notes["route"] = f"hole-{plan['hole_len']}" if route.name == "hole" else plan.get("route", route.name)
     notes.update({k: plan[k] for k in ("L", "anchor") if k in plan})
     verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE
     return DecisionReport(verdict, partition, notes)

@@ -104,6 +104,8 @@ class SpectrogramMeasurement:
         m = np.asarray(self.sq_mag, dtype=np.float64)
         if m.shape != (self.d, self.d):
             raise DimensionMismatch(f"expected shape ({self.d},{self.d}), got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("squared magnitudes must be finite")
         if m.size and m.min() < 0.0:
             raise ValueError("squared magnitudes must be nonnegative")
         m.setflags(write=False)

@@ -89,8 +89,10 @@ def dense_omega_mask(g, tau_rel: float) -> tuple[np.ndarray, float, str]:
     return mags > tau_rel * peak, tau_rel * peak, f"|V| > {tau_rel:g} * max|V| (max|V| = {peak:.6g})"
 
 
-def union_find_components(support, d: int | None, L: int) -> tuple[tuple[int, ...], ...]:
-    """Components under steps of magnitude 1..L (mod d when given), by union-find over every step."""
+def union_find_components(support, d: int | None, L) -> tuple[tuple[int, ...], ...]:
+    """Components under steps of magnitude 1..L, or under each step of a step set (an iterable
+    or an object with ``members``), mod d when given, by union-find over every step."""
+    steps = range(1, L + 1) if isinstance(L, int) else sorted(int(k) for k in getattr(L, "members", L))
     parent = {j: j for j in support}
 
     def find(j):
@@ -99,7 +101,7 @@ def union_find_components(support, d: int | None, L: int) -> tuple[tuple[int, ..
         return j
 
     for j in support:
-        for step in range(1, L + 1):
+        for step in steps:
             other = (j + step) % d if d is not None else j + step
             if other in parent:
                 parent[find(j)] = find(other)

@@ -89,7 +89,7 @@ def test_non_finite_entries_meet_every_row():
 
 
 def test_row0_support_matches_the_dense_tables():
-    # the full, generic and center routes read row 0, which their masks keep
+    # the known and center routes read row 0, which their masks keep
     # whole; the dc-pair and box windows' row 0 vanishes somewhere, and their
     # routes read the support from other rows or from a solved band row
     cases, skipped = [], set()

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import random_short_window, random_signal, rng_for
 from stftpr import serialize, windows
 from stftpr.cli import build_parser, main
 from stftpr.recovery import ROUTES, compare_up_to_phase
-from stftpr.spectral import measure
+from stftpr.spectral import SpectrogramMeasurement, measure
 
 
 @pytest.fixture()
@@ -172,3 +173,22 @@ def test_cli_import_leaves_the_battery_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_non_finite_measurement_is_refused(workdir):
+    g = windows.construct_power_window(16, 3)
+    sq_mag = measure(random_signal(rng_for("cli-nan"), 16), g).sq_mag.copy()
+    for bad in (np.nan, np.inf):
+        sq_mag[2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectrogramMeasurement(16, sq_mag)
+    rows = serialize.measurement_to_csv(measure(random_signal(rng_for("cli-nan"), 16), g)).splitlines()
+    cells = rows[2].split(",")
+    cells[5] = "nan"
+    rows[2] = ",".join(cells)
+    (workdir / "X.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        serialize.measurement_from_csv((workdir / "X.csv").read_text())
+    write_signal(workdir / "g.json", g)
+    assert main(["recover", "--measurement", "X.csv", "--window", "g.json"]) == 65
+    assert main(["decide", "--measurement", "X.csv", "--window", "g.json"]) == 65

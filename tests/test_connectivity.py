@@ -128,3 +128,43 @@ def test_gap_splits_match_the_union_find_oracle():
         for L in (0, int(rng.integers(0, d))):
             assert components_line(line, L).components == union_find_components(line, None, L)
     assert wrapped > 50
+
+
+def test_step_sets_match_the_union_find_oracle():
+    rng = rng_for("step-sets")
+    kinds = set()
+    for trial in range(400):
+        d = int(rng.integers(2, 70))
+        supp = sorted(set(np.flatnonzero(rng.random(d) < rng.uniform(0.05, 0.9)).tolist()))
+        if trial % 4 == 0:  # components across the wrap-around
+            supp = sorted(set(supp) | {0, d - 1})
+        if trial % 9 == 0:
+            supp = [] if trial % 2 else [int(rng.integers(d))]
+        band = int(rng.integers(0, (d + 1) // 2))
+        drawn = rng.choice(d, size=int(rng.integers(1, 8)), replace=True).tolist()
+        step_sets = [
+            drawn,  # one-sided: each step joins both ways
+            drawn + [d // 2],  # d/2 is its own mirror
+            {*range(-band, band + 1)},
+            DifferenceSet(d, frozenset(range(d))),
+            set(range(d)) - {d // 2},
+        ]
+        for steps in step_sets:
+            part = components_mod_d(supp, d, steps)
+            assert part.components == union_find_components(supp, d, steps), (d, supp, steps)
+            assert part.universe == tuple(supp)
+            kinds.add(part.relation.split("(")[0])
+        closed_form = components_mod_d(supp, d, band)
+        assert components_mod_d(supp, d, step_sets[2]).components == closed_form.components
+        line = [j - 30 for j in supp]
+        gaps = DifferenceSet(None, frozenset({0, *drawn, *(-k for k in drawn)}))
+        assert components_line(line, gaps).components == union_find_components(line, None, gaps)
+    assert kinds == {"all-shifts", "L-mod-d", "g-mod-d"}
+
+
+def test_step_set_labels():
+    assert components_mod_d({0, 5}, 16, [3, 13, 0]).relation == "g-mod-d(d=16,D=[3])"
+    assert components_mod_d({0, 5}, 16, range(-2, 3)).relation == "L-mod-d(d=16,L=2)"
+    assert components_mod_d({0, 5}, 16, range(16)).relation == "all-shifts"
+    # step 3 joins 13 to 0 across the wrap, and 0 to 3
+    assert components_mod_d({0, 3, 13}, 16, {3, 5}).components == ((0, 3, 13),)

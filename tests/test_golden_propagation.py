@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import changed_cases, random_entries, random_short_window, random_signal, rng_for
+from helpers import changed_cases, random_entries, random_short_window, random_signal, random_sparse_window, rng_for
+from oracles import union_find_components
 from stftpr import serialize
 from stftpr.linemode import recover_line_block
 from stftpr.recovery import decide_retrievability, recover
@@ -43,6 +44,12 @@ def _box(d, L):
     v = np.zeros(d, dtype=np.complex128)
     v[: L + 1] = 1.0
     return CyclicSignal(d, v)
+
+
+def _walk(rng, d, steps, n) -> list[int]:
+    """Points of an n-step random walk over the steps: a support the steps leave connected."""
+    moves = rng.choice(sorted(steps), size=n)
+    return sorted(set(((int(rng.integers(d)) + np.cumsum(moves)) % d).tolist()))
 
 
 def golden_cases(seed: int = 0) -> list[tuple[str, object, CyclicSignal, int | None]]:
@@ -94,6 +101,23 @@ def golden_cases(seed: int = 0) -> list[tuple[str, object, CyclicSignal, int | N
         f_line = dict(enumerate(random_entries(rng, 12)))
         f, g, _ = embed_line(f_line, g_line)
         add(f"line-L{L}", f, g, L)
+
+    # sparse windows: the mask is D_g x Z_d, with D_g neither a band nor all of Z_d
+    for d in (32, 256):
+        rng = rng_for("golden-sparse", d, seed)
+        g = random_sparse_window(rng, d)
+        steps = classify_window(g).dg.members - {0}
+        add(f"sparse-d{d}-connected", random_signal(rng, d, _walk(rng, d, steps, d // 4)), g)
+        if d == 32:
+            supp = []
+            while len(union_find_components(supp, d, steps)) < 2:
+                supp = _walk(rng, d, steps, 2) + _walk(rng, d, steps, 2)
+            add(f"sparse-d{d}-disconnected", random_signal(rng, d, supp), g)
+            continue
+        # one component steps from d-3 across index 0, the other is a point no step reaches
+        arc = [(d - 3 + i * min(steps)) % d for i in range(4)]
+        far = next(j for j in rng.permutation(d).tolist() if all((j - a) % d not in steps for a in arc))
+        add(f"sparse-d{d}-disconnected-wrap", random_signal(rng, d, [*arc, far]), g)
 
     # the CLI's 12-digit CSV round trip exercises the Inconsistent paths
     by_id = {case[0]: case for case in cases}

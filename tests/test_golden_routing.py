@@ -26,19 +26,20 @@ import numpy as np
 from helpers import changed_cases, forced_zero_window, random_signal, rng_for
 from stftpr import serialize
 from stftpr.cli import main
-from stftpr.recovery import decide_retrievability, recover
+from stftpr.recovery import ROUTES, decide_retrievability, recover
 from stftpr.spectral import CyclicSignal, measure
 from stftpr.windows import classify_window, construct_punctured_dc_window
 from test_golden_propagation import golden_cases
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "routing.json"
-MODES = ("auto", "full", "generic", "hole", "center", "dcpair")
+MODES = ("auto", *(route.name for route in ROUTES))
 CLI_CASES = (
     "full-d16",
     "generic-L3-disconnected",
     "hole-box-L3-len4",
     "center-d20",
     "dc-d15",
+    "sparse-d32-disconnected",
     "comb-box-d8-L3",
     "undecidable-forced-zero",
     "zero-box-d8-L3",

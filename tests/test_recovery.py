@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import forced_zero_window, random_short_window, random_signal, rng_for
-from oracles import loop_hole_classifier, loop_propagate_phases, naive_autocorrelation
+from helpers import forced_zero_window, random_short_window, random_signal, random_sparse_window, rng_for
+from oracles import loop_hole_classifier, loop_propagate_phases, naive_autocorrelation, union_find_components
 from stftpr import windows
 from stftpr.connectivity import components_mod_d
 from stftpr.errors import (
@@ -12,7 +12,6 @@ from stftpr.errors import (
     EmptySupport,
     NonGenericWindow,
     PreconditionViolated,
-    StftprError,
     WindowClassError,
 )
 from stftpr.recovery import (
@@ -26,7 +25,6 @@ from stftpr.recovery import (
     VERDICT_UNDECIDABLE,
     CorrelationData,
     MeasurementCoefficients,
-    _correlation_partition_all_shifts,
     compare_up_to_phase,
     decide_retrievability,
     hole_classifier,
@@ -196,7 +194,7 @@ def test_propagate_phases_connected_random():
     g = random_short_window(rng, d, L)
     assert omega_mask(g).same_mask(omega_L_d(d, L))
     f = random_signal(rng, d)
-    out = recover(measure(f, g), g, mode="generic", L=L)
+    out = recover(measure(f, g), g, mode="known", L=L)
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
 
 
@@ -224,10 +222,7 @@ def test_propagate_phases_matches_loop_walk_exactly(case):
     if case % 2:  # phase noise on every nonzero shift: each edge implies its own phase
         rows = {k: row * np.exp(1j * rng.normal(scale=0.1 if k else 0.0, size=d)) for k, row in rows.items()}
     corr = CorrelationData(d, rows)
-    if all_shifts:
-        part = _correlation_partition_all_shifts(corr, 1e-10, "all-shifts")
-    else:
-        part = components_mod_d(f.support(), d, L)
+    part = components_mod_d(f.support(), d, shifts if all_shifts else L)
     out = propagate_phases(corr, part)
     est, worst_cycle, residual = loop_propagate_phases(corr.a, d, part.components, part.universe)
     assert np.array_equal(out.estimate.entries, est)
@@ -242,7 +237,7 @@ def test_propagate_phases_single_twisted_entry():
     rows = {k: naive_autocorrelation(f.entries, k) for k in range(d)}
     rows[5][20] *= np.exp(1j * twist)  # f_20 conj(f_15), off the anchor's spanning star
     corr = CorrelationData(d, rows)
-    out = propagate_phases(corr, _correlation_partition_all_shifts(corr, 1e-10, "all-shifts"))
+    out = propagate_phases(corr, components_mod_d(f.support(), d, range(d)))
     assert out.status == STATUS_INCONSISTENT
     assert out.notes["worst_cycle_mismatch"] == pytest.approx(twist, abs=1e-9)
 
@@ -252,7 +247,7 @@ def test_propagate_phases_wrapping_component_anchor_is_real():
     d, L = 16, 2
     g = random_short_window(rng, d, L)
     f = random_signal(rng, d, support=[0, 1, d - 2, d - 1])
-    out = recover(measure(f, g), g, mode="generic", L=L)
+    out = recover(measure(f, g), g, mode="known", L=L)
     assert out.components.components == ((0, 1, d - 2, d - 1),)
     est0 = out.estimate.entries[0]
     assert est0.imag == 0.0 and est0.real > 0.0
@@ -261,25 +256,12 @@ def test_propagate_phases_wrapping_component_anchor_is_real():
 
 def test_all_shifts_partition_closed_form():
     d = 16
-    f = np.zeros(d, dtype=complex)
-    f[[3, 9]] = 1.0
-    rows = {k: naive_autocorrelation(f, k) for k in range(d) if k != d // 2}
-    part = _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts-but-center")
-    assert part.components == ((3, 9),)
-    f[9], f[11] = 0.0, 1.0  # antipodal pair {3, 11}: nothing joins it without the d/2 row
-    rows = {k: naive_autocorrelation(f, k) for k in range(d) if k != d // 2}
-    part = _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts-but-center")
-    assert part.components == ((3,), (11,))
-
-
-def test_all_shifts_partition_rejects_other_missing_shift():
-    d = 16
-    rows = {k: np.ones(d, dtype=complex) for k in range(d) if k not in (3, d // 2)}
-    with pytest.raises(StftprError):
-        _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts")
-    rows[d // 2] = np.ones(d, dtype=complex)
-    with pytest.raises(StftprError):
-        _correlation_partition_all_shifts(CorrelationData(d, rows), 1e-10, "all-shifts")
+    every = components_mod_d({3, 11}, d, range(d))
+    assert every.relation == "all-shifts" and every.components == ((3, 11),)
+    but_center = set(range(d)) - {d // 2}  # the band of width d/2 - 1
+    assert components_mod_d({3, 9}, d, but_center).components == ((3, 9),)
+    # antipodal pair {3, 11}: nothing joins it without the d/2 shift
+    assert components_mod_d({3, 11}, d, but_center).components == ((3,), (11,))
 
 
 # ------------------------------------------------------------- generic route
@@ -290,7 +272,7 @@ def test_generic_short_connected_example():
     d, L = 8, 3
     g = random_short_window(rng, d, L)
     f = random_signal(rng, d, support=[0, 1, 2])
-    out = recover(measure(f, g), g, mode="generic", L=L)
+    out = recover(measure(f, g), g, mode="known", L=L)
     assert out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -300,7 +282,7 @@ def test_generic_short_antipodal_pair():
     d, L = 8, 3
     g = random_short_window(rng, d, L)
     f = random_signal(rng, d, support=[0, 4])
-    out = recover(measure(f, g), g, mode="generic", L=L)
+    out = recover(measure(f, g), g, mode="known", L=L)
     assert out.status == STATUS_PER_COMPONENT and out.free_phases == 2
 
 
@@ -310,7 +292,7 @@ def test_generic_short_full_band_case():
     g = random_short_window(rng, d, L)
     for trial in range(10):
         f = random_signal(rng, d, support=[j for j in range(d) if rng.uniform() < 0.6] or [0])
-        out = recover(measure(f, g), g, mode="generic", L=L)
+        out = recover(measure(f, g), g, mode="known", L=L)
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -320,7 +302,7 @@ def test_generic_short_rejects_nongeneric_window():
     g = forced_zero_window(rng, 12, 4)
     X = measure(random_signal(rng, 12), g)
     with pytest.raises(NonGenericWindow):
-        recover(X, g, mode="generic", L=4)
+        recover(X, g, mode="known", L=4)
 
 
 def test_generic_short_handles_shifted_window():
@@ -329,8 +311,39 @@ def test_generic_short_handles_shifted_window():
     g0 = random_short_window(rng, d, L)
     g = g0.shifted(6)
     f = random_signal(rng, d)
-    out = recover(measure(f, g), g, mode="generic", L=L)
+    out = recover(measure(f, g), g, mode="known", L=L)
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
+
+
+# ------------------------------------------------------- sparse known route
+
+
+@pytest.mark.parametrize("d", [32, 256])
+def test_sparse_windows_decided_by_support_connectivity(d):
+    # 2-7 taps in 0..d/2-1: every mask row in D_g is whole, so f is determined up
+    # to one global phase exactly when its support is connected under steps in D_g
+    connected = 0
+    for trial in range(25):
+        rng = rng_for("sparse-known", d, trial)
+        g = random_sparse_window(rng, d)
+        report = classify_window(g)
+        f = random_signal(rng, d, np.flatnonzero(rng.random(d) < rng.uniform(0.02, 0.3)).tolist() or [0])
+        X = measure(f, g)
+        out, decision = recover(X, g), decide_retrievability(X, report)
+        parts = union_find_components(f.support(), d, report.dg)
+        assert out.components.components == decision.partition.components == parts
+        if len(parts) == 1:
+            connected += 1
+            assert (out.status, decision.verdict) == (STATUS_UNIQUE, VERDICT_RETRIEVABLE)
+            assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
+        else:
+            assert (out.status, decision.verdict) == (STATUS_PER_COMPONENT, VERDICT_NOT_RETRIEVABLE)
+            assert out.free_phases == len(parts)
+            flipped = f.entries.copy()
+            flipped[list(parts[0])] *= -1  # no step in D_g joins the flipped component to the rest
+            gap = np.abs(measure(CyclicSignal(d, flipped), g).sq_mag - X.sq_mag).max()
+            assert gap <= 1e-9 * X.sq_mag.max()
+    assert 5 <= connected <= 20
 
 
 # ---------------------------------------------------------------- hole route
@@ -437,7 +450,7 @@ def test_hole_and_generic_solvers_agree():
     assert omega_mask(g).same_mask(omega_L_d(d, L))
     f = random_signal(rng, d, support=[0, 1, 2, 3, 4, 5, 6])  # zeros on 7..11
     X = measure(f, g)
-    a = recover(X, g, mode="generic", L=L)
+    a = recover(X, g, mode="known", L=L)
     b = recover_with_hole(X, g, L, anchor=7, hole_len=L + 1)
     gamma, err = compare_up_to_phase(a.estimate, b.estimate)
     assert err < 1e-9
@@ -584,7 +597,7 @@ def test_round_trip_recovery(path, d):
             if not omega_mask(g).all_true:
                 continue
             f = random_signal(rng, d)
-            out = recover(measure(f, g), g, mode="full")
+            out = recover(measure(f, g), g, mode="known")
         elif path == "generic":
             L = (d - 1) // 2
             g = random_short_window(rng, d, L)
@@ -595,7 +608,7 @@ def test_round_trip_recovery(path, d):
                 if supp and components_mod_d(supp, d, L).is_connected:
                     break
             f = random_signal(rng, d, support=supp)
-            out = recover(measure(f, g), g, mode="generic", L=L)
+            out = recover(measure(f, g), g, mode="known", L=L)
         elif path in ("hole-long", "hole-exact"):
             L = 2
             g = forced_zero_window(rng, d, L)
@@ -637,7 +650,7 @@ def test_two_signal_consistency_both_directions():
     X2 = measure(CyclicSignal(d, twisted), g)
     assert np.abs(X2.sq_mag - X.sq_mag).max() < 1e-9 * X.sq_mag.max()
 
-    out = recover(X, g, mode="generic", L=L)
+    out = recover(X, g, mode="known", L=L)
     assert out.status == STATUS_PER_COMPONENT
     for comp in out.components.components:
         proj = np.zeros(d, dtype=complex)
@@ -713,6 +726,19 @@ def test_decide_full_and_punctured_windows():
     assert decide_retrievability(measure(random_signal(rng, 9), gd), classify_window(gd)).verdict == VERDICT_RETRIEVABLE
 
 
+@pytest.mark.parametrize("d", [40, 44, 48])
+def test_large_window_does_not_make_a_signal_read_as_zero(d):
+    # ||g|| is 6e11..2e14 here, so ||g||^4 dwarfs the measurement of a unit-norm f
+    g = construct_punctured_center_window(d)
+    f = random_signal(rng_for("zero-test", d), d)
+    f = CyclicSignal(d, f.entries / f.norm())
+    X = measure(f, g)
+    out = recover(X, g)
+    assert out.notes["route"] == "center" and out.status == STATUS_UNIQUE
+    assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
+    assert "case" not in decide_retrievability(X, classify_window(g)).notes
+
+
 def test_is_inconsistent_flags_nan_and_excess():
     assert is_inconsistent(float("nan"), 1.0)
     assert is_inconsistent(2e-6, 1.0)
@@ -760,7 +786,7 @@ def test_compare_up_to_phase_rejects_zero_reference():
 
 
 def test_route_table_order():
-    assert [route.name for route in ROUTES] == ["full", "generic", "hole", "center", "dcpair"]
+    assert [route.name for route in ROUTES] == ["known", "hole", "center", "dcpair"]
 
 
 def test_auto_routing_reaches_each_solver():
