@@ -112,11 +112,10 @@ def _resolve_seed(args, required: bool) -> int | None:
 def _tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau-rel", type=float, default=1e-9, help="relative ambiguity-zero threshold")
     parser.add_argument("--tau-supp", type=float, default=1e-10, help="relative support threshold")
-    parser.add_argument("--phase-tol", type=float, default=1e-6, help="phase-cycle consistency tolerance (radians)")
 
 
 def _check_tolerances(args) -> None:
-    for name in ("tau_rel", "tau_supp", "phase_tol"):
+    for name in ("tau_rel", "tau_supp"):
         if getattr(args, name, 1.0) <= 0:
             raise _UsageError(f"--{name.replace('_', '-')} must be positive")
 
@@ -207,10 +206,7 @@ def _cmd_window(args) -> int:
 def _cmd_recover(args) -> int:
     X = _read_measurement(args.measurement)
     g = _read_signal(args.window)
-    outcome = recover(
-        X, g, mode=args.mode, L=args.L,
-        tau_rel=args.tau_rel, tau_supp=args.tau_supp, phase_tol=args.phase_tol,
-    )
+    outcome = recover(X, g, mode=args.mode, L=args.L, tau_rel=args.tau_rel, tau_supp=args.tau_supp)
     _emit(serialize.dump_json(outcome.to_json()), args.out)
     return _STATUS_EXIT[outcome.status]
 

@@ -21,7 +21,6 @@ from .errors import (
     StftprError,
 )
 from .recovery import (
-    DEFAULT_PHASE_TOL,
     DEFAULT_TAU_SUPP,
     CorrelationData,
     RecoveryOutcome,
@@ -53,14 +52,14 @@ def recover_line_block(
     f_span_bound: int | None = None,
     tau_rel: float = DEFAULT_TAU_REL,
     tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Invert an embedded line measurement taken with a window supported on 0..L.
 
     Each shift row of the window's ambiguity is a nonzero polynomial, so it has
     finitely many zeros among the embedding's sample nodes; the signal's
     autocorrelation coefficients are recovered from the remaining nodes by a
-    linear solve, then support connectivity on the line decides the verdict.
+    linear solve, then support connectivity on the line and the row residual
+    decide the verdict.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
@@ -93,7 +92,7 @@ def recover_line_block(
     partition_line = components_line(supp, L)
     # embedded indices never wrap, so the cyclic propagation below walks the
     # same edges the line relation defines
-    outcome = propagate_phases(corr, partition_line, phase_tol, tau_supp)
+    outcome = propagate_phases(corr, partition_line, tau_supp)
     outcome.notes.update({"route": "line-block", "L": L, "f_span_bound": f_span_bound})
     return outcome
 

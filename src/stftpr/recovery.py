@@ -10,6 +10,12 @@ holes (a short band, a missing center entry, a missing dc-row pair) get
 dedicated routes that supply what the division cannot reach; on the hole route
 a known run of zeros in the signal fixes each band row's vanished frequencies.
 
+Every route returns through one verdict, ``_verdict``: the data is
+Inconsistent when the estimate misses a known autocorrelation row, or the
+route's own equation (hole band rows, center row, dc row), by more than the
+consistency tolerance at the data's scale.  Otherwise the support partition
+decides between one global phase and one phase per component.
+
 ``ROUTES`` lists the routes in the order the auto router tries them;
 ``recover``, ``decide_retrievability`` and the CLI all read that one table.
 """
@@ -43,7 +49,6 @@ from .windows import (
 )
 
 DEFAULT_TAU_SUPP = 1e-10
-DEFAULT_PHASE_TOL = 1e-6
 CONSISTENCY_REL_TOL = 1e-6
 
 STATUS_UNIQUE = "UniqueUpToGlobalPhase"
@@ -236,16 +241,47 @@ def _stacked_rows(corr: CorrelationData) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _row_residual(stacked: tuple[np.ndarray, np.ndarray, np.ndarray], est: np.ndarray) -> float:
-    """Largest |a[k][j] - est_j conj(est_{j-k})| over stacked rows; a row holding NaN is skipped."""
+    """Largest |a[k][j] - est_j conj(est_{j-k})| over stacked rows; NaN anywhere makes it NaN."""
     _, rows, lag = stacked
-    per_row = np.abs(rows - est * np.conj(est[lag])).max(axis=1)
-    return float(np.fmax.reduce(per_row, initial=0.0))
+    return float(np.abs(rows - est * np.conj(est[lag])).max(initial=0.0))
+
+
+def _peak(row0: np.ndarray) -> float:
+    """Largest squared magnitude on the shift-0 row: the data scale of every route but the dc pair."""
+    return float(np.clip(row0.real, 0.0, None).max())
+
+
+def _one_component(relation: str, supp: tuple[int, ...]) -> ConnectivityPartition:
+    """The whole support as one component, or none when it is empty: the center and dc-pair partitions."""
+    return ConnectivityPartition(relation, (supp,) if supp else (), supp)
+
+
+def _verdict(
+    estimate: CyclicSignal,
+    partition: ConnectivityPartition,
+    notes: dict,
+    scale: float,
+    row_residual: float,
+    own_residual: float = 0.0,
+) -> RecoveryOutcome:
+    """The status every route returns: Inconsistent, else unique per the partition.
+
+    The residual is the larger of the row residual and the route's own equation
+    (hole band rows, center row or dc row), NaN when either is.  The data is
+    Inconsistent when that residual exceeds the consistency tolerance at
+    ``scale``; otherwise one component means one global phase.
+    """
+    residual = float(np.max([row_residual, own_residual]))
+    if is_inconsistent(residual, scale):
+        status = STATUS_INCONSISTENT
+    else:
+        status = STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT
+    return RecoveryOutcome(status, estimate, partition, partition.n_components, residual, notes)
 
 
 def propagate_phases(
     corr: CorrelationData,
     partition: ConnectivityPartition,
-    phase_tol: float = DEFAULT_PHASE_TOL,
     tau_supp: float = DEFAULT_TAU_SUPP,
 ) -> RecoveryOutcome:
     """Assemble an estimate by anchoring one phase per component and walking edges.
@@ -255,18 +291,18 @@ def propagate_phases(
     visit order: frontier index, then shift ascending, forward before backward.
     Each support index not yet reached takes the first phase the frontier
     implies for it, and the next frontier is those indices in the order they
-    were reached.  One array check then covers every known edge in both
-    directions: an implied phase that differs from the final one by more than
-    ``phase_tol`` radians flags the data as inconsistent.
+    were reached.  Edges the walk did not follow are checked only through the
+    row residual: the estimate must reproduce every known row, at the scale of
+    the largest shift-0 entry, or the data is Inconsistent (``_verdict``).
     """
     if 0 not in corr.a:
         raise StftprError("shift-0 autocorrelation row is required")
     d = corr.d
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
     stacked = _stacked_rows(corr)
-    shifts, rows, lag = stacked
+    shifts, rows, _ = stacked
     moving = shifts != 0
-    steps, back = shifts[moving], lag[moving]
+    steps = shifts[moving]
     angles = np.angle(rows[moving])  # angles[i, j] = arg f_j - arg f_{j - k_i}
     row_of = np.arange(steps.size)
 
@@ -294,39 +330,16 @@ def propagate_phases(
             reached[frontier], phases[frontier] = True, implied[first]
             unreached -= frontier.size
 
-    # edge (k_i, j) joins j - k_i and j; a phase never changes once set, so
-    # checking every edge from both ends against the final phases gives the
-    # maximum the walk would have seen
-    both = reached & reached[back]
-    edge, behind = angles[both], phases[back[both]]
-    ahead = np.broadcast_to(phases, back.shape)[both]
-    forward = np.abs(_wrap(_wrap(edge + behind) - ahead))
-    backward = np.abs(_wrap(_wrap(ahead - edge) - behind))
-    worst_cycle = float(np.fmax.reduce(np.concatenate([forward, backward]), initial=0.0))
-
     est = np.where(reached, mags * np.exp(1j * phases), 0.0)
-    estimate = CyclicSignal(d, est)
-    residual = _row_residual(stacked, est)
-
-    inconsistent = worst_cycle > phase_tol
-    status = (
-        STATUS_INCONSISTENT
-        if inconsistent
-        else (STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT)
-    )
-    notes = {
-        "phase_tol": phase_tol,
-        "tau_supp": tau_supp,
-        "worst_cycle_mismatch": worst_cycle,
-    }
-    return RecoveryOutcome(status, estimate, partition, partition.n_components, residual, notes)
+    notes = {"tau_supp": tau_supp}
+    return _verdict(CyclicSignal(d, est), partition, notes, _peak(corr.a[0]), _row_residual(stacked, est))
 
 
-def _solve_known(X, g, mask: OmegaMask, steps, route: str, tau_rel, tau_supp, phase_tol, L=None, shift=None):
+def _solve_known(X, g, mask: OmegaMask, steps, route: str, tau_rel, tau_supp, L=None, shift=None):
     """Divide every whole row, split the support under the steps of D_g, then propagate."""
     corr = recover_autocorrelations(X, g, mask, tau_rel)
     partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
-    outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
+    outcome = propagate_phases(corr, partition, tau_supp)
     outcome.notes["route"] = route
     if L is not None:
         outcome.notes.update({"L": L, "window_shift": shift})
@@ -437,7 +450,6 @@ def recover_with_hole(
     hole_len: int,
     tau_rel: float = DEFAULT_TAU_REL,
     tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
     coeffs: MeasurementCoefficients | None = None,
 ) -> RecoveryOutcome:
     """Recovery with any length-(L+1) window when the signal has a known hole.
@@ -477,13 +489,7 @@ def recover_with_hole(
     corr = CorrelationData(d, _mirror_rows(a, d))
     supp = support_from_magnitudes(corr.a[0], tau_supp)
     partition = components_mod_d(supp, d, L)
-    outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
-
-    scale = float(np.clip(corr.a[0].real, 0.0, None).max())
-    residual = max(outcome.residual, eq_residual)
-    status = outcome.status
-    if is_inconsistent(residual, scale):
-        status = STATUS_INCONSISTENT
+    outcome = propagate_phases(corr, partition, tau_supp)
     notes = dict(outcome.notes)
     notes.update(
         {
@@ -494,14 +500,13 @@ def recover_with_hole(
             "equation_residual": eq_residual,
         }
     )
-    return RecoveryOutcome(status, outcome.estimate, partition, partition.n_components, residual, notes)
+    return _verdict(outcome.estimate, partition, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
 
 
 def recover_missing_center(
     corr: CorrelationData,
     center_row: np.ndarray,
     tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Recovery when every shift row except d/2 is known and the center row is
     known except at frequency d/2.
@@ -509,7 +514,9 @@ def recover_missing_center(
     Supports of size <= 1 are immediate; antipodal pairs {j, j+d/2} combine the
     first two center-row frequencies to get the cross product; everything else
     propagates through an intermediate support point, never needing the center
-    shift at all.  The verdict is always unique up to one global phase.
+    shift at all.  The partition always has at most one component, so the
+    verdict is unique up to one global phase unless the estimate misses a known
+    row or the trusted part of the center row.
     """
     d = corr.d
     if d % 2 != 0 or d < 4:
@@ -521,44 +528,29 @@ def recover_missing_center(
 
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
     supp = support_from_magnitudes(corr.a[0], tau_supp)
+    partition = _one_component("all-shifts-but-center", supp)
     est = np.zeros(d, dtype=np.complex128)
     notes: dict = {"route": "center", "tau_supp": tau_supp}
 
     if len(supp) <= 1:
         if supp:
             est[supp[0]] = mags[supp[0]]
-        partition = ConnectivityPartition("all-shifts-but-center", tuple((j,) for j in supp), supp)
-        estimate = CyclicSignal(d, est)
-        residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
-        return RecoveryOutcome(STATUS_UNIQUE, estimate, partition, len(supp), residual, notes)
-
-    antipodal = len(supp) == 2 and (supp[1] - supp[0]) % d == half
-    if antipodal:
+        estimate, row_residual = CyclicSignal(d, est), _row_residual(_stacked_rows(corr), est)
+    elif len(supp) == 2 and (supp[1] - supp[0]) % d == half:
         j = supp[0]
         cross = 0.5 * (center_row[0] + np.exp(2j * np.pi * j / d) * center_row[1])
         est[j] = mags[j]
         est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
-        partition = ConnectivityPartition("all-shifts-but-center", (tuple(supp),), supp)
-        estimate = CyclicSignal(d, est)
-        residual = max(_row_residual(_stacked_rows(corr), est), _center_row_residual(est, center_row, half))
-        scale = float(np.clip(corr.a[0].real, 0.0, None).max())
-        status = STATUS_INCONSISTENT if is_inconsistent(residual, scale) else STATUS_UNIQUE
+        estimate, row_residual = CyclicSignal(d, est), _row_residual(_stacked_rows(corr), est)
         notes["case"] = "antipodal-pair"
-        return RecoveryOutcome(status, estimate, partition, 1, residual, notes)
-
-    # without the d/2 shift two support points still meet through a third
-    partition = ConnectivityPartition("all-shifts-but-center", (supp,), supp)
-    outcome = propagate_phases(corr, partition, phase_tol, tau_supp)
-    residual = max(outcome.residual, _center_row_residual(outcome.estimate.entries, center_row, half))
-    scale = float(np.clip(corr.a[0].real, 0.0, None).max())
-    status = outcome.status
-    if status == STATUS_PER_COMPONENT:
-        status = STATUS_UNIQUE
-    if is_inconsistent(residual, scale):
-        status = STATUS_INCONSISTENT
-    notes.update(outcome.notes)
-    notes["case"] = "propagation"
-    return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
+    else:
+        # without the d/2 shift two support points still meet through a third
+        outcome = propagate_phases(corr, partition, tau_supp)
+        estimate, row_residual = outcome.estimate, outcome.residual
+        notes.update(outcome.notes)
+        notes["case"] = "propagation"
+    center_residual = _center_row_residual(estimate.entries, center_row, half)
+    return _verdict(estimate, partition, notes, _peak(corr.a[0]), row_residual, center_residual)
 
 
 def _center_row_residual(est: np.ndarray, center_row: np.ndarray, half: int) -> float:
@@ -573,7 +565,6 @@ def recover_missing_dc_pair(
     dc_row: np.ndarray,
     lstar_value: int,
     tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Recovery when all nonzero shift rows are known but the dc row misses the
     conjugate frequency pair +-l*.
@@ -582,7 +573,7 @@ def recover_missing_dc_pair(
     two other support members); supports of size <= 2 fall back to locating a
     single spike from the dc phase ramp, or to the quadratic determined by total
     energy and the known cross product.  Output is verified against every known
-    row and the trusted part of the dc row.
+    row and the trusted part of the dc row, at the scale of the total energy.
     """
     d = corr.d
     ls = int(lstar_value) % d
@@ -612,12 +603,10 @@ def recover_missing_dc_pair(
             j = int(round(-np.angle(ratio) * d / (2.0 * math.pi))) % d
             est[j] = math.sqrt(energy)
             supp = (j,)
-        partition = ConnectivityPartition("all-nonzero-shifts", tuple((j,) for j in supp), supp)
-        residual = _dc_residual(est, dc_row, trusted)
-        residual = max(residual, _row_residual(_stacked_rows(corr), est))
-        status = STATUS_INCONSISTENT if is_inconsistent(residual, energy) else STATUS_UNIQUE
+        partition = _one_component("all-nonzero-shifts", supp)
         notes["case"] = "spike"
-        return RecoveryOutcome(status, CyclicSignal(d, est), partition, len(supp), residual, notes)
+        residuals = _row_residual(_stacked_rows(corr), est), _dc_residual(est, dc_row, trusted)
+        return _verdict(CyclicSignal(d, est), partition, notes, energy, *residuals)
 
     supp = tuple(int(j) for j in np.nonzero(offdiag > tau_supp * smax)[0])
 
@@ -641,13 +630,11 @@ def recover_missing_dc_pair(
         if not candidates:
             raise PreconditionViolated("energy split infeasible for a two-point support")
         stacked = _stacked_rows(corr)
-        scored = [(max(_dc_residual(e, dc_row, trusted), _row_residual(stacked, e)), i) for i, e in enumerate(candidates)]
-        best_res, best_i = min(scored)
-        est = candidates[best_i]
-        partition = ConnectivityPartition("all-nonzero-shifts", (tuple(supp),), supp)
-        status = STATUS_INCONSISTENT if is_inconsistent(best_res, energy) else STATUS_UNIQUE
+        scored = [(_row_residual(stacked, e), _dc_residual(e, dc_row, trusted)) for e in candidates]
+        best = min(range(len(candidates)), key=lambda i: max(scored[i]))
+        partition = _one_component("all-nonzero-shifts", supp)
         notes["case"] = "two-point"
-        return RecoveryOutcome(status, CyclicSignal(d, est), partition, 1, best_res, notes)
+        return _verdict(CyclicSignal(d, candidates[best]), partition, notes, energy, *scored[best])
 
     # three or more support members: triangle identity for each squared magnitude
     a0 = np.zeros(d, dtype=np.float64)
@@ -661,17 +648,12 @@ def recover_missing_dc_pair(
     rows[0] = a0.astype(np.complex128)
     full = CorrelationData(d, rows)
     supp = support_from_magnitudes(full.a[0], tau_supp)
-    partition = ConnectivityPartition("all-nonzero-shifts", (supp,) if supp else (), supp)
-    outcome = propagate_phases(full, partition, phase_tol, tau_supp)
-    residual = max(outcome.residual, _dc_residual(outcome.estimate.entries, dc_row, trusted))
-    status = outcome.status
-    if status == STATUS_PER_COMPONENT:
-        status = STATUS_UNIQUE
-    if is_inconsistent(residual, energy):
-        status = STATUS_INCONSISTENT
+    partition = _one_component("all-nonzero-shifts", supp)
+    outcome = propagate_phases(full, partition, tau_supp)
     notes.update(outcome.notes)
     notes["case"] = "triangle"
-    return RecoveryOutcome(status, outcome.estimate, partition, 1, residual, notes)
+    dc_residual = _dc_residual(outcome.estimate.entries, dc_row, trusted)
+    return _verdict(outcome.estimate, partition, notes, energy, outcome.residual, dc_residual)
 
 
 def _dc_residual(est: np.ndarray, dc_row: np.ndarray, trusted: np.ndarray) -> float:
@@ -688,14 +670,14 @@ def _divide_punctured(X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMas
     return _divide_full_rows(R, amb, mask), row
 
 
-def _solve_center(X, g, mask: OmegaMask, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
+def _solve_center(X, g, mask: OmegaMask, tau_rel, tau_supp) -> RecoveryOutcome:
     corr, center_row = _divide_punctured(X, g, mask, X.d // 2)
-    return recover_missing_center(corr, center_row, tau_supp, phase_tol)
+    return recover_missing_center(corr, center_row, tau_supp)
 
 
-def _solve_dcpair(X, g, mask: OmegaMask, lstar: int, tau_rel, tau_supp, phase_tol) -> RecoveryOutcome:
+def _solve_dcpair(X, g, mask: OmegaMask, lstar: int, tau_rel, tau_supp) -> RecoveryOutcome:
     corr, dc_row = _divide_punctured(X, g, mask, 0)
-    return recover_missing_dc_pair(corr, dc_row, lstar, tau_supp, phase_tol)
+    return recover_missing_dc_pair(corr, dc_row, lstar, tau_supp)
 
 
 def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
@@ -799,8 +781,7 @@ def _known_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
 
 def _center_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
     """One component: without only the d/2 shift, any two support points meet through a third."""
-    supp = _row0_support(X, g, tau_supp)
-    return ConnectivityPartition("all-shifts-but-center", (supp,) if supp else (), supp)
+    return _one_component("all-shifts-but-center", _row0_support(X, g, tau_supp))
 
 
 def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
@@ -814,7 +795,7 @@ def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
 
 def _dcpair_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
     """The dc-pair solver's own partition: its support comes from the off-diagonal rows."""
-    return _solve_dcpair(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp, phase_tol=DEFAULT_PHASE_TOL).components
+    return _solve_dcpair(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp).components
 
 
 @dataclass(frozen=True)
@@ -871,7 +852,6 @@ def recover(
     L: int | None = None,
     tau_rel: float = DEFAULT_TAU_REL,
     tau_supp: float = DEFAULT_TAU_SUPP,
-    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> RecoveryOutcome:
     """Route a measurement to the solver matching the window's certified class.
 
@@ -906,7 +886,7 @@ def recover(
             notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}
             partition = ConnectivityPartition("unknown", (), ())
             return RecoveryOutcome(STATUS_UNDECIDABLE, None, partition, 0, float("nan"), notes)
-    return globals()[route.solver](X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp, phase_tol=phase_tol)
+    return globals()[route.solver](X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
 
 
 def _comb_witnesses(

@@ -135,19 +135,18 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def loop_propagate_phases(a: dict, d: int, components, universe) -> tuple[np.ndarray, float, float]:
+def loop_propagate_phases(a: dict, d: int, components, universe) -> tuple[np.ndarray, float]:
     """Breadth-first phase walk over every edge, one scalar at a time.
 
     ``a`` maps shift k to the row a[k][j] = f_j conj(f_{j-k}).  Each component's
     smallest index gets phase 0; the queue visits shifts ascending, forward
-    before backward, and every revisit is compared with the phase already set.
-    Returns (estimate, worst cycle mismatch, largest row residual).
+    before backward, and an index keeps the first phase an edge implies for it.
+    Returns (estimate, largest row residual).
     """
     mags = np.sqrt(np.clip(a[0].real, 0.0, None))
     support = set(universe)
     shifts = sorted(k for k in a if k != 0)
     phases: dict[int, float] = {}
-    worst_cycle = 0.0
     for comp in components:
         phases[comp[0]] = 0.0
         queue = deque([comp[0]])
@@ -155,28 +154,20 @@ def loop_propagate_phases(a: dict, d: int, components, universe) -> tuple[np.nda
             j = queue.popleft()
             for k in shifts:
                 fwd = (j + k) % d  # a[k][fwd] = f_fwd conj(f_j)
-                if fwd in support:
-                    implied = _wrap_angle(float(np.angle(a[k][fwd])) + phases[j])
-                    if fwd in phases:
-                        worst_cycle = max(worst_cycle, abs(_wrap_angle(implied - phases[fwd])))
-                    else:
-                        phases[fwd] = implied
-                        queue.append(fwd)
+                if fwd in support and fwd not in phases:
+                    phases[fwd] = _wrap_angle(float(np.angle(a[k][fwd])) + phases[j])
+                    queue.append(fwd)
                 bwd = (j - k) % d  # a[k][j] = f_j conj(f_bwd)
-                if bwd in support:
-                    implied = _wrap_angle(phases[j] - float(np.angle(a[k][j])))
-                    if bwd in phases:
-                        worst_cycle = max(worst_cycle, abs(_wrap_angle(implied - phases[bwd])))
-                    else:
-                        phases[bwd] = implied
-                        queue.append(bwd)
+                if bwd in support and bwd not in phases:
+                    phases[bwd] = _wrap_angle(phases[j] - float(np.angle(a[k][j])))
+                    queue.append(bwd)
     est = np.zeros(d, dtype=np.complex128)
     for j, phi in phases.items():
         est[j] = mags[j] * np.exp(1j * phi)
     residual = 0.0
     for k in sorted(a):
         residual = max(residual, float(np.abs(a[k] - est * np.conj(np.roll(est, k))).max()))
-    return est, worst_cycle, residual
+    return est, residual
 
 
 def loop_hole_classifier(b: dict, d: int, L: int, tau_rel: float) -> list[int]:

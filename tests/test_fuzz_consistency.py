@@ -4,13 +4,14 @@ measurement it came from, and corrupted data must never pass silently."""
 import numpy as np
 import pytest
 
-from helpers import random_entries, random_short_window, random_signal, rng_for
+from helpers import random_entries, random_short_window, random_signal, random_sparse_window, rng_for
 from stftpr.errors import AnchorInvalid, StftprError
 from stftpr.recovery import (
     STATUS_INCONSISTENT,
     STATUS_PER_COMPONENT,
     STATUS_UNDECIDABLE,
     STATUS_UNIQUE,
+    is_inconsistent,
     recover,
 )
 from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, measure
@@ -69,6 +70,22 @@ def test_fuzz_estimates_reproduce_their_measurements():
     assert undecidable == 0
 
 
+def assert_flagged_or_honest(out, g, bad, context) -> bool:
+    """True when the outcome flags the data; otherwise its residual and its estimate must both hold up.
+
+    A verdict on corrupted data is silent unless the estimate's own measurement
+    reproduces the corrupted X, and the residual it reports is within the
+    consistency tolerance at the scale of the estimate's largest squared entry.
+    """
+    if out.status in (STATUS_INCONSISTENT, STATUS_UNDECIDABLE):
+        return True
+    peak = float(np.abs(out.estimate.entries).max()) ** 2
+    assert not is_inconsistent(out.residual, peak), (context, out.status, out.residual, peak, out.notes)
+    gap = float(np.abs(measure(out.estimate, g).sq_mag - bad).max())
+    assert gap <= 1e-6 * float(bad.max()), (context, out.status, gap, out.notes)
+    return False
+
+
 def test_fuzz_corrupted_measurements_never_pass_silently():
     flagged = 0
     for trial in range(100):
@@ -91,15 +108,35 @@ def test_fuzz_corrupted_measurements_never_pass_silently():
         except (AnchorInvalid, StftprError):
             flagged += 1
             continue
-        if out.status in (STATUS_INCONSISTENT, STATUS_UNDECIDABLE):
-            flagged += 1
-            continue
-        # a verdict was still produced: it must be an honest reconstruction of
-        # SOME signal matching the corrupted data within the residual it reports
-        X2 = measure(out.estimate, g)
-        gap = float(np.abs(X2.sq_mag - bad).max())
-        scale = float(bad.max())
-        if gap > 1e-6 * scale:
-            # large unexplained gap must have been reported as a large residual
-            assert out.residual > 1e-8 * scale, (trial, gap, out.residual, out.notes)
+        flagged += assert_flagged_or_honest(out, g, bad, trial)
     assert flagged >= 50  # the majority of corruptions are detected outright
+
+
+def corrupted_known_scenario(rng, kind: str):
+    """A known-route window and a gapped signal, with one to three X entries scaled by 0.9-1.5.
+
+    ``band``: a short window of width L = 1..3, whose band rows leave a gapped
+    support with few or no phase cycles.  ``sparse``: a window of 2-7 random
+    taps, whose difference set is neither a band nor all of Z_d.
+    """
+    if kind == "band":
+        d = int(rng.integers(7, 17))
+        g = random_short_window(rng, d, int(rng.integers(1, 4)))
+    else:
+        d = int(rng.choice([16, 32]))
+        g = random_sparse_window(rng, d)
+    f = random_signal(rng, d, support=[j for j in range(d) if rng.uniform() < 0.6] or [0])
+    bad = measure(f, g).sq_mag.copy()
+    n = int(rng.integers(1, 4))
+    bad[rng.integers(0, d, size=n), rng.integers(0, d, size=n)] *= rng.uniform(0.9, 1.5, size=n)
+    return g, bad
+
+
+@pytest.mark.parametrize("kind", ["band", "sparse"])
+def test_fuzz_corrupted_known_route_never_passes_silently(kind):
+    flagged = 0
+    for trial in range(150):
+        g, bad = corrupted_known_scenario(rng_for("fuzz-bad-known", kind, trial), kind)
+        out = recover(SpectrogramMeasurement(g.d, bad), g, mode="auto")
+        flagged += assert_flagged_or_honest(out, g, bad, trial)
+    assert flagged >= 75

@@ -130,6 +130,26 @@ def test_routing_outputs_match_golden():
     assert actual == expected
 
 
+def test_changed_cases_names_the_first_differing_leaf():
+    stdout = serialize.dump_json({"notes": {"route": "center"}, "status": "Inconsistent"})
+    old = {"a": {"cli": {"recover": {"stdout": stdout}}}, "b": {"x": [1, 2]}, "c": {"x": 1}, "gone": {}}
+    new = {
+        "a": {"cli": {"recover": {"stdout": stdout.replace("Inconsistent", "UniqueUpToGlobalPhase")}}},
+        "b": {"x": [1, 2, 3]},
+        "c": {"x": 1, "y": 2},
+        "new": {},
+    }
+    assert changed_cases(serialize.dump_json(new), serialize.dump_json(old)) == [
+        "a: cli.recover.stdout.status",
+        "b: x[2]",
+        "c: y",
+        "gone: removed",
+        "new: added",
+    ]
+    spaced = {"a": {"cli": {"recover": {"stdout": stdout.replace(": ", ":  ")}}}}
+    assert changed_cases(serialize.dump_json(spaced), serialize.dump_json({"a": old["a"]})) == ["a: layout"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_routing.py --write")

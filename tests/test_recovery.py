@@ -33,6 +33,7 @@ from stftpr.recovery import (
     propagate_phases,
     recover,
     recover_autocorrelations,
+    recover_missing_center,
     recover_with_hole,
     window_coeffs,
 )
@@ -224,9 +225,8 @@ def test_propagate_phases_matches_loop_walk_exactly(case):
     corr = CorrelationData(d, rows)
     part = components_mod_d(f.support(), d, shifts if all_shifts else L)
     out = propagate_phases(corr, part)
-    est, worst_cycle, residual = loop_propagate_phases(corr.a, d, part.components, part.universe)
+    est, residual = loop_propagate_phases(corr.a, d, part.components, part.universe)
     assert np.array_equal(out.estimate.entries, est)
-    assert out.notes["worst_cycle_mismatch"] == worst_cycle
     assert out.residual == residual
 
 
@@ -239,7 +239,34 @@ def test_propagate_phases_single_twisted_entry():
     corr = CorrelationData(d, rows)
     out = propagate_phases(corr, components_mod_d(f.support(), d, range(d)))
     assert out.status == STATUS_INCONSISTENT
-    assert out.notes["worst_cycle_mismatch"] == pytest.approx(twist, abs=1e-9)
+    # the walk never reads the twisted edge, so the estimate is f's and only that entry misses
+    f20, f15 = f.entries[20], f.entries[15]
+    assert out.residual == pytest.approx(abs(f20 * f15) * abs(np.exp(1j * twist) - 1), rel=1e-9)
+
+
+def test_propagate_phases_nan_entry_is_inconsistent():
+    # a NaN on the shift-0 row reaches the estimate; the row residual must not skip it
+    rng = rng_for("nan-row")
+    d = 8
+    f = random_signal(rng, d)
+    rows = {k: naive_autocorrelation(f.entries, k) for k in range(d)}
+    rows[0][3] = np.nan
+    out = propagate_phases(CorrelationData(d, rows), components_mod_d(range(d), d, range(d)))
+    assert np.isnan(out.estimate.entries[3])
+    assert np.isnan(out.residual)
+    assert out.status == STATUS_INCONSISTENT
+
+
+def test_center_route_checks_a_single_point_support():
+    # the one support point explains row 0, but not the mass row 1 puts at index 5
+    d = 16
+    rows = {k: np.zeros(d, dtype=np.complex128) for k in range(d) if k != d // 2}
+    rows[0][3] = 1.0
+    rows[1][5] = 0.5
+    out = recover_missing_center(CorrelationData(d, rows), np.zeros(d, dtype=np.complex128))
+    assert out.components.components == ((3,),)
+    assert out.residual == 0.5
+    assert out.status == STATUS_INCONSISTENT
 
 
 def test_propagate_phases_wrapping_component_anchor_is_real():
