@@ -73,7 +73,7 @@ def recover_line_block(
         raise StftprError("embedding dimension leaves no room for the signal")
 
     amb = ambiguity(g).values
-    R = relation_transform(X).values
+    R = relation_transform(X, range(L + 1))
     amb_peak = float(np.abs(amb).max())
     nodes = np.exp(2j * np.pi * np.arange(d) / d)  # column l samples the node z = e^(2 pi i l / d)
 

@@ -182,11 +182,11 @@ def window_coeffs(g: CyclicSignal, L: int, tau_rel: float = DEFAULT_TAU_REL) -> 
 
 
 def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> MeasurementCoefficients:
-    """Band rows b[k] = inverse transform of the k-th relation-product row."""
+    """Band rows b[k] = inverse transform of the k-th relation-product row; only rows 0..L are transformed."""
     if not (0 <= L < X.d):
         raise StftprError(f"invalid band width L={L} for d={X.d}")
-    R = relation_transform(X)
-    b = {k: np.fft.ifft(R.values[k]) for k in range(L + 1)}
+    R = relation_transform(X, range(L + 1))
+    b = {k: np.fft.ifft(R[k]) for k in range(L + 1)}
     return MeasurementCoefficients(X.d, L, b)
 
 
@@ -205,18 +205,23 @@ def recover_autocorrelations(
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
     if mask is None:
         mask = omega_mask(g, tau_rel)
-    return _divide_full_rows(relation_transform(X).values, ambiguity(g).values, mask)
+    return _divide_full_rows(X, ambiguity(g).values, mask)[0]
 
 
-def _divide_full_rows(R: np.ndarray, amb: np.ndarray, mask: OmegaMask) -> CorrelationData:
-    """Rows ifft(R[k] / conj(amb[k])) for every k whose mask row is all true, in one batch."""
+def _divide_full_rows(
+    X: SpectrogramMeasurement, amb: np.ndarray, mask: OmegaMask, extra: tuple[int, ...] = ()
+) -> tuple[CorrelationData, np.ndarray]:
+    """Rows ifft(R[k] / conj(amb[k])) for every k whose mask row is all true, in one batch,
+    and the undivided relation rows R[extra].  Only those relation rows are transformed."""
     rows = np.flatnonzero(mask.mask.all(axis=1))
+    R = relation_transform(X, np.concatenate((rows, np.asarray(extra, dtype=np.intp))))
     divisors = amb[rows]
     vanished = np.abs(divisors).min(axis=1) <= 0.0  # guard: mask said "true" but the value is zero
     if vanished.any():
         raise StftprError(f"internal: ambiguity row {rows[vanished][0]} vanishes under a true mask")
-    table = np.fft.ifft(R[rows] / np.conj(divisors), axis=1)
-    return CorrelationData(R.shape[0], dict(zip(rows.tolist(), table)))
+    # R is a fresh array: divide in place rather than allocate another d x d block
+    table = np.fft.ifft(np.divide(R[: rows.size], np.conj(divisors), out=R[: rows.size]), axis=1)
+    return CorrelationData(X.d, dict(zip(rows.tolist(), table))), R[rows.size :]
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -378,10 +383,10 @@ def hole_classifier(
 
 
 def _banded_equation_residual(a: np.ndarray, b_row: np.ndarray, coef: np.ndarray, k: int) -> float:
-    predicted = np.zeros_like(b_row)
-    for i, cf in enumerate(coef):
-        predicted = predicted + cf * np.roll(a, -(k + i))
-    return float(np.abs(predicted - b_row).max())
+    """Largest |b[j] - sum_i coef[i] a[j+k+i]| over every j, indices mod d."""
+    d = a.size
+    taps = (np.arange(d)[:, None] + k + np.arange(coef.size)) % d
+    return float(np.abs((a[taps] * coef).sum(axis=1) - b_row).max())
 
 
 def _solve_banded_row(
@@ -663,11 +668,12 @@ def _dc_residual(est: np.ndarray, dc_row: np.ndarray, trusted: np.ndarray) -> fl
 
 def _divide_punctured(X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, k: int):
     """Every full row divided, plus row k divided where its mask is true and zero elsewhere."""
-    R, amb = relation_transform(X).values, ambiguity(g).values
+    amb = ambiguity(g).values
+    corr, (R_k,) = _divide_full_rows(X, amb, mask, (k,))
     keep = mask.mask[k]
     row = np.zeros(X.d, dtype=np.complex128)
-    row[keep] = R[k, keep] / np.conj(amb[k, keep])
-    return _divide_full_rows(R, amb, mask), row
+    row[keep] = R_k[keep] / np.conj(amb[k, keep])
+    return corr, row
 
 
 def _solve_center(X, g, mask: OmegaMask, tau_rel, tau_supp) -> RecoveryOutcome:

@@ -178,17 +178,29 @@ def ambiguity(g: CyclicSignal) -> ComplexTable:
     return stft(g, g)
 
 
-def relation_transform(X: SpectrogramMeasurement) -> ComplexTable:
+def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | np.ndarray:
     """Demodulate a measurement into signal-times-window ambiguity products.
 
     Returns R with ``R[k, l] = (1/d) sum_{k', l'} X[k', l'] e^(-2 pi i k' l / d)
     e^(+2 pi i l' k / d)``.  Whenever ``X = measure(f, g)`` this equals
     ``V_ff(k, l) * conj(V_gg(k, l))`` entrywise.
+
+    With ``rows`` (shifts k, taken mod d) only those rows are returned, as an
+    array of shape ``(len(rows), d)``.  Fewer than d/2 rows are transformed
+    alone, within roundoff of the table; from d/2 rows on, the table is built
+    and sliced, so the values are its exact bits.
     """
+    d = X.d
+    k = None if rows is None else np.asarray(rows, dtype=np.intp) % d
+    if k is not None and 2 * k.size < d:
+        # row k needs column k of the inverse-sign frequency transform, the conjugate
+        # of the forward one; X is real, so forward column d-k is conj(column k)
+        cols = np.fft.rfft(X.sq_mag, axis=1)[:, np.minimum(k, d - k)].T / d
+        return np.fft.fft(np.where((k <= d // 2)[:, None], np.conj(cols), cols), axis=1)
     # forward over the shift axis, inverse-sign over the frequency axis; the d
     # and 1/d factors cancel against ifft's normalization
-    mixed = np.fft.ifft(np.fft.fft(X.sq_mag, axis=0), axis=1)
-    return ComplexTable(X.d, mixed.T.copy())
+    table = np.fft.ifft(np.fft.fft(X.sq_mag, axis=0), axis=1).T
+    return ComplexTable(d, table.copy()) if k is None else table[k]
 
 
 def embed_line(

@@ -43,9 +43,42 @@ def changed_cases(actual: str, expected: str) -> list[str]:
     def where(case):
         if case not in old or case not in new:
             return "added" if case not in old else "removed"
-        return _first_difference(new[case], old[case], "") or "layout"
+        return next((path for path, _, _ in _differences(new[case], old[case], "")), "layout")
 
     return [f"{case}: {where(case)}" for case in sorted(new.keys() | old.keys()) if new.get(case) != old.get(case)]
+
+
+def numeric_drift(actual: str, expected: str) -> dict[str, dict]:
+    """For each top-level case that differs between two golden documents, how its leaves moved.
+
+    Returns ``{case: {"drift": {path: relative drift}, "other": [path, ...]}}``.
+    Each numeric leaf whose value changed gets ``|new - old| / max(|new|, |old|)``;
+    every other change (a string, a status, a key or list entry on one side
+    only, a number that became null) is listed under ``other``.  Paths read as
+    in :func:`changed_cases`, and go on inside stored CLI stdout; a case on one
+    side only reads ``added`` or ``removed``, and stdout that differs only in
+    layout reads ``layout``.
+    """
+    new, old = json.loads(actual), json.loads(expected)
+    report = {}
+    for case in sorted(new.keys() | old.keys()):
+        if new.get(case) == old.get(case):
+            continue
+        drift, other = {}, []
+        if case not in old or case not in new:
+            other.append("added" if case not in old else "removed")
+        else:
+            for path, a, b in _differences(new[case], old[case], ""):
+                if _is_number(a) and _is_number(b):
+                    drift[path] = abs(a - b) / max(abs(a), abs(b))
+                else:
+                    other.append(path)
+        report[case] = {"drift": drift, "other": other if drift or other else ["layout"]}
+    return report
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_document(value):
@@ -57,21 +90,24 @@ def _as_document(value):
     return value
 
 
-def _first_difference(new, old, path: str) -> str | None:
+def _differences(new, old, path: str):
+    """``(path, new, old)`` for each differing leaf, keys in sorted order.
+
+    A key on one side only, or the first entry past the shorter list, ends its
+    path, with None for the side that lacks it.
+    """
     new, old = _as_document(new), _as_document(old)
     if isinstance(new, dict) and isinstance(old, dict):
         for key in sorted(new.keys() | old.keys()):
             inner = f"{path}.{key}" if path else str(key)
             if key not in new or key not in old:
-                return inner
-            found = _first_difference(new[key], old[key], inner)
-            if found is not None:
-                return found
-        return None
-    if isinstance(new, list) and isinstance(old, list):
+                yield inner, new.get(key), old.get(key)
+            else:
+                yield from _differences(new[key], old[key], inner)
+    elif isinstance(new, list) and isinstance(old, list):
         for i, (a, b) in enumerate(zip(new, old)):
-            found = _first_difference(a, b, f"{path}[{i}]")
-            if found is not None:
-                return found
-        return None if len(new) == len(old) else f"{path}[{min(len(new), len(old))}]"
-    return None if new == old else path
+            yield from _differences(a, b, f"{path}[{i}]")
+        if len(new) != len(old):
+            yield f"{path}[{min(len(new), len(old))}]", None, None
+    elif new != old:
+        yield path, new, old

@@ -195,3 +195,12 @@ def loop_hole_classifier(b: dict, d: int, L: int, tau_rel: float) -> list[int]:
         if cond_b:
             anchors.append(j_star)
     return anchors
+
+
+def loop_banded_equation_residual(a, b_row, coef, k: int) -> float:
+    """Largest |b[j] - sum_i coef[i] a[j+k+i]| with one cyclic roll of a per tap."""
+    a = np.asarray(a, dtype=np.complex128)
+    predicted = np.zeros_like(a)
+    for i, cf in enumerate(coef):
+        predicted = predicted + cf * np.roll(a, -(k + i))
+    return float(np.abs(predicted - np.asarray(b_row)).max())

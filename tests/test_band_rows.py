@@ -2,10 +2,12 @@
 
 Row k of ``stft(f, g)`` is exactly zero unless an exact nonzero of f meets one
 of ``roll(g, k)``.  Every output is compared bit for bit with
-``oracles.dense_stft``, which transforms all d rows.  A counting wrapper on
-``np.fft.fft`` checks, without timing anything, that a short window's ambiguity
-transforms only its band rows and that a generic decision builds no relation
-table.
+``oracles.dense_stft``, which transforms all d rows.  ``relation_transform``
+with ``rows`` is compared with the rows of the full table.  A counting wrapper
+on ``np.fft.fft`` checks, without timing anything, that a short window's
+ambiguity transforms only its band rows, that a generic decision builds no
+relation table, and that the short-window routes transform no more relation
+rows than they read.
 """
 
 import numpy as np
@@ -14,10 +16,25 @@ import pytest
 from helpers import random_short_window, random_signal, rng_for
 from oracles import dense_omega_mask, dense_stft
 from stftpr import recovery, spectral
-from stftpr.recovery import DEFAULT_TAU_SUPP, _row0_support, decide_retrievability, support_from_magnitudes
-from stftpr.spectral import CyclicSignal, ambiguity, measure, relation_transform, stft, stft_rows
+from stftpr.recovery import (
+    DEFAULT_TAU_SUPP,
+    _row0_support,
+    decide_retrievability,
+    measurement_coeffs,
+    recover,
+    support_from_magnitudes,
+)
+from stftpr.spectral import (
+    CyclicSignal,
+    SpectrogramMeasurement,
+    ambiguity,
+    measure,
+    relation_transform,
+    stft,
+    stft_rows,
+)
 from stftpr.windows import DEFAULT_TAU_REL, classify_window, difference_set, omega_mask
-from test_golden_propagation import golden_cases
+from test_golden_propagation import _box, _with_zero_runs, golden_cases
 
 DIMENSIONS = (2, 3, 16, 17, 1024)
 
@@ -106,17 +123,20 @@ def test_row0_support_matches_the_dense_tables():
             assert _row0_support(X, g, DEFAULT_TAU_SUPP) == expected, case_id
 
 
-def _count_fft_rows(monkeypatch) -> list[int]:
-    """Rows each ``np.fft.fft`` call transforms, as ``stftpr.spectral`` sees the function."""
+def _count_fft_rows(monkeypatch, names=("fft",)) -> list[int]:
+    """Rows each call of the named ``np.fft`` functions transforms, as ``stftpr.spectral`` sees them."""
     counted = []
-    fft = spectral.np.fft.fft
 
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a)
-        counted.append(a.size // a.shape[kwargs.get("axis", -1)])
-        return fft(a, *args, **kwargs)
+    def counting(fft):
+        def wrapper(a, *args, **kwargs):
+            a = np.asarray(a)
+            counted.append(a.size // a.shape[kwargs.get("axis", -1)])
+            return fft(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral.np.fft, "fft", counting)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(spectral.np.fft, name, counting(getattr(spectral.np.fft, name)))
     return counted
 
 
@@ -143,3 +163,63 @@ def test_generic_decision_builds_no_relation_table(monkeypatch):
     decision = decide_retrievability(X, report)
     assert report.is_generic_short and decision.notes["route"] == "generic"
     assert calls == []
+
+
+@pytest.mark.parametrize("d", (2, 3, 16, 17, 511, 1024))
+def test_relation_rows_match_the_table(d):
+    rng = rng_for("relation-rows", d)
+    L = min(3, d - 1)
+    measurements = (
+        SpectrogramMeasurement(d, rng.random((d, d))),
+        measure(random_signal(rng, d), random_short_window(rng, d, min(3, d // 2))),
+    )
+    row_sets = (
+        [],
+        [0],
+        [d // 2],
+        [*range(d - L, d), *range(L + 1)],  # a band that wraps past index 0
+        [5, -1, 3, -d - 2, 2 * d + 1],  # unsorted and negative, taken mod d
+        list(rng.permutation(d)[: (d + 1) // 2]),  # half the rows: the table, sliced
+    )
+    for X in measurements:
+        table = relation_transform(X).values
+        bound = 1e-15 * np.abs(table).max()
+        for rows in row_sets:
+            got = relation_transform(X, rows)
+            expected = table[np.asarray(rows, dtype=np.intp) % d]
+            assert got.shape == (len(rows), d)
+            if 2 * len(rows) >= d:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.abs(got - expected).max(initial=0.0) <= bound
+        mc = measurement_coeffs(X, L)
+        for k in range(L + 1):
+            assert np.abs(mc.b[k] - np.fft.ifft(table[k])).max() <= bound
+
+
+def _short_route_cases():
+    """Generic d=1024, L=3 (the known route) and a box window L=3 with a signal hole (the hole route)."""
+    rng = rng_for("band-rows-routes")
+    g = random_short_window(rng, 1024, 3)
+    yield "generic", measure(random_signal(rng, 1024), g), g
+    box = _box(1024, 3)
+    yield "hole-4", measure(_with_zero_runs(rng, 1024, [(int(rng.integers(1024)), 4)]), box), box
+
+
+@pytest.mark.parametrize("case", _short_route_cases(), ids=lambda case: case[0])
+def test_short_window_routes_transform_only_the_rows_they_read(monkeypatch, case):
+    route, X, g = case
+    calls = []
+
+    def counting(X, rows=None):
+        calls.append(rows)
+        return relation_transform(X, rows)
+
+    monkeypatch.setattr(recovery, "relation_transform", counting)
+    report = classify_window(g)
+    counted = _count_fft_rows(monkeypatch, ("fft", "ifft"))
+    outcome = recover(X, g)
+    decision = decide_retrievability(X, report)
+    assert outcome.notes["route"] == route and decision.notes["route"].startswith(route.split("-")[0])
+    assert calls and all(rows is not None and len(rows) <= 7 for rows in calls)
+    assert counted and max(counted) <= 7

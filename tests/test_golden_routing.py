@@ -22,8 +22,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from helpers import changed_cases, forced_zero_window, random_signal, rng_for
+from helpers import changed_cases, forced_zero_window, numeric_drift, random_signal, rng_for
 from stftpr import serialize
 from stftpr.cli import main
 from stftpr.recovery import ROUTES, decide_retrievability, recover
@@ -148,6 +149,40 @@ def test_changed_cases_names_the_first_differing_leaf():
     ]
     spaced = {"a": {"cli": {"recover": {"stdout": stdout.replace(": ", ":  ")}}}}
     assert changed_cases(serialize.dump_json(spaced), serialize.dump_json({"a": old["a"]})) == ["a: layout"]
+
+
+def test_numeric_drift_separates_roundoff_from_other_changes():
+    def stdout(residual, status):
+        return serialize.dump_json({"notes": {"route": "hole-4"}, "residual": residual, "status": status})
+
+    old = {
+        "a": {"residual": 2.0, "estimate": {"re": [1.0, -4.0, 0.5]}, "cli": {"stdout": stdout(1e-15, "Unique")}},
+        "b": {"x": [1, 2], "ok": True, "n": 3.0, "route": "hole-4"},
+        "c": {"cli": {"stdout": stdout(1.0, "Unique")}},
+        "same": {"x": 1.0},
+        "gone": {},
+    }
+    new = {
+        "a": {
+            "residual": 2.0 + 4e-16,
+            "estimate": {"re": [1.0, -4.0 * (1 + 1e-15), 0.5]},
+            "cli": {"stdout": stdout(3e-15, "Unique")},
+        },
+        "b": {"x": [1, 2, 3], "ok": False, "n": None, "route": "hole-5"},
+        "c": {"cli": {"stdout": stdout(1.0, "Unique").replace(": ", ":  ")}},
+        "same": {"x": 1.0},
+        "new": {},
+    }
+    report = numeric_drift(serialize.dump_json(new), serialize.dump_json(old))
+    assert sorted(report) == ["a", "b", "c", "gone", "new"]
+    a = report["a"]
+    assert a["other"] == [] and sorted(a["drift"]) == ["cli.stdout.residual", "estimate.re[1]", "residual"]
+    assert a["drift"]["residual"] == pytest.approx(2e-16, rel=0.5)
+    assert a["drift"]["estimate.re[1]"] == pytest.approx(1e-15, rel=0.5)
+    assert a["drift"]["cli.stdout.residual"] == pytest.approx(2 / 3)
+    assert report["b"] == {"drift": {}, "other": ["n", "ok", "route", "x[2]"]}
+    assert report["c"] == {"drift": {}, "other": ["layout"]}
+    assert report["gone"]["other"] == ["removed"] and report["new"]["other"] == ["added"]
 
 
 if __name__ == "__main__":

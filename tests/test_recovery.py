@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import forced_zero_window, random_short_window, random_signal, random_sparse_window, rng_for
-from oracles import loop_hole_classifier, loop_propagate_phases, naive_autocorrelation, union_find_components
+from oracles import (
+    loop_banded_equation_residual,
+    loop_hole_classifier,
+    loop_propagate_phases,
+    naive_autocorrelation,
+    union_find_components,
+)
 from stftpr import windows
 from stftpr.connectivity import components_mod_d
 from stftpr.errors import (
@@ -37,6 +43,7 @@ from stftpr.recovery import (
     recover_with_hole,
     window_coeffs,
 )
+from stftpr.recovery import _banded_equation_residual, _solve_banded_row
 from stftpr.spectral import CyclicSignal, measure
 from stftpr.windows import (
     classify_window,
@@ -427,6 +434,30 @@ def test_hole_classifier_matches_loop_oracle():
         assert anchors == loop_hole_classifier(b, d, L, 1e-9)
         with_anchors += bool(anchors)
     assert with_anchors > 200  # the comparison covers the anchor-finding branch, not only empty lists
+
+
+def test_banded_equation_residual_matches_the_roll_loop():
+    # d=256 with a width-121 row (L=120); sums run in another order, so agreement
+    # is to roundoff at the scale of the band row
+    rng = rng_for("banded-residual")
+    d, W = 256, 121
+    coef = rng.normal(size=W) + 1j * rng.normal(size=W)
+    for k in (0, 1, 60, 120):
+        a, b_row = (rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))) * 10.0 ** rng.integers(-3, 4)
+        fast = _banded_equation_residual(a, b_row, coef, k)
+        assert abs(fast - loop_banded_equation_residual(a, b_row, coef, k)) <= 1e-14 * np.abs(b_row).max()
+
+        # a solved row whose zero block runs past index d-1 back to 0
+        start, length = d - 40, W - 1 + k
+        a_true = rng.normal(size=d) + 1j * rng.normal(size=d)
+        a_true[(start + np.arange(length)) % d] = 0.0
+        taps = np.zeros(d, dtype=np.complex128)
+        taps[k : k + W] = coef
+        b_row = np.fft.ifft(np.fft.fft(a_true) * d * np.fft.ifft(taps))
+        a, res = _solve_banded_row(b_row, coef, k, start, length, 1e-9 * np.abs(coef).sum())
+        scale = np.abs(b_row).max()
+        assert abs(res - loop_banded_equation_residual(a, b_row, coef, k)) <= 1e-14 * scale
+        assert res <= 1e-10 * scale and np.abs(a - a_true).max() <= 1e-8 * np.abs(a_true).max()
 
 
 def test_recover_with_hole_long_hole():
