@@ -1,8 +1,8 @@
 """Recovery for finitely supported line signals.
 
 Two entry points: :func:`recover_line_block` inverts an embedded cyclic
-measurement taken with a contiguous block window, solving each shift row as a
-polynomial in the sample nodes so the window's ambiguity zeros cost nothing;
+measurement taken with a contiguous block window, completing each shift row
+from the signal's known span so the window's ambiguity zeros cost nothing;
 :func:`recover_line_limited` reconstructs a compact signal when the small
 nonzero shifts are only known at a handful of unit-circle sample points.
 """
@@ -24,11 +24,14 @@ from .recovery import (
     DEFAULT_TAU_SUPP,
     CorrelationData,
     RecoveryOutcome,
+    _complete_row,
+    _peak,
+    _verdict,
     is_inconsistent,
     propagate_phases,
     support_from_magnitudes,
 )
-from .spectral import CyclicSignal, SpectrogramMeasurement, ambiguity, relation_transform
+from .spectral import CyclicSignal, SpectrogramMeasurement, relation_transform, stft_rows
 from .windows import DEFAULT_TAU_REL
 
 
@@ -55,11 +58,13 @@ def recover_line_block(
 ) -> RecoveryOutcome:
     """Invert an embedded line measurement taken with a window supported on 0..L.
 
-    Each shift row of the window's ambiguity is a nonzero polynomial, so it has
-    finitely many zeros among the embedding's sample nodes; the signal's
-    autocorrelation coefficients are recovered from the remaining nodes by a
-    linear solve, then support connectivity on the line and the row residual
-    decide the verdict.
+    Row k of the signal's autocorrelation can only sit on embedded indices
+    k .. f_span_bound - 1.  Each row 0..L is divided by the window's ambiguity
+    row where that row is above ``tau_rel`` of its peak, and the few
+    frequencies where it vanishes are fitted to the span (the hole route's row
+    completion).  Support connectivity on the line and the residual of the row
+    and of those completions (``equation_residual``) decide the verdict: a
+    signal longer than ``f_span_bound`` is Inconsistent.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
@@ -72,20 +77,16 @@ def recover_line_block(
     if f_span_bound < 1:
         raise StftprError("embedding dimension leaves no room for the signal")
 
-    amb = ambiguity(g).values
+    V = stft_rows(g, g)[1][: L + 1]  # shifts come sorted, so rows 0..L lead
     R = relation_transform(X, range(L + 1))
-    amb_peak = float(np.abs(amb).max())
-    nodes = np.exp(2j * np.pi * np.arange(d) / d)  # column l samples the node z = e^(2 pi i l / d)
-
+    divides = np.abs(V) > tau_rel * np.abs(V).max()  # the ambiguity's peak sits in row 0
     a: dict[int, np.ndarray] = {}
+    eq_residual = 0.0
     for k in range(L + 1):
-        good = np.abs(amb[k]) > tau_rel * amb_peak
-        vff_samples = R[k, good] / np.conj(amb[k, good])
-        # a[k] can only sit on indices k .. f_span_bound - 1 in embedded coordinates
-        coeffs = _solve_row_coefficients(nodes[good], vff_samples, k, f_span_bound - 1)
-        row = np.zeros(d, dtype=np.complex128)
-        row[k:f_span_bound] = coeffs
-        a[k] = row
+        allowed = np.zeros(d, dtype=bool)
+        allowed[k:f_span_bound] = True
+        a[k], res = _complete_row(R[k], V[k], divides[k], allowed)
+        eq_residual = max(eq_residual, res)
 
     corr = CorrelationData(d, a)
     supp = support_from_magnitudes(corr.a[0], tau_supp)
@@ -93,8 +94,9 @@ def recover_line_block(
     # embedded indices never wrap, so the cyclic propagation below walks the
     # same edges the line relation defines
     outcome = propagate_phases(corr, partition_line, tau_supp)
-    outcome.notes.update({"route": "line-block", "L": L, "f_span_bound": f_span_bound})
-    return outcome
+    notes = {**outcome.notes, "route": "line-block", "L": L, "f_span_bound": f_span_bound}
+    notes["equation_residual"] = eq_residual
+    return _verdict(outcome.estimate, partition_line, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
 
 
 def _pick_two_nodes(samples: list[tuple[complex, complex]], power: int) -> tuple[int, int]:

@@ -8,13 +8,14 @@ propagate.  Every route gets its rows by dividing by the window ambiguity
 where the mask is true.  Window classes whose ambiguity support has specific
 holes (a short band, a missing center entry, a missing dc-row pair) get
 dedicated routes that supply what the division cannot reach; on the hole route
-a known run of zeros in the signal fixes each band row's vanished frequencies.
+a known run of zeros in the signal fixes each band row's vanished frequencies
+(``_complete_row``; line mode completes its rows from the signal's span).
 
 Every route returns through one verdict, ``_verdict``: the data is
 Inconsistent when the estimate misses a known autocorrelation row, or the
-route's own equation (hole band rows, center row, dc row), by more than the
-consistency tolerance at the data's scale.  Otherwise the support partition
-decides between one global phase and one phase per component.
+route's own equation (hole band rows, line rows, center row, dc row), by more
+than the consistency tolerance at the data's scale.  Otherwise the support
+partition decides between one global phase and one phase per component.
 
 ``ROUTES`` lists the routes in the order the auto router tries them;
 ``recover``, ``decide_retrievability`` and the CLI all read that one table.
@@ -38,7 +39,7 @@ from .errors import (
     StftprError,
     WindowClassError,
 )
-from .spectral import CyclicSignal, SpectrogramMeasurement, ambiguity, measure, relation_transform
+from .spectral import CyclicSignal, SpectrogramMeasurement, ambiguity, measure, relation_transform, stft_rows
 from .windows import (
     DEFAULT_TAU_REL,
     OmegaMask,
@@ -95,14 +96,6 @@ class CorrelationData:
                 expected = np.conj(np.roll(self.a[k], -k))
                 worst = max(worst, float(np.abs(self.a[mirror] - expected).max()))
         return worst
-
-
-@dataclass(frozen=True)
-class WindowCoefficients:
-    """Products c[k][i] = g_{k+i} * conj(g_i), i = 0..L-k, of an anchored short window."""
-
-    L: int
-    c: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -163,22 +156,6 @@ def compare_up_to_phase(f: CyclicSignal, f_est: CyclicSignal) -> tuple[complex, 
     gamma = ip / abs(ip) if abs(ip) > 1e-15 * fnorm * max(f_est.norm(), 1e-300) else 1.0 + 0.0j
     err = float(np.linalg.norm(f_est.entries - gamma * f.entries) / fnorm)
     return gamma, err
-
-
-def window_coeffs(g: CyclicSignal, L: int, tau_rel: float = DEFAULT_TAU_REL) -> WindowCoefficients:
-    """Shift products of a window anchored on support exactly {0..L}."""
-    mags = np.abs(g.entries)
-    peak = mags.max()
-    if peak == 0.0:
-        raise EmptySupport("zero window")
-    inside = mags[: L + 1] > tau_rel * peak
-    outside = mags[L + 1 :] > tau_rel * peak
-    if not inside.all() or outside.any():
-        raise WindowClassError(f"window support is not exactly 0..{L}")
-    c = {}
-    for k in range(L + 1):
-        c[k] = g.entries[k : L + 1] * np.conj(g.entries[: L + 1 - k])
-    return WindowCoefficients(L, c)
 
 
 def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> MeasurementCoefficients:
@@ -272,9 +249,9 @@ def _verdict(
     """The status every route returns: Inconsistent, else unique per the partition.
 
     The residual is the larger of the row residual and the route's own equation
-    (hole band rows, center row or dc row), NaN when either is.  The data is
-    Inconsistent when that residual exceeds the consistency tolerance at
-    ``scale``; otherwise one component means one global phase.
+    (hole band rows, line rows, center row or dc row), NaN when either is.  The
+    data is Inconsistent when that residual exceeds the consistency tolerance
+    at ``scale``; otherwise one component means one global phase.
     """
     residual = float(np.max([row_residual, own_residual]))
     if is_inconsistent(residual, scale):
@@ -382,43 +359,48 @@ def hole_classifier(
     return anchors[before].tolist()
 
 
-def _banded_equation_residual(a: np.ndarray, b_row: np.ndarray, coef: np.ndarray, k: int) -> float:
-    """Largest |b[j] - sum_i coef[i] a[j+k+i]| over every j, indices mod d."""
-    d = a.size
-    taps = (np.arange(d)[:, None] + k + np.arange(coef.size)) % d
-    return float(np.abs((a[taps] * coef).sum(axis=1) - b_row).max())
-
-
-def _solve_banded_row(
-    b_row: np.ndarray, coef: np.ndarray, k: int, zero_start: int, zero_len: int, floor: float
+def _complete_row(
+    R_k: np.ndarray, V_k: np.ndarray, divides: np.ndarray, allowed: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Solve b[j] = sum_i coef[i] a[j+k+i] for a row a that vanishes on a known block.
+    """Autocorrelation row a_k from its relation row R_k = fft(a_k) * conj(V_k).
 
-    In frequency the equation reads fft(b) = fft(a) * C with
-    C(l) = sum_i coef[i] e^{2 pi i (k+i) l / d}, and |C(l)| = |V_gg(k, l)|.
-    Where |C| exceeds ``floor`` the row divides, as on every other route.  C
-    vanishes on at most W-1 frequencies; those are fitted so that a is zero on
-    the block, which is at least W-1 long, and the block is then set to zero.
-    The residual over all d equations flags data that no such row satisfies.
+    V_k is the window's ambiguity row.  Where ``divides`` the row is divided,
+    as on every other route.  The other frequencies, where V_k vanishes, are
+    fitted by least squares so that a_k vanishes off ``allowed`` (a known zero
+    set of the signal pins them), and a_k is then set to zero there.  The residual
+    max|ifft(fft(a_k) * conj(V_k) - R_k)| flags data that no row vanishing off
+    ``allowed`` satisfies.
     """
-    d, W = b_row.size, coef.size
-    if zero_len < W - 1:
-        raise AnchorInvalid(f"zero block of length {zero_len} cannot pin a width-{W} row")
-    taps = np.zeros(d, dtype=np.complex128)
-    taps[k : k + W] = coef
-    C = d * np.fft.ifft(taps)
-    divides = np.abs(C) > floor
+    d = R_k.size
     A = np.zeros(d, dtype=np.complex128)
-    A[divides] = np.fft.fft(b_row)[divides] / C[divides]
-    block = (zero_start + np.arange(zero_len)) % d
-    missing = np.flatnonzero(~divides)
+    A[divides] = R_k[divides] / np.conj(V_k[divides])
+    missing, zero = np.flatnonzero(~divides), np.flatnonzero(~allowed)
     if missing.size:
-        # ifft(A) on the block is linear in the missing A[l]; make it vanish there
-        basis = np.exp(2j * np.pi * (np.outer(block, missing) % d) / d) / d
-        A[missing] = np.linalg.lstsq(basis, -np.fft.ifft(A)[block], rcond=None)[0]
+        # ifft(A) off allowed is linear in the missing A[l]; make it vanish there
+        basis = np.exp(2j * np.pi * (np.outer(zero, missing) % d) / d) / d
+        A[missing] = np.linalg.lstsq(basis, -np.fft.ifft(A)[zero], rcond=None)[0]
     a = np.fft.ifft(A)
-    a[block] = 0.0
-    return a, _banded_equation_residual(a, b_row, coef, k)
+    a[zero] = 0.0
+    return a, float(np.abs(np.fft.ifft(np.fft.fft(a) * np.conj(V_k) - R_k)).max())
+
+
+def _hole_rows(
+    mc: MeasurementCoefficients, g0: CyclicSignal, L: int, anchor: int, hole_len: int, tau_rel: float, n_rows: int
+) -> tuple[dict[int, np.ndarray], float]:
+    """Band rows 0..n_rows-1 of the anchored problem, each completed off the zero run the hole forces on it,
+    and their worst residual.  Row k vanishes on hole_len + k indices from the hole's first zero."""
+    d = mc.d
+    V = stft_rows(g0, g0)[1][:n_rows]  # shifts come sorted, so rows 0..L lead
+    divides = np.abs(V) > tau_rel * g0.norm() ** 2
+    # the hole's zeros: an exact-L hole starts after its anchor
+    zeros = (anchor + L + 1 - hole_len + np.arange(hole_len + n_rows - 1)) % d
+    rows, worst = {}, 0.0
+    for k in range(n_rows):
+        allowed = np.ones(d, dtype=bool)
+        allowed[zeros[: hole_len + k]] = False
+        rows[k], res = _complete_row(np.fft.fft(mc.b[k]), V[k], divides[k], allowed)
+        worst = max(worst, res)
+    return rows, worst
 
 
 def _anchored_problem(
@@ -429,22 +411,6 @@ def _anchored_problem(
         return X, g, 0
     rolled = np.roll(X.sq_mag, shift, axis=0)
     return SpectrogramMeasurement(X.d, rolled), anchored, shift
-
-
-def _mirror_rows(a: dict[int, np.ndarray], d: int) -> dict[int, np.ndarray]:
-    out = dict(a)
-    for k in list(a):
-        if k == 0:
-            continue
-        mirror = (d - k) % d
-        if mirror not in out:
-            out[mirror] = np.conj(np.roll(a[k], -k))
-    return out
-
-
-def _zero_block(anchor: int, hole_len: int, L: int, k: int, d: int) -> tuple[int, int]:
-    """Start and length of the zero run a hole forces on row k (an exact-L hole starts after its anchor)."""
-    return (anchor + L + 1 - hole_len) % d, hole_len + k
 
 
 def recover_with_hole(
@@ -473,7 +439,8 @@ def recover_with_hole(
     X0, g0, shift = _anchored_problem(X, g, tau_rel)
     d = X0.d
     anchor = int(anchor) % d
-    wc = window_coeffs(g0, L, tau_rel)
+    if g0.support(tau_rel) != tuple(range(L + 1)):
+        raise WindowClassError(f"window support is not exactly 0..{L}")
     mc = measurement_coeffs(X0, L) if coeffs is None else coeffs
 
     b0 = np.abs(mc.b[0])
@@ -484,14 +451,8 @@ def recover_with_hole(
         if anchor not in hole_classifier(mc, L, tau_rel):
             raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
 
-    floor = tau_rel * g0.norm() ** 2
-    a: dict[int, np.ndarray] = {}
-    eq_residual = 0.0
-    for k in range(L + 1):
-        a[k], res = _solve_banded_row(mc.b[k], np.conj(wc.c[k]), k, *_zero_block(anchor, hole_len, L, k, d), floor)
-        eq_residual = max(eq_residual, res)
-
-    corr = CorrelationData(d, _mirror_rows(a, d))
+    a, eq_residual = _hole_rows(mc, g0, L, anchor, hole_len, tau_rel, L + 1)
+    corr = CorrelationData(d, a)
     supp = support_from_magnitudes(corr.a[0], tau_supp)
     partition = components_mod_d(supp, d, L)
     outcome = propagate_phases(corr, partition, tau_supp)
@@ -792,11 +753,9 @@ def _center_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
 
 def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
     """Band components of the support, from band row 0 solved off the planned hole."""
-    d, L = X.d, plan["L"]
-    coef = np.conj(window_coeffs(canonical_anchor(g, tau_rel)[0], L, tau_rel).c[0])
-    zero_start, zero_len = _zero_block(plan["anchor"], plan["hole_len"], L, 0, d)
-    a0, _ = _solve_banded_row(plan["coeffs"].b[0], coef, 0, zero_start, zero_len, tau_rel * g.norm() ** 2)
-    return components_mod_d(support_from_magnitudes(a0, tau_supp), d, L)
+    g0 = canonical_anchor(g, tau_rel)[0]
+    a, _ = _hole_rows(plan["coeffs"], g0, plan["L"], plan["anchor"], plan["hole_len"], tau_rel, 1)
+    return components_mod_d(support_from_magnitudes(a[0], tau_supp), X.d, plan["L"])
 
 
 def _dcpair_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:

@@ -7,15 +7,18 @@ with ``rows`` is compared with the rows of the full table.  A counting wrapper
 on ``np.fft.fft`` checks, without timing anything, that a short window's
 ambiguity transforms only its band rows, that a generic decision builds no
 relation table, and that the short-window routes transform no more relation
-rows than they read.
+rows than they read.  A counting wrapper on ``np.linalg.lstsq`` checks that
+row completion fits only the frequencies where the window's ambiguity row
+vanishes, never a whole row.
 """
 
 import numpy as np
 import pytest
 
-from helpers import random_short_window, random_signal, rng_for
+from helpers import random_entries, random_short_window, random_signal, rng_for
 from oracles import dense_omega_mask, dense_stft
 from stftpr import recovery, spectral
+from stftpr.linemode import recover_line_block
 from stftpr.recovery import (
     DEFAULT_TAU_SUPP,
     _row0_support,
@@ -28,6 +31,7 @@ from stftpr.spectral import (
     CyclicSignal,
     SpectrogramMeasurement,
     ambiguity,
+    embed_line,
     measure,
     relation_transform,
     stft,
@@ -223,3 +227,26 @@ def test_short_window_routes_transform_only_the_rows_they_read(monkeypatch, case
     assert outcome.notes["route"] == route and decision.notes["route"].startswith(route.split("-")[0])
     assert calls and all(rows is not None and len(rows) <= 7 for rows in calls)
     assert counted and max(counted) <= 7
+
+
+def test_row_completion_fits_at_most_L_frequencies(monkeypatch):
+    # the band-short line shape (d=511, L=3 and 7) and a box-window hole route:
+    # each fit solves only for the vanished frequencies of one ambiguity row
+    columns = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, b, *args, **kwargs):
+        columns.append(np.shape(a)[1])
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    rng = rng_for("band-rows-fits")
+    for L, span in ((3, 250), (7, 246)):
+        f, g, d = embed_line(dict(enumerate(random_entries(rng, span))), dict(enumerate(random_entries(rng, L + 1))))
+        assert d == 511
+        recover_line_block(measure(f, g), g, L)
+        assert max(columns, default=0) <= L
+    X, g = next(case[1:] for case in _short_route_cases() if case[0] == "hole-4")
+    recover(X, g)
+    decide_retrievability(X, classify_window(g))
+    assert columns and max(columns) <= 3  # the box window's rows vanish at up to L = 3 frequencies

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_entries, rng_for
 from stftpr.errors import InconsistentData, InsufficientSamples
 from stftpr.linemode import recover_line_block, recover_line_limited
-from stftpr.recovery import STATUS_PER_COMPONENT, STATUS_UNIQUE, compare_up_to_phase
+from stftpr.recovery import STATUS_INCONSISTENT, STATUS_PER_COMPONENT, STATUS_UNIQUE, compare_up_to_phase
 from stftpr.spectral import CyclicSignal, embed_line, measure
 
 
@@ -47,6 +47,24 @@ def test_line_block_box_window_with_structural_zeros():
     out = recover_line_block(measure(f_emb, g_emb), g_emb, 2)
     assert out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f_emb, out.estimate)[1] < 1e-9
+
+
+def test_line_block_span_bound_shorter_than_the_signal_is_inconsistent():
+    # no autocorrelation row confined to the short span reproduces the data, so
+    # the completion's residual flags it rather than a wrong estimate passing as unique
+    rng = rng_for("line-short-span")
+    for L in (1, 2, 3):
+        for span in range(6, 14):
+            f_map = dict(enumerate(random_entries(rng, span)))
+            g_map = dict(enumerate(random_entries(rng, L + 1)))
+            f_emb, g_emb, d = embed_line(f_map, g_map)
+            X = measure(f_emb, g_emb)
+            exact = recover_line_block(X, g_emb, L, f_span_bound=span)
+            assert exact.status == STATUS_UNIQUE and compare_up_to_phase(f_emb, exact.estimate)[1] < 1e-9
+            for short in (1, 2):
+                out = recover_line_block(X, g_emb, L, f_span_bound=span - short)
+                assert out.status == STATUS_INCONSISTENT, (L, span, short)
+                assert out.residual == out.notes["equation_residual"]
 
 
 def make_samples(f, kstar, extent, rows=None, n_small=None):

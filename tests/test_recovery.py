@@ -41,9 +41,8 @@ from stftpr.recovery import (
     recover_autocorrelations,
     recover_missing_center,
     recover_with_hole,
-    window_coeffs,
 )
-from stftpr.recovery import _banded_equation_residual, _solve_banded_row
+from stftpr.recovery import _complete_row
 from stftpr.spectral import CyclicSignal, measure
 from stftpr.windows import (
     classify_window,
@@ -64,29 +63,6 @@ def box_window(d, L):
 # ---------------------------------------------------------------- coefficients
 
 
-def test_window_coeffs_tiny_block():
-    g = CyclicSignal(4, np.array([1, 1, 0, 0], dtype=complex))
-    wc = window_coeffs(g, 1)
-    assert np.allclose(wc.c[0], [1, 1])
-    assert np.allclose(wc.c[1], [1])
-
-
-def test_window_coeffs_power_products():
-    g = construct_power_window(8, 3)
-    wc = window_coeffs(g, 3)
-    for k in range(4):
-        for i, value in enumerate(wc.c[k]):
-            m = k + i
-            assert abs(value - 2.0 ** (2 * m - k)) < 1e-12
-    assert all(wc.c[0].real > 0)
-
-
-def test_window_coeffs_rejects_wrong_class():
-    g = CyclicSignal(6, np.array([1, 0, 1, 0, 0, 0], dtype=complex))
-    with pytest.raises(WindowClassError):
-        window_coeffs(g, 2)
-
-
 def test_measurement_coeffs_zero_signal():
     g = box_window(8, 3)
     mc = measurement_coeffs(measure(CyclicSignal.zeros(8), g), 3)
@@ -94,20 +70,18 @@ def test_measurement_coeffs_zero_signal():
 
 
 def test_measurement_coeffs_linear_identity():
-    # b[k][j] = sum_m conj(c[k][m]) a[k][m+j] for synthesized measurements
+    # b[k][j] = sum_m conj(g_m conj(g_(m-k))) a[k][m+j] for synthesized measurements
     rng = rng_for("lincomb")
     for d, L in ((8, 3), (12, 4), (9, 2)):
         g = random_short_window(rng, d, L)
         f = random_signal(rng, d)
         mc = measurement_coeffs(measure(f, g), L)
-        wc = window_coeffs(g, L)
         scale = float(max(np.abs(mc.b[k]).max() for k in range(L + 1)))
         for k in range(L + 1):
             a_k = naive_autocorrelation(f.entries, k)
+            c_k = naive_autocorrelation(g.entries, k)  # c_k[m] = g_m conj(g_(m-k))
             for j in range(d):
-                expected = sum(
-                    np.conj(wc.c[k][i]) * a_k[(k + i + j) % d] for i in range(L - k + 1)
-                )
+                expected = sum(np.conj(c_k[m]) * a_k[(m + j) % d] for m in range(k, L + 1))
                 assert abs(mc.b[k][j] - expected) < 1e-9 * scale
 
 
@@ -437,24 +411,35 @@ def test_hole_classifier_matches_loop_oracle():
 
 
 def test_banded_equation_residual_matches_the_roll_loop():
-    # d=256 with a width-121 row (L=120); sums run in another order, so agreement
-    # is to roundoff at the scale of the band row
+    # d=256 with a width-121 row (L=120): the completion's residual in frequency
+    # is the banded equation |b[j] - sum_i coef[i] a[j+k+i]| with b = ifft(R_k),
+    # summed in another order, so agreement is to roundoff at the row's scale
     rng = rng_for("banded-residual")
     d, W = 256, 121
     coef = rng.normal(size=W) + 1j * rng.normal(size=W)
     for k in (0, 1, 60, 120):
-        a, b_row = (rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))) * 10.0 ** rng.integers(-3, 4)
-        fast = _banded_equation_residual(a, b_row, coef, k)
-        assert abs(fast - loop_banded_equation_residual(a, b_row, coef, k)) <= 1e-14 * np.abs(b_row).max()
-
-        # a solved row whose zero block runs past index d-1 back to 0
-        start, length = d - 40, W - 1 + k
-        a_true = rng.normal(size=d) + 1j * rng.normal(size=d)
-        a_true[(start + np.arange(length)) % d] = 0.0
         taps = np.zeros(d, dtype=np.complex128)
         taps[k : k + W] = coef
-        b_row = np.fft.ifft(np.fft.fft(a_true) * d * np.fft.ifft(taps))
-        a, res = _solve_banded_row(b_row, coef, k, start, length, 1e-9 * np.abs(coef).sum())
+        V_k = np.conj(d * np.fft.ifft(taps))  # conj(V_k) multiplies fft(a) into fft(b)
+        divides = np.abs(V_k) > 1e-9 * np.abs(coef).sum()
+        # a zero block that runs past index d-1 back to 0
+        start, length = d - 40, W - 1 + k
+        allowed = np.ones(d, dtype=bool)
+        allowed[(start + np.arange(length)) % d] = False
+
+        # random data: no row vanishing on the block reproduces it
+        b_row = (rng.normal(size=d) + 1j * rng.normal(size=d)) * 10.0 ** rng.integers(-3, 4)
+        a, res = _complete_row(np.fft.fft(b_row), V_k, divides, allowed)
+        scale = np.abs(b_row).max()
+        assert not a[~allowed].any()
+        assert abs(res - loop_banded_equation_residual(a, b_row, coef, k)) <= 1e-14 * scale
+        assert res > 1e-3 * scale
+
+        # a solved row
+        a_true = rng.normal(size=d) + 1j * rng.normal(size=d)
+        a_true[~allowed] = 0.0
+        b_row = np.fft.ifft(np.fft.fft(a_true) * np.conj(V_k))
+        a, res = _complete_row(np.fft.fft(b_row), V_k, divides, allowed)
         scale = np.abs(b_row).max()
         assert abs(res - loop_banded_equation_residual(a, b_row, coef, k)) <= 1e-14 * scale
         assert res <= 1e-10 * scale and np.abs(a - a_true).max() <= 1e-8 * np.abs(a_true).max()
@@ -490,6 +475,14 @@ def test_recover_with_hole_rejects_comb():
     X = measure(f, g)
     with pytest.raises(AnchorInvalid):
         recover(X, g, mode="hole", L=L)
+
+
+def test_recover_with_hole_rejects_wrong_class():
+    rng = rng_for("hole-wrong-class")
+    g = CyclicSignal(6, np.array([1, 0, 1, 0, 0, 0], dtype=complex))  # support {0, 2}, not 0..2
+    X = measure(random_signal(rng, 6, support=[0, 1]), g)
+    with pytest.raises(WindowClassError):
+        recover_with_hole(X, g, 2, anchor=3, hole_len=3)
 
 
 def test_recover_with_hole_rejects_bad_anchor():
@@ -767,6 +760,22 @@ def test_decide_hole_route_uses_connectivity():
     f2 = random_signal(rng, d, support=[0, 6])
     decision2 = decide_retrievability(measure(f2, g), classify_window(g))
     assert decision2.verdict == VERDICT_NOT_RETRIEVABLE
+
+
+def test_decide_hole_partition_matches_recover_on_rolled_windows():
+    # decide reads band row 0 of the anchored problem, as recover does; a box
+    # window rolled off index 0 makes the unanchored ambiguity row the wrong divisor
+    rng = rng_for("decide-hole-rolled")
+    d, L = 64, 3
+    for _ in range(40):
+        g = box_window(d, L).shifted(int(rng.integers(1, d)))
+        f = random_signal(rng, d).entries.copy()
+        for start, length in ((int(rng.integers(d)), L + 1), (int(rng.integers(d)), L + 2)):
+            f[(start + np.arange(length)) % d] = 0.0
+        X = measure(CyclicSignal(d, f), g)
+        outcome, decision = recover(X, g), decide_retrievability(X, classify_window(g))
+        assert decision.notes["route"] == outcome.notes["route"] and outcome.notes["route"].startswith("hole")
+        assert decision.partition == outcome.components
 
 
 def test_decide_full_and_punctured_windows():
