@@ -46,7 +46,6 @@ from stftpr.recovery import _complete_row
 from stftpr.spectral import CyclicSignal, measure
 from stftpr.windows import (
     classify_window,
-    construct_power_window,
     construct_punctured_center_window,
     construct_punctured_dc_window,
     omega_L_d,
