@@ -212,7 +212,7 @@ def criterion_5_center(seed: int = DEFAULT_SEED) -> CriterionResult:
             rng = _rng(seed, 5, d, trial)
             supp = _mixed_supports(rng, d, trial, antipodal_slot=True)
             f = random_signal(rng, d, supp)
-            out = recover(measure(f, g), g, mode="center")
+            out = recover(measure(f, g), g, mode="known")
             if out.status != STATUS_UNIQUE:
                 return CriterionResult(5, "punctured-center window", False, f"d={d} trial {trial}: {out.status}")
             worst = max(worst, compare_up_to_phase(f, out.estimate)[1])

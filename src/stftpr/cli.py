@@ -115,9 +115,11 @@ def _tolerances(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_tolerances(args) -> None:
+    """Both thresholds are fractions of a peak: finite and strictly between 0 and 1 (NaN fails)."""
     for name in ("tau_rel", "tau_supp"):
-        if getattr(args, name, 1.0) <= 0:
-            raise _UsageError(f"--{name.replace('_', '-')} must be positive")
+        value = getattr(args, name, 0.5)
+        if not 0.0 < value < 1.0:
+            raise _UsageError(f"--{name.replace('_', '-')} must lie strictly between 0 and 1, got {value}")
 
 
 def _window_summary(g: CyclicSignal, tau_rel: float, max_entries: int = 1000) -> dict:

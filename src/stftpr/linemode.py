@@ -63,8 +63,9 @@ def recover_line_block(
     row where that row is above ``tau_rel`` of its peak, and the few
     frequencies where it vanishes are fitted to the span (the hole route's row
     completion).  Support connectivity on the line and the residual of the row
-    and of those completions (``equation_residual``) decide the verdict: a
-    signal longer than ``f_span_bound`` is Inconsistent.
+    and of those completions (``equation_residual``, over the window energy
+    ‖g‖²) decide the verdict: a signal longer than ``f_span_bound`` is
+    Inconsistent.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
@@ -81,12 +82,12 @@ def recover_line_block(
     R = relation_transform(X, range(L + 1))
     divides = np.abs(V) > tau_rel * np.abs(V).max()  # the ambiguity's peak sits in row 0
     a: dict[int, np.ndarray] = {}
-    eq_residual = 0.0
+    eq_residual, energy = 0.0, g.norm() ** 2  # over the window energy, the residual is in the signal's units
     for k in range(L + 1):
         allowed = np.zeros(d, dtype=bool)
         allowed[k:f_span_bound] = True
         a[k], res = _complete_row(R[k], V[k], divides[k], allowed)
-        eq_residual = max(eq_residual, res)
+        eq_residual = max(eq_residual, res / energy)
 
     corr = CorrelationData(d, a)
     supp = support_from_magnitudes(corr.a[0], tau_supp)

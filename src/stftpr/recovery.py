@@ -5,17 +5,18 @@ shift-autocorrelation data ``a[k][j] = f_j * conj(f_{j-k})`` for whichever
 shifts the window's ambiguity support makes available, partition the recovered
 support under the matching gap relation, then fix one phase per component and
 propagate.  Every route gets its rows by dividing by the window ambiguity
-where the mask is true.  Window classes whose ambiguity support has specific
-holes (a short band, a missing center entry, a missing dc-row pair) get
-dedicated routes that supply what the division cannot reach; on the hole route
-a known run of zeros in the signal fixes each band row's vanished frequencies
-(``_complete_row``; line mode completes its rows from the signal's span).
+where the mask is true.  A row whose ambiguity vanishes at a few frequencies
+is completed from a known zero set of the signal (``_complete_row``): the
+known route reads that set off the whole shift-0 row (row k vanishes off
+S ∩ (S+k)), the hole route off a run of zeros in the signal, line mode off
+the signal's span.  A dc row punctured at a conjugate pair has its own route.
 
 Every route returns through one verdict, ``_verdict``: the data is
 Inconsistent when the estimate misses a known autocorrelation row, or the
-route's own equation (hole band rows, line rows, center row, dc row), by more
-than the consistency tolerance at the data's scale.  Otherwise the support
-partition decides between one global phase and one phase per component.
+route's own equation (partial rows, hole band rows, line rows, dc row), by
+more than the consistency tolerance at the data's scale.  Otherwise the
+support partition decides between one global phase and one phase per
+component.
 
 ``ROUTES`` lists the routes in the order the auto router tries them;
 ``recover``, ``decide_retrievability`` and the CLI all read that one table.
@@ -182,23 +183,26 @@ def recover_autocorrelations(
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
     if mask is None:
         mask = omega_mask(g, tau_rel)
-    return _divide_full_rows(X, ambiguity(g).values, mask)[0]
+    return _divide_full_rows(X, g, mask)[0]
 
 
 def _divide_full_rows(
-    X: SpectrogramMeasurement, amb: np.ndarray, mask: OmegaMask, extra: tuple[int, ...] = ()
-) -> tuple[CorrelationData, np.ndarray]:
-    """Rows ifft(R[k] / conj(amb[k])) for every k whose mask row is all true, in one batch,
-    and the undivided relation rows R[extra].  Only those relation rows are transformed."""
+    X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, extra: tuple[int, ...] = ()
+) -> tuple[CorrelationData, np.ndarray, np.ndarray]:
+    """Rows ifft(R[k] / conj(V_gg[k])) for every k whose mask row is all true, in one batch, and
+    the undivided relation rows R[extra] with the ambiguity rows V_gg[extra].  Only those relation
+    rows are transformed.  The extra rows are copies, so no d x d table outlives the call."""
+    amb = ambiguity(g).values
     rows = np.flatnonzero(mask.mask.all(axis=1))
-    R = relation_transform(X, np.concatenate((rows, np.asarray(extra, dtype=np.intp))))
+    extra = np.asarray(extra, dtype=np.intp)
+    R = relation_transform(X, np.concatenate((rows, extra)))
     divisors = amb[rows]
     vanished = np.abs(divisors).min(axis=1) <= 0.0  # guard: mask said "true" but the value is zero
     if vanished.any():
         raise StftprError(f"internal: ambiguity row {rows[vanished][0]} vanishes under a true mask")
     # R is a fresh array: divide in place rather than allocate another d x d block
     table = np.fft.ifft(np.divide(R[: rows.size], np.conj(divisors), out=R[: rows.size]), axis=1)
-    return CorrelationData(X.d, dict(zip(rows.tolist(), table))), R[rows.size :]
+    return CorrelationData(X.d, dict(zip(rows.tolist(), table))), R[rows.size :].copy(), amb[extra]
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -234,7 +238,7 @@ def _peak(row0: np.ndarray) -> float:
 
 
 def _one_component(relation: str, supp: tuple[int, ...]) -> ConnectivityPartition:
-    """The whole support as one component, or none when it is empty: the center and dc-pair partitions."""
+    """The whole support as one component, or none when it is empty: the dc-pair partitions."""
     return ConnectivityPartition(relation, (supp,) if supp else (), supp)
 
 
@@ -249,7 +253,7 @@ def _verdict(
     """The status every route returns: Inconsistent, else unique per the partition.
 
     The residual is the larger of the row residual and the route's own equation
-    (hole band rows, line rows, center row or dc row), NaN when either is.  The
+    (partial rows, hole band rows, line rows or dc row), NaN when either is.  The
     data is Inconsistent when that residual exceeds the consistency tolerance
     at ``scale``; otherwise one component means one global phase.
     """
@@ -317,15 +321,40 @@ def propagate_phases(
     return _verdict(CyclicSignal(d, est), partition, notes, _peak(corr.a[0]), _row_residual(stacked, est))
 
 
-def _solve_known(X, g, mask: OmegaMask, steps, route: str, tau_rel, tau_supp, L=None, shift=None):
-    """Divide every whole row, split the support under the steps of D_g, then propagate."""
-    corr = recover_autocorrelations(X, g, mask, tau_rel)
-    partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
-    outcome = propagate_phases(corr, partition, tau_supp)
-    outcome.notes["route"] = route
+def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
+                 partition=None, complete=(), unsolved=()):
+    """Divide every whole row, complete the planned partial rows, split the support under the steps, then propagate.
+
+    ``partition`` is the split of the support S the plan judged when the mask
+    has partial rows; otherwise S is read off the divided shift-0 row and
+    split under ``steps``.  Each completed row k vanishes off S ∩ (S+k), and
+    its completion residual, divided by the window energy ‖g‖² so that it is
+    in the units of the signal's rows, reaches the verdict as
+    ``equation_residual``.  The ``unsolved`` partial rows take no part in the
+    walk, but the estimate must still reproduce them where they are known:
+    that miss, in the same units, reaches the verdict too.
+    """
+    corr, R, V = _divide_full_rows(X, g, mask, (*complete, *unsolved))
+    if partition is None:
+        partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
+    eq_residual, energy, notes = 0.0, g.norm() ** 2, {"route": route}
     if L is not None:
-        outcome.notes.update({"L": L, "window_shift": shift})
-    return outcome
+        notes.update({"L": L, "window_shift": shift})
+    if complete:
+        rows = dict(corr.a)
+        for k, R_k, V_k in zip(complete, R, V):
+            rows[k], res = _complete_row(R_k, V_k, mask.mask[k], _meets(partition.universe, g.d, k))
+            eq_residual = max(eq_residual, res / energy)
+        corr = CorrelationData(g.d, rows)
+        notes.update({"completed_rows": list(complete), "equation_residual": eq_residual})
+    outcome = propagate_phases(corr, partition, tau_supp)
+    notes.update(outcome.notes)
+    est = outcome.estimate.entries
+    for k, R_k, V_k in zip(unsolved, R[len(complete) :], V[len(complete) :]):
+        # est_j conj(est_{j-k}) is the estimate's row k
+        miss = np.fft.fft(est * np.conj(est[(np.arange(g.d) - k) % g.d])) * np.conj(V_k) - R_k
+        eq_residual = max(eq_residual, float(np.abs(np.fft.ifft(miss * mask.mask[k])).max()) / energy)
+    return _verdict(outcome.estimate, partition, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
 
 
 def hole_classifier(
@@ -377,21 +406,40 @@ def _complete_row(
     missing, zero = np.flatnonzero(~divides), np.flatnonzero(~allowed)
     if missing.size:
         # ifft(A) off allowed is linear in the missing A[l]; make it vanish there
-        basis = np.exp(2j * np.pi * (np.outer(zero, missing) % d) / d) / d
-        A[missing] = np.linalg.lstsq(basis, -np.fft.ifft(A)[zero], rcond=None)[0]
+        A[missing] = np.linalg.lstsq(_fit_basis(missing, zero, d), -np.fft.ifft(A)[zero], rcond=None)[0]
     a = np.fft.ifft(A)
     a[zero] = 0.0
     return a, float(np.abs(np.fft.ifft(np.fft.fft(a) * np.conj(V_k) - R_k)).max())
+
+
+def _meets(support, d: int, k: int) -> np.ndarray:
+    """S ∩ (S+k) as a mask: the indices j with j and j-k in the support, the only places a_k can be nonzero."""
+    in_s = np.zeros(d, dtype=bool)
+    in_s[list(support)] = True
+    return in_s & in_s[(np.arange(d) - k) % d]
+
+
+def _fit_basis(missing: np.ndarray, zero: np.ndarray, d: int) -> np.ndarray:
+    """The inverse transform at the indices ``zero`` as a linear map of the frequencies ``missing``."""
+    return np.exp(2j * np.pi * (np.outer(zero, missing) % d) / d) / d
+
+
+def _pins(divides: np.ndarray, allowed: np.ndarray) -> bool:
+    """Whether a row's zeros off ``allowed`` pin its frequencies off ``divides``: the fit has full column rank."""
+    missing, zero = np.flatnonzero(~divides), np.flatnonzero(~allowed)
+    enough = zero.size >= missing.size  # fewer equations than unknowns never pin them
+    return enough and np.linalg.matrix_rank(_fit_basis(missing, zero, divides.size)) == missing.size
 
 
 def _hole_rows(
     mc: MeasurementCoefficients, g0: CyclicSignal, L: int, anchor: int, hole_len: int, tau_rel: float, n_rows: int
 ) -> tuple[dict[int, np.ndarray], float]:
     """Band rows 0..n_rows-1 of the anchored problem, each completed off the zero run the hole forces on it,
-    and their worst residual.  Row k vanishes on hole_len + k indices from the hole's first zero."""
-    d = mc.d
+    and their worst residual over the window energy ‖g‖².  Row k vanishes on hole_len + k indices from the
+    hole's first zero."""
+    d, energy = mc.d, g0.norm() ** 2
     V = stft_rows(g0, g0)[1][:n_rows]  # shifts come sorted, so rows 0..L lead
-    divides = np.abs(V) > tau_rel * g0.norm() ** 2
+    divides = np.abs(V) > tau_rel * energy
     # the hole's zeros: an exact-L hole starts after its anchor
     zeros = (anchor + L + 1 - hole_len + np.arange(hole_len + n_rows - 1)) % d
     rows, worst = {}, 0.0
@@ -399,7 +447,7 @@ def _hole_rows(
         allowed = np.ones(d, dtype=bool)
         allowed[zeros[: hole_len + k]] = False
         rows[k], res = _complete_row(np.fft.fft(mc.b[k]), V[k], divides[k], allowed)
-        worst = max(worst, res)
+        worst = max(worst, res / energy)
     return rows, worst
 
 
@@ -467,63 +515,6 @@ def recover_with_hole(
         }
     )
     return _verdict(outcome.estimate, partition, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
-
-
-def recover_missing_center(
-    corr: CorrelationData,
-    center_row: np.ndarray,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-) -> RecoveryOutcome:
-    """Recovery when every shift row except d/2 is known and the center row is
-    known except at frequency d/2.
-
-    Supports of size <= 1 are immediate; antipodal pairs {j, j+d/2} combine the
-    first two center-row frequencies to get the cross product; everything else
-    propagates through an intermediate support point, never needing the center
-    shift at all.  The partition always has at most one component, so the
-    verdict is unique up to one global phase unless the estimate misses a known
-    row or the trusted part of the center row.
-    """
-    d = corr.d
-    if d % 2 != 0 or d < 4:
-        raise PreconditionViolated(f"need even d >= 4, got {d}")
-    half = d // 2
-    if half in corr.known_shifts:
-        raise StftprError("center route expects the d/2 row to be missing")
-    center_row = np.asarray(center_row, dtype=np.complex128)
-
-    mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
-    supp = support_from_magnitudes(corr.a[0], tau_supp)
-    partition = _one_component("all-shifts-but-center", supp)
-    est = np.zeros(d, dtype=np.complex128)
-    notes: dict = {"route": "center", "tau_supp": tau_supp}
-
-    if len(supp) <= 1:
-        if supp:
-            est[supp[0]] = mags[supp[0]]
-        estimate, row_residual = CyclicSignal(d, est), _row_residual(_stacked_rows(corr), est)
-    elif len(supp) == 2 and (supp[1] - supp[0]) % d == half:
-        j = supp[0]
-        cross = 0.5 * (center_row[0] + np.exp(2j * np.pi * j / d) * center_row[1])
-        est[j] = mags[j]
-        est[(j + half) % d] = mags[(j + half) % d] * np.exp(-1j * np.angle(cross))
-        estimate, row_residual = CyclicSignal(d, est), _row_residual(_stacked_rows(corr), est)
-        notes["case"] = "antipodal-pair"
-    else:
-        # without the d/2 shift two support points still meet through a third
-        outcome = propagate_phases(corr, partition, tau_supp)
-        estimate, row_residual = outcome.estimate, outcome.residual
-        notes.update(outcome.notes)
-        notes["case"] = "propagation"
-    center_residual = _center_row_residual(estimate.entries, center_row, half)
-    return _verdict(estimate, partition, notes, _peak(corr.a[0]), row_residual, center_residual)
-
-
-def _center_row_residual(est: np.ndarray, center_row: np.ndarray, half: int) -> float:
-    d = est.shape[0]
-    predicted = np.fft.fft(est * np.conj(np.roll(est, half)))
-    keep = np.arange(d) != half
-    return float(np.abs(predicted[keep] - center_row[keep]).max())
 
 
 def recover_missing_dc_pair(
@@ -627,23 +618,12 @@ def _dc_residual(est: np.ndarray, dc_row: np.ndarray, trusted: np.ndarray) -> fl
     return float(np.abs(predicted[trusted] - dc_row[trusted]).max())
 
 
-def _divide_punctured(X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, k: int):
-    """Every full row divided, plus row k divided where its mask is true and zero elsewhere."""
-    amb = ambiguity(g).values
-    corr, (R_k,) = _divide_full_rows(X, amb, mask, (k,))
-    keep = mask.mask[k]
-    row = np.zeros(X.d, dtype=np.complex128)
-    row[keep] = R_k[keep] / np.conj(amb[k, keep])
-    return corr, row
-
-
-def _solve_center(X, g, mask: OmegaMask, tau_rel, tau_supp) -> RecoveryOutcome:
-    corr, center_row = _divide_punctured(X, g, mask, X.d // 2)
-    return recover_missing_center(corr, center_row, tau_supp)
-
-
 def _solve_dcpair(X, g, mask: OmegaMask, lstar: int, tau_rel, tau_supp) -> RecoveryOutcome:
-    corr, dc_row = _divide_punctured(X, g, mask, 0)
+    """Every full row divided, and the dc row divided where its mask is true and zero elsewhere."""
+    corr, (R_0,), (V_0,) = _divide_full_rows(X, g, mask, (0,))
+    keep = mask.mask[0]
+    dc_row = np.zeros(X.d, dtype=np.complex128)
+    dc_row[keep] = R_0[keep] / np.conj(V_0[keep])
     return recover_missing_dc_pair(corr, dc_row, lstar, tau_supp)
 
 
@@ -671,30 +651,48 @@ def _filled_band(report: WindowReport) -> int | None:
     return report.short_L if report.short_L is not None and len(report.support) == report.short_L + 1 else None
 
 
-def _plan_known(X, report: WindowReport, L, tau_rel):
-    """The mask is D_g x Z_d: every row of the window's difference set whole, every other row empty.
+def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp):
+    """Row 0 is whole and the rows with a true entry are exactly those of the window's difference set D_g.
 
-    The notes keep the two classic cases' names: ``full`` when D_g is all of
-    Z_d, ``generic`` with the band width L when D_g is a band {-L..L} (an
-    explicit L must name that band), ``known`` for any other D_g.
+    When every D_g row is whole the mask is D_g x Z_d and the plan does not
+    read X.  Its notes keep the two classic cases' names: ``full`` when D_g is
+    all of Z_d, ``generic`` with the band width L when D_g is a band {-L..L}
+    (an explicit L must name that band), ``known`` for any other D_g.
+
+    Otherwise (route ``known``) the support S is read off row 0, and a partial
+    row k is completed where S ∩ (S+k) pins its vanished frequencies.  The
+    rows that cannot be completed (``unsolved``) must not split the support
+    further than D_g does; when they do, the plan names them
+    (PreconditionViolated).  The plan hands the solver its partition of S.
     """
-    d, dg = report.window.d, report.dg
+    d, dg, mask = report.window.d, report.dg, report.omega.mask
     rows = np.zeros(d, dtype=bool)
     rows[list(dg.members)] = True
-    if not (report.omega.mask == rows[:, None]).all():
+    whole = mask.all(axis=1)
+    if (mask.any(axis=1) != rows).any() or not whole[0] or (L is not None and not whole[rows].all()):
         error = WindowClassError if L is None else NonGenericWindow
-        return error("window mask is not D_g x Z_d: a difference-set row has a hole, or another row is not empty")
-    if L is None and dg.covers_all:
-        return {"mask": report.omega, "steps": dg, "route": "full"}
-    reach = max(min(k, d - k) for k in dg.members)
-    if 2 * reach < d and len(dg.members) == 2 * reach + 1 and L in (None, reach):
-        return {"mask": report.omega, "steps": reach, "route": "generic", "L": reach, "shift": report.canonical_shift}
-    if L is not None:
-        return NonGenericWindow(f"mask does not equal the width-{L} band")
-    return {"mask": report.omega, "steps": dg, "route": "known"}
+        return error("window mask has a hole in row 0, a true entry off the rows of D_g, or (with an L) a partial row")
+    if whole[rows].all():
+        if L is None and dg.covers_all:
+            return {"mask": report.omega, "steps": dg, "route": "full"}
+        reach = max(min(k, d - k) for k in dg.members)
+        if 2 * reach < d and len(dg.members) == 2 * reach + 1 and L in (None, reach):
+            return {"mask": report.omega, "steps": reach, "route": "generic", "L": reach, "shift": report.canonical_shift}
+        if L is not None:
+            return NonGenericWindow(f"mask does not equal the width-{L} band")
+        return {"mask": report.omega, "steps": dg, "route": "known"}
+    supp = _row0_support(X, report.window, tau_supp)
+    partial = np.flatnonzero(rows & ~whole).tolist()
+    complete = tuple(k for k in partial if _pins(mask[k], _meets(supp, d, k)))
+    partition = components_mod_d(supp, d, (*np.flatnonzero(whole).tolist(), *complete))
+    stuck = sorted(set(partial) - set(complete))
+    split = partition.n_components > 1  # one component cannot split further under D_g
+    if stuck and split and partition.n_components > components_mod_d(supp, d, dg).n_components:
+        return PreconditionViolated(f"rows {stuck} cannot be completed from the support, which splits without them")
+    return {"mask": report.omega, "route": "known", "partition": partition, "complete": complete, "unsolved": stuck}
 
 
-def _plan_hole(X, report: WindowReport, L, tau_rel):
+def _plan_hole(X, report: WindowReport, L, tau_rel, tau_supp):
     """First signal hole: a zero of band row 0 (length L+1), else an exact-L anchor.
 
     An all-zero measurement is answered first, whatever the window."""
@@ -717,16 +715,7 @@ def _plan_hole(X, report: WindowReport, L, tau_rel):
     return AnchorInvalid("no hole of length L or L+1 detected in the measurement")
 
 
-def _plan_center(X, report: WindowReport, L, tau_rel):
-    d, mask = report.window.d, report.omega.mask
-    if d % 2 != 0 or np.count_nonzero(~mask) != 1 or mask[d // 2, d // 2]:
-        return WindowClassError("window mask is not punctured exactly at the center")
-    if d < 4:
-        return PreconditionViolated(f"need even d >= 4, got {d}")
-    return {"mask": report.omega}
-
-
-def _plan_dcpair(X, report: WindowReport, L, tau_rel):
+def _plan_dcpair(X, report: WindowReport, L, tau_rel, tau_supp):
     d, mask = report.window.d, report.omega.mask
     ls = np.flatnonzero(~mask[0])
     if np.count_nonzero(~mask) != 2 or ls.size != 2 or ls[0] == 0 or ls[1] != d - ls[0]:
@@ -735,7 +724,7 @@ def _plan_dcpair(X, report: WindowReport, L, tau_rel):
 
 
 def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -> tuple[int, ...]:
-    """Support read off the divided shift-0 row, which the known and center masks keep whole."""
+    """Support read off the divided shift-0 row, which the known route's masks keep whole."""
     # relation row 0 transforms the row sums of X, ambiguity row 0 transforms |g|^2
     r0 = np.fft.fft(X.sq_mag.sum(axis=1)) / X.d
     a0 = np.fft.ifft(r0 / np.conj(np.fft.fft(g.entries * np.conj(g.entries))))
@@ -743,12 +732,10 @@ def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -
 
 
 def _known_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
+    """The plan's own partition when the mask has partial rows, else the support split under D_g."""
+    if "partition" in plan:
+        return plan["partition"]
     return components_mod_d(_row0_support(X, g, tau_supp), X.d, plan["steps"])
-
-
-def _center_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    """One component: without only the d/2 shift, any two support points meet through a third."""
-    return _one_component("all-shifts-but-center", _row0_support(X, g, tau_supp))
 
 
 def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
@@ -767,13 +754,15 @@ def _dcpair_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
 class Route:
     """One uniqueness condition: window-class plan, solver, and judged partition.
 
-    ``plan(X, report, L, tau_rel)`` returns the solver's keyword arguments, or
-    the exception saying why the route does not apply: an explicit mode raises
-    it, the auto router and the decision try the next route.  (The hole plan
-    returns the zero outcome itself for an all-zero measurement, which only an
-    explicit mode reaches.)  ``solver`` is a module-global name looked up at
-    each call, so a wrapper installed on this module (a tracer, a profiler)
-    sees the solver run.  ``partition`` is the support split the condition
+    ``plan(X, report, L, tau_rel, tau_supp)`` returns the solver's keyword
+    arguments, or the exception saying why the route does not apply: an
+    explicit mode raises it, the auto router and the decision try the next
+    route.  A plan reads X only where its window class needs the signal: the
+    known route's support when it completes partial rows, the hole route's
+    band rows.  (The hole plan returns the zero outcome itself for an all-zero
+    measurement, which only an explicit mode reaches.)  ``solver`` is a
+    module-global name looked up at each call, so a wrapper installed on this
+    module (a tracer, a profiler) sees the solver run.  ``partition`` is the support split the condition
     judges: connected means retrievable.
     """
 
@@ -786,16 +775,15 @@ class Route:
 ROUTES = (
     Route("known", _plan_known, "_solve_known", _known_components),
     Route("hole", _plan_hole, "recover_with_hole", _hole_components),
-    Route("center", _plan_center, "_solve_center", _center_components),
     Route("dcpair", _plan_dcpair, "_solve_dcpair", _dcpair_components),
 )
 
 
-def _first_route(X, report: WindowReport, tau_rel: float):
+def _first_route(X, report: WindowReport, tau_rel: float, tau_supp: float):
     """The first route whose plan applies and its plan (or None, None), and every rejection before it."""
     rejected: dict[str, StftprError] = {}
     for route in ROUTES:
-        plan = route.plan(X, report, None, tau_rel)
+        plan = route.plan(X, report, None, tau_rel, tau_supp)
         if not isinstance(plan, StftprError):
             return route, plan, rejected
         rejected[route.name] = plan
@@ -823,13 +811,16 @@ def recover(
     ``mode`` is ``auto`` or the name of one entry of ``ROUTES``.  A named route
     runs alone and raises its plan's exception when it does not apply.
     ``auto`` answers an all-zero measurement first, then runs the first route,
-    in ``ROUTES`` order, whose plan applies: a mask made of the window's
-    difference-set rows, each whole (hole-free, a generic short band, or any
-    other difference set); a signal hole of length L+1 then L (short windows
-    nonzero on all of 0..L); punctured center; punctured dc pair.  When none
-    applies the outcome is Undecidable with no estimate.  Its notes name the route and give the
-    reason when the window fits a route's class but not its theorem, as for a
-    dc pair whose l* shares a factor with d.
+    in ``ROUTES`` order, whose plan applies: ``known``, a mask whose row 0 is
+    whole and whose nonempty rows are the window's difference set (hole-free,
+    a generic short band, any other difference set, or partial rows completed
+    from the signal's support, as for a punctured center); ``hole``, a signal
+    hole of length L+1 then L (short windows nonzero on all of 0..L);
+    ``dcpair``, a dc row punctured at a conjugate pair.  When none applies the
+    outcome is Undecidable with no estimate.  Its notes name the route and
+    give the reason when the window fits a route's class but not its theorem,
+    as for partial rows that cannot be completed and leave the support split,
+    or a dc pair whose l* shares a factor with d.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
@@ -837,7 +828,7 @@ def recover(
         route = next((r for r in ROUTES if r.name == mode), None)
         if route is None:
             raise StftprError(f"unknown recovery mode: {mode}")
-        plan = route.plan(X, classify_window(g, tau_rel), L, tau_rel)
+        plan = route.plan(X, classify_window(g, tau_rel), L, tau_rel, tau_supp)
         if isinstance(plan, StftprError):
             raise plan
         if isinstance(plan, RecoveryOutcome):
@@ -846,7 +837,7 @@ def recover(
         report = classify_window(g, tau_rel)
         if _zero_measurement(X):
             return _zero_outcome(X.d, "auto")
-        route, plan, rejected = _first_route(X, report, tau_rel)
+        route, plan, rejected = _first_route(X, report, tau_rel, tau_supp)
         if route is None:
             notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}
             partition = ConnectivityPartition("unknown", (), ())
@@ -904,7 +895,7 @@ def decide_retrievability(
         notes["case"] = "zero-signal"
         return DecisionReport(VERDICT_RETRIEVABLE, ConnectivityPartition("empty", (), ()), notes)
 
-    route, plan, rejected = _first_route(X, report, tau_rel)
+    route, plan, rejected = _first_route(X, report, tau_rel, tau_supp)
     L = _filled_band(report) if "hole" in rejected else None
     if L is not None:
         if route is None:

@@ -1,20 +1,17 @@
-"""JSON/CSV wire formats for signals, complex tables and measurements.
+"""JSON/CSV wire formats for signals and measurements.
 
 Signal JSON: ``{"d": int, "re": [...], "im": [...]}`` plus an optional
-``origin_offset`` for line-mode embedded signals.  Complex tables are CSV with
-``a+bi`` cell strings (row index = shift k, column = frequency l); measurement
-matrices are CSV of plain floats.  All floats are printed with 12 significant
-digits.
+``origin_offset`` for line-mode embedded signals.  Measurement matrices are
+CSV of plain floats.  All floats are printed with 12 significant digits.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 import numpy as np
 
-from .spectral import ComplexTable, CyclicSignal, SpectrogramMeasurement
+from .spectral import CyclicSignal, SpectrogramMeasurement
 
 SIG_DIGITS = 12
 _FMT = f"%.{SIG_DIGITS}g"
@@ -27,34 +24,6 @@ def format_float(x: float) -> str:
 def round_float(x: float) -> float:
     """Round to the printed precision so JSON output is platform-stable."""
     return float(format_float(x))
-
-
-def format_complex(z: complex) -> str:
-    re_part = _FMT % z.real
-    im_part = _FMT % abs(z.imag)
-    sign = "-" if z.imag < 0 else "+"
-    return f"{re_part}{sign}{im_part}i"
-
-
-_SPLIT = re.compile(r"(?<![eE])([+-])")
-
-
-def parse_complex(cell: str) -> complex:
-    s = cell.strip()
-    if not s:
-        raise ValueError("empty complex cell")
-    if not s.endswith(("i", "j")):
-        return complex(float(s), 0.0)
-    body = s[:-1]
-    # split at the last sign that is not an exponent sign
-    parts = _SPLIT.split(body)
-    if len(parts) < 3:
-        return complex(0.0, float(body if body not in ("", "+", "-") else body + "1"))
-    imag = parts[-2] + parts[-1]
-    real = "".join(parts[:-2])
-    if real in ("", "+", "-"):
-        raise ValueError(f"malformed complex cell: {cell!r}")
-    return complex(float(real), float(imag))
 
 
 def signal_to_json(sig: CyclicSignal) -> dict:
@@ -90,20 +59,6 @@ def dump_json(doc) -> str:
 
 def load_json(text: str):
     return json.loads(text)
-
-
-def table_to_csv(table: ComplexTable) -> str:
-    lines = [",".join(format_complex(z) for z in row) for row in table.values]
-    return "\n".join(lines) + "\n"
-
-
-def table_from_csv(text: str) -> ComplexTable:
-    rows = [line for line in text.strip().splitlines() if line.strip()]
-    values = [[parse_complex(cell) for cell in line.split(",")] for line in rows]
-    d = len(values)
-    if any(len(row) != d for row in values):
-        raise ValueError("complex table CSV must be square")
-    return ComplexTable(d, np.array(values, dtype=np.complex128))
 
 
 def measurement_to_csv(X: SpectrogramMeasurement) -> str:

@@ -28,6 +28,17 @@ def random_sparse_window(rng: np.random.Generator, d: int) -> CyclicSignal:
     return CyclicSignal(d, v)
 
 
+def isolated_zeros_signal(rng: np.random.Generator, d: int, count: int) -> CyclicSignal:
+    """Dense signal with ``count`` zeros, no two of them cyclic neighbours."""
+    while True:
+        zeros = np.sort(rng.choice(d, size=count, replace=False))
+        if count < 2 or np.diff(np.append(zeros, zeros[0] + d)).min() >= 2:
+            break
+    v = random_signal(rng, d).entries.copy()
+    v[zeros] = 0.0
+    return CyclicSignal(d, v)
+
+
 def changed_cases(actual: str, expected: str) -> list[str]:
     """``case: path`` for each top-level case whose JSON differs between two golden documents.
 
@@ -75,6 +86,19 @@ def numeric_drift(actual: str, expected: str) -> dict[str, dict]:
                     other.append(path)
         report[case] = {"drift": drift, "other": other if drift or other else ["layout"]}
     return report
+
+
+def drift_report(actual: str, expected: str) -> str:
+    """:func:`numeric_drift` as text: one line per changed case, naming its non-numeric paths,
+    then how many numeric leaves moved and the largest relative drift among them."""
+    lines = []
+    for case, moved in numeric_drift(actual, expected).items():
+        drift = moved["drift"]
+        numbers = "no numeric leaf"
+        if drift:
+            numbers = f"{len(drift)} numeric leaves, largest drift {max(drift.values()):.3g}"
+        lines.append(f"{case}: {numbers}; other: {', '.join(moved['other']) or 'none'}")
+    return "\n".join(lines) or "no case changed"
 
 
 def _is_number(value) -> bool:

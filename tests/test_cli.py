@@ -104,6 +104,25 @@ def test_usage_and_data_error_exit_codes(workdir, capsys):
     capsys.readouterr()
 
 
+def test_tolerances_outside_the_open_unit_interval_are_usage_errors(workdir, capsys):
+    # on an exact dense d=16 measurement these used to reach the solvers: a wild
+    # --tau-supp made recover Inconsistent and decide Retrievable with no components
+    g = random_signal(rng_for("cli-tol-window"), 16)
+    write_signal(workdir / "g.json", g)
+    (workdir / "X.csv").write_text(serialize.measurement_to_csv(measure(random_signal(rng_for("cli-tol"), 16), g)))
+    files = ["--measurement", "X.csv", "--window", "g.json"]
+    for flag in ("--tau-rel", "--tau-supp"):
+        for value in ("nan", "inf", "0", "1", "2", "-1"):
+            for command in ("recover", "decide"):
+                capsys.readouterr()
+                assert main([command, *files, flag, value]) == 64, (command, flag, value)
+                assert flag in capsys.readouterr().err
+        assert main(["window", "analyze", "--window", "g.json", flag, "nan"]) == 64
+        assert main(["recover", *files, flag, "1e-9"]) == 0
+    assert main(["decide", *files]) == 0
+    capsys.readouterr()
+
+
 def test_seed_env_fallback(workdir, monkeypatch, capsys):
     monkeypatch.setenv("STFTPR_SEED", "13")
     assert main(["window", "construct", "--kind", "punctured-dc", "--d", "7", "--out", "g1.json"]) == 0

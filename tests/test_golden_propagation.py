@@ -7,6 +7,9 @@ rewrite must reproduce it byte for byte.  Regenerate it only when an output is
 meant to change:
 
     PYTHONPATH=src python tests/test_golden_propagation.py --write
+
+which prints, for each case it changes, the paths that are not numbers and
+how far the numbers drifted (``helpers.drift_report``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import changed_cases, random_entries, random_short_window, random_signal, random_sparse_window, rng_for
+from helpers import (
+    changed_cases,
+    drift_report,
+    random_entries,
+    random_short_window,
+    random_signal,
+    random_sparse_window,
+    rng_for,
+)
 from oracles import union_find_components
 from stftpr import serialize
 from stftpr.linemode import recover_line_block
@@ -154,4 +165,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_propagation.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(golden_document())
+    document = golden_document()
+    print(drift_report(document, GOLDEN.read_text() if GOLDEN.exists() else "{}"))
+    GOLDEN.write_text(document)

@@ -11,6 +11,9 @@ case to another route, note or exception shows here.  Regenerate it only when
 an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_routing.py --write
+
+which prints, for each case it changes, the paths that are not numbers and
+how far the numbers drifted (``helpers.drift_report``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import changed_cases, forced_zero_window, numeric_drift, random_signal, rng_for
+from helpers import (
+    changed_cases,
+    drift_report,
+    forced_zero_window,
+    isolated_zeros_signal,
+    numeric_drift,
+    random_signal,
+    rng_for,
+)
 from stftpr import serialize
 from stftpr.cli import main
 from stftpr.recovery import ROUTES, decide_retrievability, recover
@@ -42,7 +53,7 @@ CLI_CASES = (
     "dc-d15",
     "sparse-d32-disconnected",
     "comb-box-d8-L3",
-    "undecidable-forced-zero",
+    "undecidable-box-d64-L2-dense",
     "zero-box-d8-L3",
 )
 
@@ -54,7 +65,7 @@ def _box(d, L):
 
 
 def routing_cases(seed: int = 0) -> list[tuple[str, object, CyclicSignal]]:
-    """Non-line propagation cases plus the comb, zero, undecidable and hole-note shapes."""
+    """Non-line propagation cases plus the comb, zero, partial-row, undecidable and hole-note shapes."""
     cases = [(case_id, X, g) for case_id, X, g, line_L in golden_cases(seed) if line_L is None]
 
     comb = CyclicSignal(8, np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=complex))
@@ -63,9 +74,16 @@ def routing_cases(seed: int = 0) -> list[tuple[str, object, CyclicSignal]]:
 
     rng = rng_for("golden-routing-forced-zero", seed)
     g = forced_zero_window(rng, 12, 4)
-    cases.append(("undecidable-forced-zero", measure(random_signal(rng, 12), g), g))
+    cases.append(("forced-zero-dense", measure(random_signal(rng, 12), g), g))
     cases.append(("hole-forced-zero-long", measure(random_signal(rng, 12, support=range(7)), g), g))
     cases.append(("hole-forced-zero-split", measure(random_signal(rng, 12, support=(0, 6)), g), g))
+
+    # box L=2: rows +-1 vanish at l = 32; isolated zeros pin them, a dense signal
+    # does not, and the steps +-2 alone split it into even and odd indices
+    rng = rng_for("golden-routing-box-L2", seed)
+    g = _box(64, 2)
+    cases.append(("box-d64-L2-isolated-zeros", measure(isolated_zeros_signal(rng, 64, 3), g), g))
+    cases.append(("undecidable-box-d64-L2-dense", measure(random_signal(rng, 64), g), g))
 
     rng = rng_for("golden-routing-dc", seed)
     g = construct_punctured_dc_window(11, seed=1)
@@ -184,9 +202,18 @@ def test_numeric_drift_separates_roundoff_from_other_changes():
     assert report["c"] == {"drift": {}, "other": ["layout"]}
     assert report["gone"]["other"] == ["removed"] and report["new"]["other"] == ["added"]
 
+    lines = drift_report(serialize.dump_json(new), serialize.dump_json(old)).splitlines()
+    assert lines[:2] == [
+        "a: 3 numeric leaves, largest drift 0.667; other: none",
+        "b: no numeric leaf; other: n, ok, route, x[2]",
+    ]
+    assert drift_report(serialize.dump_json(old), serialize.dump_json(old)) == "no case changed"
+
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_routing.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(routing_document())
+    document = routing_document()
+    print(drift_report(document, GOLDEN.read_text() if GOLDEN.exists() else "{}"))
+    GOLDEN.write_text(document)

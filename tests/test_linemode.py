@@ -49,6 +49,18 @@ def test_line_block_box_window_with_structural_zeros():
     assert compare_up_to_phase(f_emb, out.estimate)[1] < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_line_block_completion_residual_ignores_the_window_scale(scale):
+    rng = rng_for("line-scale")
+    f_map = dict(enumerate(random_entries(rng, 12)))
+    g_map = {j: scale * z for j, z in enumerate(random_entries(rng, 4))}
+    f_emb, g_emb, d = embed_line(f_map, g_map)
+    out = recover_line_block(measure(f_emb, g_emb), g_emb, 3)
+    assert out.status == STATUS_UNIQUE, out.notes
+    assert out.notes["equation_residual"] < 1e-12 * np.abs(f_emb.entries).max() ** 2
+    assert compare_up_to_phase(f_emb, out.estimate)[1] < 1e-8
+
+
 def test_line_block_span_bound_shorter_than_the_signal_is_inconsistent():
     # no autocorrelation row confined to the short span reproduces the data, so
     # the completion's residual flags it rather than a wrong estimate passing as unique

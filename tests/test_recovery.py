@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import forced_zero_window, random_short_window, random_signal, random_sparse_window, rng_for
+from helpers import (
+    forced_zero_window,
+    isolated_zeros_signal,
+    random_short_window,
+    random_signal,
+    random_sparse_window,
+    rng_for,
+)
 from oracles import (
     loop_banded_equation_residual,
     loop_hole_classifier,
@@ -39,11 +46,10 @@ from stftpr.recovery import (
     propagate_phases,
     recover,
     recover_autocorrelations,
-    recover_missing_center,
     recover_with_hole,
 )
 from stftpr.recovery import _complete_row
-from stftpr.spectral import CyclicSignal, measure
+from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, measure
 from stftpr.windows import (
     classify_window,
     construct_punctured_center_window,
@@ -238,14 +244,17 @@ def test_propagate_phases_nan_entry_is_inconsistent():
 
 
 def test_center_route_checks_a_single_point_support():
-    # the one support point explains row 0, but not the mass row 1 puts at index 5
+    # f_4 = 5e-6 falls below the support threshold on row 0 (2.5e-11 of the
+    # peak), so the support reads as the one point 3 and the known route
+    # completes the center row; row 1 still carries f_4 conj(f_3) = 5e-6
     d = 16
-    rows = {k: np.zeros(d, dtype=np.complex128) for k in range(d) if k != d // 2}
-    rows[0][3] = 1.0
-    rows[1][5] = 0.5
-    out = recover_missing_center(CorrelationData(d, rows), np.zeros(d, dtype=np.complex128))
+    g = construct_punctured_center_window(d)
+    v = np.zeros(d, dtype=np.complex128)
+    v[3], v[4] = 1.0, 5e-6
+    out = recover(measure(CyclicSignal(d, v), g), g, mode="known")
     assert out.components.components == ((3,),)
-    assert out.residual == 0.5
+    assert out.notes["completed_rows"] == [d // 2]
+    assert out.residual == pytest.approx(5e-6, rel=1e-6)
     assert out.status == STATUS_INCONSISTENT
 
 
@@ -542,6 +551,73 @@ def test_hole_route_wide_band_sweep(seed):
             assert compare_up_to_phase(f, out.estimate)[1] < 1e-9, (L, hole)
 
 
+# ------------------------------------------------------ partial rows, known route
+
+
+def test_known_route_completes_rows_pinned_by_isolated_zeros():
+    # box L=2 at d=64: rows +-1 vanish at l = 32; an isolated zero at j makes
+    # a_1 vanish at j and j+1, which pins that one frequency
+    rng = rng_for("known-isolated-zeros")
+    g = box_window(64, 2)
+    report = classify_window(g)
+    worst = 0.0
+    for trial in range(50):
+        f = isolated_zeros_signal(rng, 64, int(rng.integers(1, 4)))
+        X = measure(f, g)
+        out = recover(X, g)
+        assert out.status == STATUS_UNIQUE, (trial, out.notes)
+        assert out.notes["route"] == "known" and out.notes["completed_rows"] == [1, 63]
+        worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
+        assert decide_retrievability(X, report).verdict == VERDICT_RETRIEVABLE
+    assert worst < 1e-8
+
+
+def test_known_route_answers_dense_signals_on_forced_zero_windows():
+    # the partial rows cannot be completed, but the whole rows still join a dense support
+    rng = rng_for("known-forced-zero-dense")
+    for trial in range(40):
+        g = forced_zero_window(rng, 12, 4)
+        f = random_signal(rng, 12)
+        X = measure(f, g)
+        out = recover(X, g)
+        assert out.status == STATUS_UNIQUE and out.notes["route"] == "known", (trial, out.notes)
+        assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
+        assert decide_retrievability(X, classify_window(g)).verdict == VERDICT_RETRIEVABLE
+
+
+def test_known_route_checks_the_rows_it_cannot_complete():
+    # data that differs from an exact measurement only in a partial row's known
+    # frequencies: the walk never reads that row, so only its check flags it
+    rng = rng_for("known-unsolved-rows")
+    for g in (construct_punctured_center_window(8), forced_zero_window(rng, 12, 4)):
+        d = g.d
+        X = measure(random_signal(rng, d), g)
+        k = next(k for k in range(d) if not omega_mask(g).mask[k].all())
+        l = int(np.flatnonzero(omega_mask(g).mask[k])[0])
+        bump = np.zeros((d, d), dtype=np.complex128)  # relation rows R[k, l] and R[-k, -l] = conj(R[k, l])
+        bump[k, l] += 1.0
+        bump[-k % d, -l % d] += 1.0
+        dX = np.fft.fft(np.fft.ifft(bump.T, axis=0), axis=1).real  # the inverse of relation_transform
+        assert recover(X, g).status == STATUS_UNIQUE
+        out = recover(SpectrogramMeasurement(d, X.sq_mag + 0.5 * X.sq_mag.min() / np.abs(dX).max() * dX), g)
+        assert out.notes["route"] == "known" and out.status == STATUS_INCONSISTENT, out.notes
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_hole_route_completion_residual_ignores_the_window_scale(scale):
+    # the completion residual is divided by ||g||^2, so it compares with |f|^2
+    rng = rng_for("hole-scale")
+    d, L = 64, 3
+    g = CyclicSignal(d, scale * box_window(d, L).entries)
+    f = random_signal(rng, d).entries.copy()
+    f[10:15] = 0.0
+    f = CyclicSignal(d, f)
+    out = recover(measure(f, g), g)
+    assert out.notes["route"] == "hole-4" and out.status == STATUS_UNIQUE, out.notes
+    assert out.notes["equation_residual"] < 1e-12 * np.abs(f.entries).max() ** 2
+    assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
+
+
 # ----------------------------------------------------------- punctured routes
 
 
@@ -551,7 +627,7 @@ def test_center_route_examples():
     g = construct_punctured_center_window(d)
     for supp in ([0, 4], [0, 1, 4], [0]):
         f = random_signal(rng, d, support=supp)
-        out = recover(measure(f, g), g, mode="center")
+        out = recover(measure(f, g), g, mode="known")
         assert out.status == STATUS_UNIQUE
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -561,16 +637,18 @@ def test_center_route_two_point_support_is_one_component():
     d = 16
     g = construct_punctured_center_window(d)
     f = random_signal(rng, d, support=[3, 9])
-    out = recover(measure(f, g), g, mode="center")
+    out = recover(measure(f, g), g, mode="known")
     assert out.components.components == ((3, 9),) and out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
 
 def test_center_route_rejects_other_windows():
+    # the known route, which completes the center row, needs a whole row 0:
+    # a box window's vanishes at l = 2, 4, 6
     rng = rng_for("center-guard")
-    g = random_signal(rng, 8)
+    g = box_window(8, 3)
     with pytest.raises(WindowClassError):
-        recover(measure(random_signal(rng, 8), g), g, mode="center")
+        recover(measure(random_signal(rng, 8), g), g, mode="known")
 
 
 def test_dc_route_examples():
@@ -676,7 +754,7 @@ def test_round_trip_recovery(path, d):
         elif path == "center":
             g = construct_punctured_center_window(d)
             f = random_signal(rng, d)
-            out = recover(measure(f, g), g, mode="center")
+            out = recover(measure(f, g), g, mode="known")
         else:
             g = construct_punctured_dc_window(d, seed=trial + 31 * d)
             f = random_signal(rng, d)
@@ -741,24 +819,27 @@ def test_decide_comb_family_with_witnesses():
 
 
 def test_decide_honest_undecidable():
+    # box L=2: rows +-1 vanish at l = 32, and a dense signal cannot pin them;
+    # without them the steps +-2 split the support into even and odd indices
     rng = rng_for("decide-und")
-    d, L = 12, 4
-    g = forced_zero_window(rng, d, L)
-    f = random_signal(rng, d)  # nonvanishing: no L-zeros anywhere
+    g = box_window(64, 2)
+    f = random_signal(rng, 64)  # nonvanishing: no zeros anywhere
     decision = decide_retrievability(measure(f, g), classify_window(g))
     assert decision.verdict == VERDICT_UNDECIDABLE
+    assert decision.notes["route"] == "known" and "rows [1, 63]" in decision.notes["reason"]
 
 
 def test_decide_hole_route_uses_connectivity():
+    # a box window's row 0 vanishes at l = 3, 6, 9, so the hole route decides
     rng = rng_for("decide-hole")
-    d, L = 12, 4
-    g = forced_zero_window(rng, d, L)
+    d, L = 12, 3
+    g = box_window(d, L)
     f = random_signal(rng, d, support=[0, 1, 2, 3, 4, 5, 6])
     decision = decide_retrievability(measure(f, g), classify_window(g))
-    assert decision.verdict == VERDICT_RETRIEVABLE
+    assert decision.verdict == VERDICT_RETRIEVABLE and decision.notes["route"].startswith("hole")
     f2 = random_signal(rng, d, support=[0, 6])
     decision2 = decide_retrievability(measure(f2, g), classify_window(g))
-    assert decision2.verdict == VERDICT_NOT_RETRIEVABLE
+    assert decision2.verdict == VERDICT_NOT_RETRIEVABLE and decision2.notes["route"].startswith("hole")
 
 
 def test_decide_hole_partition_matches_recover_on_rolled_windows():
@@ -800,7 +881,7 @@ def test_large_window_does_not_make_a_signal_read_as_zero(d):
     f = CyclicSignal(d, f.entries / f.norm())
     X = measure(f, g)
     out = recover(X, g)
-    assert out.notes["route"] == "center" and out.status == STATUS_UNIQUE
+    assert out.notes["route"] == "known" and out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
     assert "case" not in decide_retrievability(X, classify_window(g)).notes
 
@@ -852,7 +933,7 @@ def test_compare_up_to_phase_rejects_zero_reference():
 
 
 def test_route_table_order():
-    assert [route.name for route in ROUTES] == ["known", "hole", "center", "dcpair"]
+    assert [route.name for route in ROUTES] == ["known", "hole", "dcpair"]
 
 
 def test_auto_routing_reaches_each_solver():
@@ -865,13 +946,16 @@ def test_auto_routing_reaches_each_solver():
     # generic short
     g = random_short_window(rng, d, 3)
     assert recover(measure(f, g), g).notes["route"] == "generic"
-    # hole on a non-generic short window
-    g = forced_zero_window(rng, 12, 4)
+    # hole on a short window whose row 0 vanishes
+    g = box_window(12, 3)
     f12 = random_signal(rng, 12, support=list(range(7)))
     assert recover(measure(f12, g), g).notes["route"].startswith("hole")
-    # punctured center / dc
+    # partial rows: a forced ambiguity zero, the punctured center
+    g = forced_zero_window(rng, 12, 4)
+    assert recover(measure(f12, g), g).notes["route"] == "known"
     gc = construct_punctured_center_window(d)
-    assert recover(measure(f, gc), gc).notes["route"] == "center"
+    assert recover(measure(f, gc), gc).notes["route"] == "known"
+    # punctured dc
     gd = construct_punctured_dc_window(9, seed=4)
     f9 = random_signal(rng, 9)
     assert recover(measure(f9, gd), gd).notes["route"] == "dcpair"
@@ -879,8 +963,8 @@ def test_auto_routing_reaches_each_solver():
 
 def test_auto_routing_undecidable_without_uniqueness_route():
     rng = rng_for("auto-und")
-    d, L = 12, 4
-    g = forced_zero_window(rng, d, L)
-    f = random_signal(rng, d)
+    g = box_window(64, 2)
+    f = random_signal(rng, 64)
     out = recover(measure(f, g), g)
     assert out.status == STATUS_UNDECIDABLE and out.estimate is None
+    assert out.notes["route"] == "known" and "rows [1, 63]" in out.notes["reason"]

@@ -3,23 +3,7 @@ import pytest
 
 from helpers import random_signal, rng_for
 from stftpr import serialize
-from stftpr.spectral import CyclicSignal, measure, stft
-
-
-def test_complex_formatting_round_trip():
-    values = [0j, 1 + 0j, -1.5 + 2.25j, 3e-12 - 4.5e6j, complex(1.234567890123e-7, -9.87e22)]
-    for z in values:
-        s = serialize.format_complex(z)
-        back = serialize.parse_complex(s)
-        scale = max(1.0, abs(z))
-        assert abs(back - z) < 1e-11 * scale, (z, s, back)
-
-
-def test_parse_complex_accepts_plain_floats():
-    assert serialize.parse_complex("2.5") == 2.5 + 0j
-    assert serialize.parse_complex("-3e-2") == -0.03 + 0j
-    with pytest.raises(ValueError):
-        serialize.parse_complex("")
+from stftpr.spectral import CyclicSignal, measure
 
 
 def test_signal_json_round_trip():
@@ -46,16 +30,6 @@ def test_signal_json_rejects_malformed():
         serialize.signal_from_json({"re": [1], "im": [0]})
 
 
-def test_table_csv_round_trip():
-    rng = rng_for("table-csv")
-    f = random_signal(rng, 5)
-    g = random_signal(rng, 5)
-    table = stft(f, g)
-    text = serialize.table_to_csv(table)
-    back = serialize.table_from_csv(text)
-    assert np.abs(back.values - table.values).max() < 1e-10 * np.abs(table.values).max()
-
-
 def test_measurement_csv_round_trip_and_validation():
     rng = rng_for("meas-csv")
     X = measure(random_signal(rng, 4), random_signal(rng, 4))
@@ -69,4 +43,3 @@ def test_measurement_csv_round_trip_and_validation():
 
 def test_twelve_significant_digits():
     assert serialize.format_float(1.0 / 3.0) == "0.333333333333"
-    assert serialize.format_complex(complex(2, -1 / 3)) == "2-0.333333333333i"
