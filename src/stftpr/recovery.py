@@ -280,6 +280,13 @@ def propagate_phases(
     were reached.  Edges the walk did not follow are checked only through the
     row residual: the estimate must reproduce every known row, at the scale of
     the largest shift-0 entry, or the data is Inconsistent (``_verdict``).
+
+    That visit order is the contract.  When the known nonzero shifts fold
+    (k -> min(k, d-k)) to exactly {1..L} and rows 1..L are known, as on every
+    band, full, center and dc-triangle walk, the walk only ever follows steps
+    ±1..±L through rows 1..L: its tree is then built in closed form
+    (``_band_tree``), and only the phases go level by level.  Other step sets
+    walk the frontier.
     """
     if 0 not in corr.a:
         raise StftprError("shift-0 autocorrelation row is required")
@@ -287,6 +294,20 @@ def propagate_phases(
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
     stacked = _stacked_rows(corr)
     shifts, rows, _ = stacked
+    L = int(np.minimum(shifts, d - shifts).max())  # shifts[0] is 0
+    if np.array_equal(shifts[1 : L + 1], np.arange(1, L + 1)):
+        phases, reached = _band_walk(rows, d, L, partition)
+    else:
+        phases, reached = _frontier_walk(shifts, rows, d, partition)
+    est = np.where(reached, mags * np.exp(1j * phases), 0.0)
+    notes = {"tau_supp": tau_supp}
+    return _verdict(CyclicSignal(d, est), partition, notes, _peak(corr.a[0]), _row_residual(stacked, est))
+
+
+def _frontier_walk(
+    shifts: np.ndarray, rows: np.ndarray, d: int, partition: ConnectivityPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phases and reached indices of the breadth-first walk, one frontier at a time, over any step set."""
     moving = shifts != 0
     steps = shifts[moving]
     angles = np.angle(rows[moving])  # angles[i, j] = arg f_j - arg f_{j - k_i}
@@ -315,10 +336,97 @@ def propagate_phases(
             frontier = targets[first]
             reached[frontier], phases[frontier] = True, implied[first]
             unreached -= frontier.size
+    return phases, reached
 
-    est = np.where(reached, mags * np.exp(1j * phases), 0.0)
-    notes = {"tau_supp": tau_supp}
-    return _verdict(CyclicSignal(d, est), partition, notes, _peak(corr.a[0]), _row_residual(stacked, est))
+
+def _band_walk(
+    rows: np.ndarray, d: int, L: int, partition: ConnectivityPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phases and reached indices of the breadth-first walk under steps ±1..±L, where rows[k] is a_k for k <= L.
+
+    Each component's tree is built in closed form over the support's positions
+    relative to its anchor; then every component's level h is set at once, with
+    the frontier walk's own float expressions: forward, wrap(arg a_k[child] +
+    parent's phase); backward, wrap(parent's phase - arg a_k[parent]).  An
+    anchor an earlier tree already reached (a partition finer than the band
+    split) is set back to phase 0, as the frontier walk does.
+    """
+    universe = np.asarray(partition.universe, dtype=np.intp)
+    reached = np.zeros(d, dtype=bool)
+    phases = np.zeros(d)
+    edges, again = [], []
+    for comp in partition.components:
+        anchor = comp[0]
+        if reached[anchor]:
+            again.append(anchor)
+            continue
+        at = np.searchsorted(universe, anchor)
+        pos = np.concatenate((universe[at:] - anchor, universe[:at] + (d - anchor)))
+        child, parent, sign, step, level = _band_tree(pos, d, L)
+        child, parent = (pos[child] + anchor) % d, (pos[parent] + anchor) % d
+        reached[anchor] = True
+        reached[child] = True
+        edges.append((child, parent, sign, step, level))
+    if edges:
+        child, parent, sign, step, level = map(np.concatenate, zip(*edges))
+        # a[k][j] = f_j conj(f_{j-k}): a forward edge reads row k at the child, a backward one at the parent
+        angle = sign * np.angle(rows[step, np.where(sign > 0, child, parent)])
+        order = np.argsort(level, kind="stable")
+        child, parent, angle = child[order], parent[order], angle[order]
+        start = 0
+        for end in np.cumsum(np.bincount(level)).tolist()[1:]:
+            phases[child[start:end]] = _wrap(phases[parent[start:end]] + angle[start:end])
+            start = end
+    phases[again] = 0.0
+    return phases, reached
+
+
+def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
+    """The breadth-first tree under steps ±1..±L mod d over sorted positions ``pos``, rooted at pos[0] = 0.
+
+    Returns, for every position the walk reaches other than the root: its
+    index, its parent's index, +1 for a forward edge (position = parent +
+    step) or -1 for a backward one (position = parent - step), the step, and
+    the level.  The forward parent of p is the smallest position >= p - L, valid
+    up to the first cyclic gap wider than L; the backward parent is its mirror,
+    the largest position <= p + L with the root counted at d, valid past the
+    last such gap (both are valid everywhere on a gapless circle).  Pointer
+    doubling gives each side's hop counts and first hops, and a position's
+    level is the smaller count.  Counts tie only at the antipode of a gapless
+    circle.  The walk visits neighbours +1, -1, +2, -2, ..., so its queue is
+    lexicographic in root paths, and a tie goes forward iff the forward first
+    hop's step is at most the backward one's.
+    """
+    n = pos.size
+    near = pos <= L
+    if (near | (pos >= d - L)).all():  # every position one step from the root, forward where it can be
+        sign = np.where(near[1:], 1, -1)
+        return np.arange(1, n), np.zeros(n - 1, dtype=np.intp), sign, sign * pos[1:] % d, np.ones(n - 1, dtype=np.intp)
+    idx = np.arange(2 * n)
+    lifted = np.append(pos, d)  # the root again, one turn on
+    wide = np.flatnonzero(np.diff(lifted) > L)  # the gap after index i is wider than L
+    fwd_par = np.searchsorted(pos, pos - L)
+    bwd_par = np.searchsorted(lifted, pos + L, side="right") - 1
+    bwd_par[0] = n
+    # forward sides are 0..n-1, backward sides n..2n-1; a node the root steps to points at itself
+    up = np.concatenate((fwd_par, bwd_par + n))
+    up = np.where((up == 0) | (up == 2 * n), idx, up)
+    hops = (up != idx).astype(np.intp)  # original edges from each node to the one it points at
+    while (more := hops[up]).any():
+        hops += more
+        up = up[up]
+    fwd_level, bwd_level = hops[:n] + 1, hops[n:] + 1
+    if wide.size:  # forward stops at the first wide gap, backward at the last
+        fwd_level[wide[0] + 1 :] = 2 * n
+        bwd_level[: wide[-1] + 1] = 2 * n
+    fwd_first, bwd_first = pos[up[:n]], d - pos[up[n:] - n]
+    forward = (fwd_level < bwd_level) | ((fwd_level == bwd_level) & (fwd_first <= bwd_first))
+    level = np.minimum(fwd_level, bwd_level)
+    parent = np.where(forward, fwd_par, bwd_par % n)
+    sign = np.where(forward, 1, -1)
+    keep = np.flatnonzero(level[1:] < 2 * n) + 1
+    parent, sign = parent[keep], sign[keep]
+    return keep, parent, sign, sign * (pos[keep] - pos[parent]) % d, level[keep]
 
 
 def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
@@ -693,12 +801,8 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp):
 
 
 def _plan_hole(X, report: WindowReport, L, tau_rel, tau_supp):
-    """First signal hole: a zero of band row 0 (length L+1), else an exact-L anchor.
-
-    An all-zero measurement is answered first, whatever the window."""
+    """First signal hole: a zero of band row 0 (length L+1), else an exact-L anchor."""
     g = report.window
-    if _zero_measurement(X):
-        return _zero_outcome(X.d, "hole")
     band = _filled_band(report)
     L = band if L is None else L
     if band is None or L != band:
@@ -759,8 +863,8 @@ class Route:
     explicit mode raises it, the auto router and the decision try the next
     route.  A plan reads X only where its window class needs the signal: the
     known route's support when it completes partial rows, the hole route's
-    band rows.  (The hole plan returns the zero outcome itself for an all-zero
-    measurement, which only an explicit mode reaches.)  ``solver`` is a
+    band rows.  A plan never scans X for an all-zero measurement: each public
+    call does that once, before any plan runs.  ``solver`` is a
     module-global name looked up at each call, so a wrapper installed on this
     module (a tracer, a profiler) sees the solver run.  ``partition`` is the support split the condition
     judges: connected means retrievable.
@@ -809,7 +913,8 @@ def recover(
     """Route a measurement to the solver matching the window's certified class.
 
     ``mode`` is ``auto`` or the name of one entry of ``ROUTES``.  A named route
-    runs alone and raises its plan's exception when it does not apply.
+    runs alone and raises its plan's exception when it does not apply;
+    ``hole`` answers an all-zero measurement first, whatever the window.
     ``auto`` answers an all-zero measurement first, then runs the first route,
     in ``ROUTES`` order, whose plan applies: ``known``, a mask whose row 0 is
     whole and whose nonempty rows are the window's difference set (hole-free,
@@ -824,19 +929,17 @@ def recover(
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
-    if mode != "auto":
-        route = next((r for r in ROUTES if r.name == mode), None)
-        if route is None:
-            raise StftprError(f"unknown recovery mode: {mode}")
-        plan = route.plan(X, classify_window(g, tau_rel), L, tau_rel, tau_supp)
+    route = next((r for r in ROUTES if r.name == mode), None)
+    if route is None and mode != "auto":
+        raise StftprError(f"unknown recovery mode: {mode}")
+    report = classify_window(g, tau_rel)
+    if mode in ("auto", "hole") and _zero_measurement(X):
+        return _zero_outcome(X.d, mode)
+    if route is not None:
+        plan = route.plan(X, report, L, tau_rel, tau_supp)
         if isinstance(plan, StftprError):
             raise plan
-        if isinstance(plan, RecoveryOutcome):
-            return plan
     else:
-        report = classify_window(g, tau_rel)
-        if _zero_measurement(X):
-            return _zero_outcome(X.d, "auto")
         route, plan, rejected = _first_route(X, report, tau_rel, tau_supp)
         if route is None:
             notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}

@@ -377,7 +377,9 @@ def classify_window(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> Window
     mask = omega_mask(g, tau_rel)
     dg = difference_set(supp, d)
     is_full = mask.all_true
-    is_generic_short = short_L is not None and mask.same_mask(omega_L_d(d, short_L))
+    # a short window's differences lie in -L..L and rows off them stay false, so its mask
+    # equals the band mask omega_L_d(d, L) exactly when it holds (2L+1) d true entries
+    is_generic_short = short_L is not None and int(np.count_nonzero(mask.mask)) == (2 * short_L + 1) * d
     peak = float(np.abs(g.entries).max())
     real_valued = bool(np.abs(g.entries.imag).max() <= tau_rel * peak)
     if is_full and not dg.covers_all:

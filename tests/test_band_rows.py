@@ -7,7 +7,8 @@ with ``rows`` is compared with the rows of the full table.  A counting wrapper
 on ``np.fft.fft`` checks, without timing anything, that a short window's
 ambiguity transforms only its band rows, that a generic decision builds no
 relation table, and that the short-window routes transform no more relation
-rows than they read.  A counting wrapper on ``np.linalg.lstsq`` checks that
+rows than they read.  A counting wrapper on the all-zero check checks that
+``recover`` and ``decide_retrievability`` each scan the measurement once.  A counting wrapper on ``np.linalg.lstsq`` checks that
 row completion fits only the frequencies where the window's ambiguity row
 vanishes, never a whole row.
 """
@@ -167,6 +168,21 @@ def test_generic_decision_builds_no_relation_table(monkeypatch):
     decision = decide_retrievability(X, report)
     assert report.is_generic_short and decision.notes["route"] == "generic"
     assert calls == []
+
+
+def test_each_public_call_scans_for_a_zero_measurement_once(monkeypatch):
+    scans = []
+    scan = recovery._zero_measurement
+    monkeypatch.setattr(recovery, "_zero_measurement", lambda X: scans.append(X.d) or scan(X))
+    rng = rng_for("band-rows-zero-scan")
+    d, L = 32, 3
+    g = CyclicSignal(d, np.r_[np.ones(L + 1), np.zeros(d - L - 1)])  # box: row 0 vanishes, so the hole route runs
+    v = random_signal(rng, d).entries.copy()
+    v[5 : 6 + L] = 0.0
+    X = measure(CyclicSignal(d, v), g)
+    assert recover(X, g).notes["route"] == "hole-4" and len(scans) == 1
+    scans.clear()
+    assert decide_retrievability(X, classify_window(g)).notes["route"] == "hole-4" and len(scans) == 1
 
 
 @pytest.mark.parametrize("d", (2, 3, 16, 17, 511, 1024))

@@ -216,6 +216,42 @@ def test_propagate_phases_matches_loop_walk_exactly(case):
     assert out.residual == residual
 
 
+def _walk_row_sets(d):
+    """(known shifts, partition steps) of every walk shape: rows 0..L (hole and line routes) and the
+    band ±L (known route) for each L < d/2, every shift, and every shift but d/2.  Up to d = 8, rows
+    0..L also come with a partition coarser than their band split, and the band with a finer one."""
+    for L in range((d + 1) // 2):
+        band = sorted({*range(L + 1), *(d - k for k in range(1, L + 1))})
+        yield range(L + 1), L
+        yield band, L
+        if d <= 8:
+            yield range(L + 1), range(L + 2)
+            yield band, max(L - 1, 0)
+    yield range(d), range(d)
+    if d % 2 == 0:
+        but_center = [k for k in range(d) if k != d // 2]
+        yield but_center, but_center
+
+
+def test_propagate_phases_matches_loop_walk_on_every_small_support():
+    # every support of Z_d for 2 <= d <= 10 under every row shape; independent phase noise on
+    # each nonzero row makes every edge imply its own phase, so any other tree shows
+    rng = rng_for("walk-vs-loop-exhaustive")
+    for d in range(2, 11):
+        f = random_signal(rng, d).entries
+        for bits in range(1, 2**d):
+            v = np.where((bits >> np.arange(d)) & 1 == 1, f, 0.0)
+            for shifts, steps in _walk_row_sets(d):
+                noise = np.exp(1j * rng.normal(scale=0.1, size=(d, d)))
+                noise[0] = 1.0
+                corr = CorrelationData(d, {k: v * np.conj(np.roll(v, k)) * noise[k] for k in shifts})
+                part = components_mod_d(np.flatnonzero(v), d, steps)
+                out = propagate_phases(corr, part)
+                est, residual = loop_propagate_phases(corr.a, d, part.components, part.universe)
+                assert np.array_equal(out.estimate.entries, est), (d, bits, list(shifts))
+                assert out.residual == residual, (d, bits, list(shifts))
+
+
 def test_propagate_phases_single_twisted_entry():
     rng = rng_for("twist-one")
     d, twist = 64, 0.3
@@ -827,6 +863,16 @@ def test_decide_honest_undecidable():
     decision = decide_retrievability(measure(f, g), classify_window(g))
     assert decision.verdict == VERDICT_UNDECIDABLE
     assert decision.notes["route"] == "known" and "rows [1, 63]" in decision.notes["reason"]
+
+
+@pytest.mark.parametrize("window", ["dense", "sparse"])
+def test_hole_mode_answers_a_zero_measurement_whatever_the_window(window):
+    rng = rng_for("zero-hole-mode", window)
+    d = 16
+    g = random_signal(rng, d) if window == "dense" else random_sparse_window(rng, d)
+    out = recover(measure(CyclicSignal.zeros(d), g), g, mode="hole")
+    assert out.notes == {"route": "hole", "case": "zero-signal"}
+    assert not out.estimate.entries.any()
 
 
 def test_decide_hole_route_uses_connectivity():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_short_window, random_signal, rng_for
+from helpers import forced_zero_window, random_short_window, random_signal, random_sparse_window, rng_for
 from stftpr.errors import EmptySupport, StftprError
 from stftpr.spectral import CyclicSignal, ambiguity
 from stftpr.windows import (
@@ -229,6 +229,36 @@ def test_generic_fraction_of_random_short_windows():
             if omega_mask(random_short_window(rng, d, L)).same_mask(band):
                 hits += 1
         assert hits >= 199, f"(d={d}, L={L}): only {hits}/200 generic"
+
+
+def _report_windows():
+    """Short, box, straddling, forced-zero, power, dense, punctured and sparse windows, each at a random rotation."""
+    straddle = np.sqrt(np.convolve(np.convolve([1.0, 2.0, 1.0], [1.0, 4.0, 1.0]), [1.0, 4.0, 1.0]))
+    for d in (8, 11, 16, 31, 64):
+        rng = rng_for("generic-short-check", d)
+        drawn = [random_short_window(rng, d, L) for L in range(1, (d + 1) // 2)]
+        drawn += [CyclicSignal(d, np.r_[np.ones(L + 1), np.zeros(d - L - 1)]) for L in (1, 3, (d - 1) // 2)]
+        drawn += [forced_zero_window(rng, d, L) for L in (3, (d - 1) // 2)]
+        drawn += [construct_power_window(d, L) for L in (1, (d - 1) // 2)] + [random_signal(rng, d)]
+        drawn += [random_sparse_window(rng, d) for _ in range(4 if d >= 16 else 0)]
+        if straddle.size <= d / 2:
+            drawn.append(CyclicSignal(d, np.r_[straddle, np.zeros(d - straddle.size)]))
+        if d in (8, 16):
+            drawn.append(construct_punctured_center_window(d))
+        if d in (11, 31):
+            drawn.append(construct_punctured_dc_window(d, seed=d))
+        for g in drawn:
+            yield g.shifted(int(rng.integers(d)))
+
+
+def test_generic_short_check_equals_the_band_mask_comparison():
+    verdicts = []
+    for g in _report_windows():
+        rep = classify_window(g)
+        expected = rep.short_L is not None and rep.omega.same_mask(omega_L_d(g.d, rep.short_L))
+        assert rep.is_generic_short is expected
+        verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_canonical_anchor_rotates_support_to_zero():
