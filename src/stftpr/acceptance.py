@@ -21,7 +21,7 @@ from .recovery import (
     STATUS_PER_COMPONENT,
     STATUS_UNIQUE,
     compare_up_to_phase,
-    hole_classifier,
+    hole_zero_set,
     measurement_coeffs,
     recover,
 )
@@ -263,35 +263,27 @@ def forced_zero_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal
 
 
 def criterion_7_hole(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Non-generic short windows recover signals with length-(L+1) or exact-L holes."""
+    """Non-generic short windows recover signals with length-(L+1) or exact-L holes, and the zero-set
+    reader finds each hole from the measurement."""
     d, L = 12, 4
     worst = 0.0
     for trial in range(100):
         rng = _rng(seed, 7, trial)
-        g = forced_zero_window(rng, d, L)
-
+        g = forced_zero_window(rng, d, L)  # starts at index 0, so its band rows are anchored
         j_star = int(rng.integers(0, d))
-        supp_long = [(j_star + L + 1 + off) % d for off in range(d - L - 1)]
-        f = random_signal(rng, d, supp_long)
-        out = recover(measure(f, g), g, mode="hole", L=L)
-        if out.status != STATUS_UNIQUE:
-            return CriterionResult(7, "hole-based recovery", False, f"trial {trial} (L+1): {out.status}")
-        worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
-
-        # exact-L hole after j*, signal nonzero at j* and at j*+L+1
-        supp_exact = [(j_star + L + 1 + off) % d for off in range(d - L)]
-        f = random_signal(rng, d, supp_exact)
-        X = measure(f, g)
-        from .recovery import _anchored_problem
-
-        X0, _, _ = _anchored_problem(X, g, 1e-9)
-        anchors = hole_classifier(measurement_coeffs(X0, L), L)
-        if j_star not in anchors:
-            return CriterionResult(7, "hole-based recovery", False, f"trial {trial}: classifier missed {j_star}")
-        out = recover(X, g, mode="hole", L=L)
-        if out.status != STATUS_UNIQUE:
-            return CriterionResult(7, "hole-based recovery", False, f"trial {trial} (L): {out.status}")
-        worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
+        # a length-(L+1) hole on j*..j*+L; an exact-L hole after j*, nonzero at j* and at j*+L+1
+        for label, start, length in (("hole-L+1", j_star, L + 1), ("hole-L", j_star + 1, L)):
+            f = random_signal(rng, d, [(start + length + off) % d for off in range(d - length)])
+            X = measure(f, g)
+            found = hole_zero_set(measurement_coeffs(X, L))
+            run = sorted((start + np.arange(length)) % d)
+            if found is None or found[0] != label or np.flatnonzero(found[1]).tolist() != run:
+                why = f"trial {trial}: reader missed the {label} at {start}"
+                return CriterionResult(7, "hole-based recovery", False, why)
+            out = recover(X, g)
+            if out.status != STATUS_UNIQUE or out.notes["route"] != "known":
+                return CriterionResult(7, "hole-based recovery", False, f"trial {trial} ({label}): {out.status}")
+            worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
     return CriterionResult(7, "hole-based recovery", worst < 1e-7, f"max aligned error {worst:.3e} (< 1e-7)")
 
 

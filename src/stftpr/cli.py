@@ -124,7 +124,7 @@ def _check_tolerances(args) -> None:
 
 def _window_summary(g: CyclicSignal, tau_rel: float, max_entries: int = 1000) -> dict:
     report = classify_window(g, tau_rel)
-    false_entries = report.omega.false_entries()
+    unset = ~report.omega.mask
     doc = {
         "d": g.d,
         "support": list(report.support),
@@ -140,8 +140,8 @@ def _window_summary(g: CyclicSignal, tau_rel: float, max_entries: int = 1000) ->
         "omega": {
             "threshold": serialize.round_float(report.omega.threshold),
             "threshold_rule": report.omega.threshold_rule,
-            "false_count": len(false_entries),
-            "mask_false": [list(e) for e in false_entries[:max_entries]],
+            "false_count": int(np.count_nonzero(unset)),
+            "mask_false": np.argwhere(unset)[:max_entries].tolist(),
         },
     }
     return doc

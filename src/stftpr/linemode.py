@@ -1,8 +1,8 @@
 """Recovery for finitely supported line signals.
 
 Two entry points: :func:`recover_line_block` inverts an embedded cyclic
-measurement taken with a contiguous block window, completing each shift row
-from the signal's known span so the window's ambiguity zeros cost nothing;
+measurement taken with a contiguous block window through the known route,
+declaring every index off the signal's span a zero of it;
 :func:`recover_line_limited` reconstructs a compact signal when the small
 nonzero shifts are only known at a handful of unit-circle sample points.
 """
@@ -10,6 +10,7 @@ nonzero shifts are only known at a handful of unit-circle sample points.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,19 +21,9 @@ from .errors import (
     InsufficientSamples,
     StftprError,
 )
-from .recovery import (
-    DEFAULT_TAU_SUPP,
-    CorrelationData,
-    RecoveryOutcome,
-    _complete_row,
-    _peak,
-    _verdict,
-    is_inconsistent,
-    propagate_phases,
-    support_from_magnitudes,
-)
-from .spectral import CyclicSignal, SpectrogramMeasurement, relation_transform, stft_rows
-from .windows import DEFAULT_TAU_REL
+from .recovery import DEFAULT_TAU_SUPP, RecoveryOutcome, _plan_known, _solve_known, is_inconsistent
+from .spectral import CyclicSignal, SpectrogramMeasurement
+from .windows import DEFAULT_TAU_REL, classify_window
 
 
 def _solve_row_coefficients(
@@ -58,46 +49,32 @@ def recover_line_block(
 ) -> RecoveryOutcome:
     """Invert an embedded line measurement taken with a window supported on 0..L.
 
-    Row k of the signal's autocorrelation can only sit on embedded indices
-    k .. f_span_bound - 1.  Each row 0..L is divided by the window's ambiguity
-    row where that row is above ``tau_rel`` of its peak, and the few
-    frequencies where it vanishes are fitted to the span (the hole route's row
-    completion).  Support connectivity on the line and the residual of the row
-    and of those completions (``equation_residual``, over the window energy
-    ‖g‖²) decide the verdict: a signal longer than ``f_span_bound`` is
-    Inconsistent.
+    The signal sits on embedded indices 0..f_span_bound-1, so every other
+    index is a known zero of it: the known route completes row 0 off that
+    zero set (noted ``zero_set``: ``span``), reads the support S there, and
+    completes every other row k off S ∩ (S+k), so the window's ambiguity
+    zeros cost nothing.  The residual of those completions
+    (``equation_residual``, over the window energy ‖g‖²) and of the rows
+    decides the verdict: a signal longer than ``f_span_bound`` is
+    Inconsistent.  Embedded indices never wrap, so the partition is reported
+    under the line relation.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
     d = X.d
-    g_supp = g.support(tau_rel)
-    if g_supp != tuple(range(L + 1)):
+    if g.support(tau_rel) != tuple(range(L + 1)):
         raise StftprError(f"window support must be exactly 0..{L} in embedded coordinates")
     if f_span_bound is None:
         f_span_bound = (d - 3) // 2 - (L + 1)
     if f_span_bound < 1:
         raise StftprError("embedding dimension leaves no room for the signal")
-
-    V = stft_rows(g, g)[1][: L + 1]  # shifts come sorted, so rows 0..L lead
-    R = relation_transform(X, range(L + 1))
-    divides = np.abs(V) > tau_rel * np.abs(V).max()  # the ambiguity's peak sits in row 0
-    a: dict[int, np.ndarray] = {}
-    eq_residual, energy = 0.0, g.norm() ** 2  # over the window energy, the residual is in the signal's units
-    for k in range(L + 1):
-        allowed = np.zeros(d, dtype=bool)
-        allowed[k:f_span_bound] = True
-        a[k], res = _complete_row(R[k], V[k], divides[k], allowed)
-        eq_residual = max(eq_residual, res / energy)
-
-    corr = CorrelationData(d, a)
-    supp = support_from_magnitudes(corr.a[0], tau_supp)
-    partition_line = components_line(supp, L)
-    # embedded indices never wrap, so the cyclic propagation below walks the
-    # same edges the line relation defines
-    outcome = propagate_phases(corr, partition_line, tau_supp)
-    notes = {**outcome.notes, "route": "line-block", "L": L, "f_span_bound": f_span_bound}
-    notes["equation_residual"] = eq_residual
-    return _verdict(outcome.estimate, partition_line, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
+    zeros = np.arange(d) >= f_span_bound
+    plan = _plan_known(X, classify_window(g, tau_rel), None, tau_rel, tau_supp, ("span", zeros))
+    if isinstance(plan, StftprError):
+        raise plan
+    outcome = _solve_known(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
+    notes = {**outcome.notes, "L": L, "f_span_bound": f_span_bound}
+    return replace(outcome, components=components_line(outcome.components.universe, L), notes=notes)
 
 
 def _pick_two_nodes(samples: list[tuple[complex, complex]], power: int) -> tuple[int, int]:

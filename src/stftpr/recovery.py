@@ -6,17 +6,19 @@ shifts the window's ambiguity support makes available, partition the recovered
 support under the matching gap relation, then fix one phase per component and
 propagate.  Every route gets its rows by dividing by the window ambiguity
 where the mask is true.  A row whose ambiguity vanishes at a few frequencies
-is completed from a known zero set of the signal (``_complete_row``): the
-known route reads that set off the whole shift-0 row (row k vanishes off
-S ∩ (S+k)), the hole route off a run of zeros in the signal, line mode off
-the signal's span.  A dc row punctured at a conjugate pair has its own route.
+is completed from a known zero set of the signal (``_complete_row``).  The
+known route reads the support S off row 0 and completes row k off
+S ∩ (S+k), where it must vanish.  Row 0 itself is divided when whole, and
+otherwise completed off a zero set of the signal: a hole read off the
+measurement for short windows filled on their band (``hole_zero_set``), or
+everything off the signal's span in line mode.  A dc row punctured at a
+conjugate pair has its own route.
 
 Every route returns through one verdict, ``_verdict``: the data is
 Inconsistent when the estimate misses a known autocorrelation row, or the
-route's own equation (partial rows, hole band rows, line rows, dc row), by
-more than the consistency tolerance at the data's scale.  Otherwise the
-support partition decides between one global phase and one phase per
-component.
+route's own equation (completed and unsolved rows, dc row), by more than the
+consistency tolerance at the data's scale.  Otherwise the support partition
+decides between one global phase and one phase per component.
 
 ``ROUTES`` lists the routes in the order the auto router tries them;
 ``recover``, ``decide_retrievability`` and the CLI all read that one table.
@@ -40,14 +42,12 @@ from .errors import (
     StftprError,
     WindowClassError,
 )
-from .spectral import CyclicSignal, SpectrogramMeasurement, ambiguity, measure, relation_transform, stft_rows
+from .spectral import CyclicSignal, SpectrogramMeasurement, measure, relation_transform, stft_rows
 from .windows import (
     DEFAULT_TAU_REL,
     OmegaMask,
     WindowReport,
-    canonical_anchor,
     classify_window,
-    omega_mask,
 )
 
 DEFAULT_TAU_SUPP = 1e-10
@@ -87,16 +87,6 @@ class CorrelationData:
     @property
     def known_shifts(self) -> tuple[int, ...]:
         return tuple(sorted(self.a))
-
-    def hermitian_residual(self) -> float:
-        """Max violation of a[d-k][j] = conj(a[k][j+k]) over shift pairs both known."""
-        worst = 0.0
-        for k in self.a:
-            mirror = (self.d - k) % self.d
-            if mirror in self.a and mirror >= k:
-                expected = np.conj(np.roll(self.a[k], -k))
-                worst = max(worst, float(np.abs(self.a[mirror] - expected).max()))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -168,41 +158,32 @@ def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> MeasurementCoeffici
     return MeasurementCoefficients(X.d, L, b)
 
 
-def recover_autocorrelations(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    mask: OmegaMask | None = None,
-    tau_rel: float = DEFAULT_TAU_REL,
-) -> CorrelationData:
-    """Autocorrelation rows for every shift whose ambiguity row has no mask hole.
-
-    Rows containing any masked-out entry are omitted entirely; division only
-    happens where the mask is true.
-    """
-    if X.d != g.d:
-        raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
-    if mask is None:
-        mask = omega_mask(g, tau_rel)
-    return _divide_full_rows(X, g, mask)[0]
+def _relation_rows(X: SpectrogramMeasurement, g: CyclicSignal, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relation rows R[i] = fft(a_k) * conj(V_gg[k]) for k = shifts[i], rows of D_g, from one
+    transform, and the window's ambiguity rows V_gg[k], built from its own rows only."""
+    amb_rows, amb = stft_rows(g, g)  # every row of D_g is one of these
+    return relation_transform(X, shifts), amb[np.searchsorted(amb_rows, shifts)]
 
 
 def _divide_full_rows(
-    X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, extra: tuple[int, ...] = ()
-) -> tuple[CorrelationData, np.ndarray, np.ndarray]:
+    X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, extra=()
+) -> tuple[CorrelationData, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Rows ifft(R[k] / conj(V_gg[k])) for every k whose mask row is all true, in one batch, and
-    the undivided relation rows R[extra] with the ambiguity rows V_gg[extra].  Only those relation
-    rows are transformed.  The extra rows are copies, so no d x d table outlives the call."""
-    amb = ambiguity(g).values
-    rows = np.flatnonzero(mask.mask.all(axis=1))
-    extra = np.asarray(extra, dtype=np.intp)
-    R = relation_transform(X, np.concatenate((rows, extra)))
-    divisors = amb[rows]
+    for each k in ``extra`` the undivided relation row R[k] with the ambiguity row V_gg[k].  Each
+    row is transformed once."""
+    full = mask.mask.all(axis=1)
+    whole = np.flatnonzero(full)
+    shifts = np.concatenate((whole, np.array([k for k in extra if not full[k]], dtype=np.intp)))
+    R, V = _relation_rows(X, g, shifts)
+    at = {k: i for i, k in enumerate(shifts.tolist())}
+    raw = {k: (R[at[k]].copy(), V[at[k]]) for k in extra}
+    divisors = V[: whole.size]
     vanished = np.abs(divisors).min(axis=1) <= 0.0  # guard: mask said "true" but the value is zero
     if vanished.any():
-        raise StftprError(f"internal: ambiguity row {rows[vanished][0]} vanishes under a true mask")
+        raise StftprError(f"internal: ambiguity row {whole[vanished][0]} vanishes under a true mask")
     # R is a fresh array: divide in place rather than allocate another d x d block
-    table = np.fft.ifft(np.divide(R[: rows.size], np.conj(divisors), out=R[: rows.size]), axis=1)
-    return CorrelationData(X.d, dict(zip(rows.tolist(), table))), R[rows.size :].copy(), amb[extra]
+    table = np.fft.ifft(np.divide(R[: whole.size], np.conj(divisors), out=R[: whole.size]), axis=1)
+    return CorrelationData(X.d, dict(zip(whole.tolist(), table))), raw
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -211,7 +192,7 @@ def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) 
     peak = mags.max()
     if peak <= 0.0:
         return ()
-    return tuple(int(j) for j in np.nonzero(mags > tau_supp * peak)[0])
+    return tuple(np.flatnonzero(mags > tau_supp * peak).tolist())
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -430,35 +411,46 @@ def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
 
 
 def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
-                 partition=None, complete=(), unsolved=()):
-    """Divide every whole row, complete the planned partial rows, split the support under the steps, then propagate.
+                 partition=None, complete=(), unsolved=(), zeros=None, zero_set=None, raw=None):
+    """Divide every whole row, complete the planned rows, split the support under the steps, then propagate.
 
     ``partition`` is the split of the support S the plan judged when the mask
-    has partial rows; otherwise S is read off the divided shift-0 row and
-    split under ``steps``.  Each completed row k vanishes off S ∩ (S+k), and
-    its completion residual, divided by the window energy ‖g‖² so that it is
-    in the units of the signal's rows, reaches the verdict as
+    has partial rows or the signal a zero set; otherwise S is read off the
+    divided shift-0 row and split under ``steps``.  Row 0, when planned,
+    is completed off the zero set ``zeros`` of the signal (labelled
+    ``zero_set``), and each other completed row k off S ∩ (S+k).  The
+    completion residual, divided by the window energy ‖g‖² so that it is in
+    the units of the signal's rows, reaches the verdict as
     ``equation_residual``.  The ``unsolved`` partial rows take no part in the
     walk, but the estimate must still reproduce them where they are known:
-    that miss, in the same units, reaches the verdict too.
+    that miss, in the same units, reaches the verdict too.  ``raw`` holds the
+    relation rows a zero-set plan already transformed, every one of them to
+    be completed, so none is transformed again.
     """
-    corr, R, V = _divide_full_rows(X, g, mask, (*complete, *unsolved))
+    if raw is None:
+        corr, raw = _divide_full_rows(X, g, mask, (*complete, *unsolved))
+    else:
+        corr = CorrelationData(g.d, {})
     if partition is None:
         partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
     eq_residual, energy, notes = 0.0, g.norm() ** 2, {"route": route}
     if L is not None:
         notes.update({"L": L, "window_shift": shift})
+    if zero_set is not None:
+        notes["zero_set"] = zero_set
     if complete:
-        rows = dict(corr.a)
-        for k, R_k, V_k in zip(complete, R, V):
-            rows[k], res = _complete_row(R_k, V_k, mask.mask[k], _meets(partition.universe, g.d, k))
+        rows, in_s = dict(corr.a), _indicator(partition.universe, g.d)
+        for k in complete:
+            allowed = ~zeros if k == 0 else _meets(in_s, k)
+            rows[k], res = _complete_row(*raw[k], mask.mask[k], allowed)
             eq_residual = max(eq_residual, res / energy)
         corr = CorrelationData(g.d, rows)
         notes.update({"completed_rows": list(complete), "equation_residual": eq_residual})
     outcome = propagate_phases(corr, partition, tau_supp)
     notes.update(outcome.notes)
     est = outcome.estimate.entries
-    for k, R_k, V_k in zip(unsolved, R[len(complete) :], V[len(complete) :]):
+    for k in unsolved:
+        R_k, V_k = raw[k]
         # est_j conj(est_{j-k}) is the estimate's row k
         miss = np.fft.fft(est * np.conj(est[(np.arange(g.d) - k) % g.d])) * np.conj(V_k) - R_k
         eq_residual = max(eq_residual, float(np.abs(np.fft.ifft(miss * mask.mask[k])).max()) / energy)
@@ -496,6 +488,29 @@ def hole_classifier(
     return anchors[before].tolist()
 
 
+def hole_zero_set(b: MeasurementCoefficients, tau_rel: float = DEFAULT_TAU_REL) -> tuple[str, np.ndarray] | None:
+    """The signal's first hole, read off its window-anchored band rows, as a zero set.
+
+    A zero of band row 0 at j* is the run j*..j*+L (``hole-L+1``): row 0 is
+    a positive-weight sum of |f|² over j..j+L.  Else the first exact-L anchor
+    j* (``hole_classifier``) gives the run j*+1..j*+L (``hole-L``).  Returns
+    the label and a mask of the run, or None when the rows show no hole.
+    """
+    b0 = np.abs(b.b[0])
+    peak = float(b0.max())
+    runs = np.flatnonzero(b0 <= tau_rel * peak) if peak > 0.0 else ()
+    if len(runs):
+        label, start, length = "hole-L+1", int(runs[0]), b.L + 1
+    else:
+        anchors = hole_classifier(b, b.L, tau_rel)
+        if not anchors:
+            return None
+        label, start, length = "hole-L", anchors[0] + 1, b.L
+    zeros = np.zeros(b.d, dtype=bool)
+    zeros[(start + np.arange(length)) % b.d] = True
+    return label, zeros
+
+
 def _complete_row(
     R_k: np.ndarray, V_k: np.ndarray, divides: np.ndarray, allowed: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -520,11 +535,16 @@ def _complete_row(
     return a, float(np.abs(np.fft.ifft(np.fft.fft(a) * np.conj(V_k) - R_k)).max())
 
 
-def _meets(support, d: int, k: int) -> np.ndarray:
-    """S ∩ (S+k) as a mask: the indices j with j and j-k in the support, the only places a_k can be nonzero."""
+def _indicator(support, d: int) -> np.ndarray:
+    """A support's indicator on Z_d."""
     in_s = np.zeros(d, dtype=bool)
     in_s[list(support)] = True
-    return in_s & in_s[(np.arange(d) - k) % d]
+    return in_s
+
+
+def _meets(in_s: np.ndarray, k: int) -> np.ndarray:
+    """S ∩ (S+k) as a mask, from S's indicator: the j with j and j-k in S, the only places a_k can be nonzero."""
+    return in_s & np.roll(in_s, k)
 
 
 def _fit_basis(missing: np.ndarray, zero: np.ndarray, d: int) -> np.ndarray:
@@ -535,94 +555,10 @@ def _fit_basis(missing: np.ndarray, zero: np.ndarray, d: int) -> np.ndarray:
 def _pins(divides: np.ndarray, allowed: np.ndarray) -> bool:
     """Whether a row's zeros off ``allowed`` pin its frequencies off ``divides``: the fit has full column rank."""
     missing, zero = np.flatnonzero(~divides), np.flatnonzero(~allowed)
+    if not missing.size:
+        return True
     enough = zero.size >= missing.size  # fewer equations than unknowns never pin them
     return enough and np.linalg.matrix_rank(_fit_basis(missing, zero, divides.size)) == missing.size
-
-
-def _hole_rows(
-    mc: MeasurementCoefficients, g0: CyclicSignal, L: int, anchor: int, hole_len: int, tau_rel: float, n_rows: int
-) -> tuple[dict[int, np.ndarray], float]:
-    """Band rows 0..n_rows-1 of the anchored problem, each completed off the zero run the hole forces on it,
-    and their worst residual over the window energy ‖g‖².  Row k vanishes on hole_len + k indices from the
-    hole's first zero."""
-    d, energy = mc.d, g0.norm() ** 2
-    V = stft_rows(g0, g0)[1][:n_rows]  # shifts come sorted, so rows 0..L lead
-    divides = np.abs(V) > tau_rel * energy
-    # the hole's zeros: an exact-L hole starts after its anchor
-    zeros = (anchor + L + 1 - hole_len + np.arange(hole_len + n_rows - 1)) % d
-    rows, worst = {}, 0.0
-    for k in range(n_rows):
-        allowed = np.ones(d, dtype=bool)
-        allowed[zeros[: hole_len + k]] = False
-        rows[k], res = _complete_row(np.fft.fft(mc.b[k]), V[k], divides[k], allowed)
-        worst = max(worst, res / energy)
-    return rows, worst
-
-
-def _anchored_problem(
-    X: SpectrogramMeasurement, g: CyclicSignal, tau_rel: float
-) -> tuple[SpectrogramMeasurement, CyclicSignal, int]:
-    anchored, shift = canonical_anchor(g, tau_rel)
-    if shift == 0:
-        return X, g, 0
-    rolled = np.roll(X.sq_mag, shift, axis=0)
-    return SpectrogramMeasurement(X.d, rolled), anchored, shift
-
-
-def recover_with_hole(
-    X: SpectrogramMeasurement,
-    g: CyclicSignal,
-    L: int,
-    anchor: int,
-    hole_len: int,
-    tau_rel: float = DEFAULT_TAU_REL,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-    coeffs: MeasurementCoefficients | None = None,
-) -> RecoveryOutcome:
-    """Recovery with any length-(L+1) window when the signal has a known hole.
-
-    ``hole_len = L + 1``: the signal vanishes on anchor..anchor+L (validated via
-    the shift-0 band row).  ``hole_len = L``: the signal is nonzero at the anchor
-    and vanishes on the next L indices, with mass within L before the anchor
-    (validated by the hole classifier).  Each shift row k <= L is then solved in
-    frequency: divided where the window's ambiguity row is nonzero, with the
-    frequencies where it vanishes fitted to the zero block the hole implies for
-    that row.  ``coeffs`` are the band rows of the window-anchored measurement,
-    when the caller has built them.
-    """
-    if hole_len not in (L, L + 1):
-        raise AnchorInvalid(f"hole length must be L or L+1, got {hole_len}")
-    X0, g0, shift = _anchored_problem(X, g, tau_rel)
-    d = X0.d
-    anchor = int(anchor) % d
-    if g0.support(tau_rel) != tuple(range(L + 1)):
-        raise WindowClassError(f"window support is not exactly 0..{L}")
-    mc = measurement_coeffs(X0, L) if coeffs is None else coeffs
-
-    b0 = np.abs(mc.b[0])
-    if hole_len == L + 1:
-        if b0.max() > 0.0 and b0[anchor] > tau_rel * b0.max():
-            raise AnchorInvalid(f"shift-0 band row is nonzero at {anchor}: no length-{L + 1} hole")
-    else:
-        if anchor not in hole_classifier(mc, L, tau_rel):
-            raise AnchorInvalid(f"index {anchor} fails the exact-L hole conditions")
-
-    a, eq_residual = _hole_rows(mc, g0, L, anchor, hole_len, tau_rel, L + 1)
-    corr = CorrelationData(d, a)
-    supp = support_from_magnitudes(corr.a[0], tau_supp)
-    partition = components_mod_d(supp, d, L)
-    outcome = propagate_phases(corr, partition, tau_supp)
-    notes = dict(outcome.notes)
-    notes.update(
-        {
-            "route": f"hole-{hole_len}",
-            "L": L,
-            "anchor": anchor,
-            "window_shift": shift,
-            "equation_residual": eq_residual,
-        }
-    )
-    return _verdict(outcome.estimate, partition, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
 
 
 def recover_missing_dc_pair(
@@ -728,7 +664,8 @@ def _dc_residual(est: np.ndarray, dc_row: np.ndarray, trusted: np.ndarray) -> fl
 
 def _solve_dcpair(X, g, mask: OmegaMask, lstar: int, tau_rel, tau_supp) -> RecoveryOutcome:
     """Every full row divided, and the dc row divided where its mask is true and zero elsewhere."""
-    corr, (R_0,), (V_0,) = _divide_full_rows(X, g, mask, (0,))
+    corr, raw = _divide_full_rows(X, g, mask, (0,))
+    R_0, V_0 = raw[0]
     keep = mask.mask[0]
     dc_row = np.zeros(X.d, dtype=np.complex128)
     dc_row[keep] = R_0[keep] / np.conj(V_0[keep])
@@ -749,9 +686,9 @@ def _zero_measurement(X: SpectrogramMeasurement) -> bool:
     return not X.sq_mag.any()
 
 
-def _zero_outcome(d: int, route: str) -> RecoveryOutcome:
+def _zero_outcome(d: int) -> RecoveryOutcome:
     partition = ConnectivityPartition("empty", (), ())
-    return RecoveryOutcome(STATUS_UNIQUE, CyclicSignal.zeros(d), partition, 0, 0.0, {"route": route, "case": "zero-signal"})
+    return RecoveryOutcome(STATUS_UNIQUE, CyclicSignal.zeros(d), partition, 0, 0.0, {"route": "auto", "case": "zero-signal"})
 
 
 def _filled_band(report: WindowReport) -> int | None:
@@ -759,28 +696,45 @@ def _filled_band(report: WindowReport) -> int | None:
     return report.short_L if report.short_L is not None and len(report.support) == report.short_L + 1 else None
 
 
-def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp):
-    """Row 0 is whole and the rows with a true entry are exactly those of the window's difference set D_g.
+def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
+    """The rows with a true entry are exactly those of the window's difference set D_g, and row 0
+    is whole or a zero set of the signal pins it.
 
-    When every D_g row is whole the mask is D_g x Z_d and the plan does not
-    read X.  Its notes keep the two classic cases' names: ``full`` when D_g is
-    all of Z_d, ``generic`` with the band width L when D_g is a band {-L..L}
-    (an explicit L must name that band), ``known`` for any other D_g.
+    When every D_g row is whole and no zero set is declared, the mask is
+    D_g x Z_d and the plan does not read X.  Its notes keep the two classic
+    cases' names: ``full`` when D_g is all of Z_d, ``generic`` with the band
+    width L when D_g is a band {-L..L} (an explicit L must name that band),
+    ``known`` for any other D_g.
 
-    Otherwise (route ``known``) the support S is read off row 0, and a partial
-    row k is completed where S ∩ (S+k) pins its vanished frequencies.  The
-    rows that cannot be completed (``unsolved``) must not split the support
-    further than D_g does; when they do, the plan names them
-    (PreconditionViolated).  The plan hands the solver its partition of S.
+    Otherwise (route ``known``) the support S is read off row 0, and a row k
+    vanishes off S ∩ (S+k).  A whole row 0 is divided, and each partial row
+    is completed where S ∩ (S+k) pins its vanished frequencies.  A partial
+    row 0 needs a zero set Z of the signal that pins its own: on a short
+    window nonzero on all of its band 0..L with 2L+1 < d, the first hole
+    the measurement shows (``hole_zero_set``; AnchorInvalid when there is
+    none).  Any other window with a partial row 0, such as a punctured-dc
+    window, whose band is all of Z_d, is rejected before X is read.  The
+    caller may declare Z instead (``zero_set``, a label and a mask of Z; line
+    mode declares everything off the signal's span).  With a zero set, row 0
+    is completed off Z even when whole, and every row 0 < k <= d/2 of D_g
+    off S ∩ (S+k); row d-k holds the same data, a_{d-k}[j] = conj(a_k[j+k]).
+    The rows that cannot be completed (``unsolved``) must not split the
+    support further than D_g does; when they do, the plan names them
+    (PreconditionViolated).  The plan hands the solver its partition of S,
+    and with a zero set the relation rows it transformed.
     """
-    d, dg, mask = report.window.d, report.dg, report.omega.mask
+    g, d, dg, mask = report.window, report.window.d, report.dg, report.omega.mask
     rows = np.zeros(d, dtype=bool)
     rows[list(dg.members)] = True
     whole = mask.all(axis=1)
-    if (mask.any(axis=1) != rows).any() or not whole[0] or (L is not None and not whole[rows].all()):
+    if (mask.any(axis=1) != rows).any() or (L is not None and not whole[rows].all()):
         error = WindowClassError if L is None else NonGenericWindow
-        return error("window mask has a hole in row 0, a true entry off the rows of D_g, or (with an L) a partial row")
-    if whole[rows].all():
+        return error("window mask has a true entry off the rows of D_g, or (with an L) a partial row")
+    # a band covering all of Z_d (the punctured-dc windows) is left to the dc-pair route
+    band = _filled_band(report) if zero_set is None and not whole[0] and not dg.covers_all else None
+    if zero_set is None and not whole[0] and band is None:
+        return WindowClassError("row 0 has a hole, and no zero set of the signal is known for this window")
+    if zero_set is None and whole[rows].all():
         if L is None and dg.covers_all:
             return {"mask": report.omega, "steps": dg, "route": "full"}
         reach = max(min(k, d - k) for k in dg.members)
@@ -789,34 +743,32 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp):
         if L is not None:
             return NonGenericWindow(f"mask does not equal the width-{L} band")
         return {"mask": report.omega, "steps": dg, "route": "known"}
-    supp = _row0_support(X, report.window, tau_supp)
-    partial = np.flatnonzero(rows & ~whole).tolist()
-    complete = tuple(k for k in partial if _pins(mask[k], _meets(supp, d, k)))
+    plan = {"mask": report.omega, "route": "known"}
+    if whole[0] and zero_set is None:
+        supp, first, candidates = _row0_support(X, g, tau_supp), (), np.flatnonzero(rows & ~whole)
+    else:
+        candidates = np.flatnonzero(rows[: d // 2 + 1])
+        raw = dict(zip(candidates.tolist(), zip(*_relation_rows(X, g, candidates))))
+        if zero_set is None:
+            # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift
+            b = {k: np.roll(np.fft.ifft(raw[k][0]), report.canonical_shift) for k in range(band + 1)}
+            zero_set = hole_zero_set(MeasurementCoefficients(d, band, b), tau_rel)
+            if zero_set is None:
+                return AnchorInvalid("row 0 has a hole, and the measurement shows no signal hole of length L or L+1")
+        label, zeros = zero_set
+        if not _pins(mask[0], ~zeros):
+            return AnchorInvalid(f"the {label} zero set does not pin the vanished frequencies of row 0")
+        supp = support_from_magnitudes(_complete_row(*raw[0], mask[0], ~zeros)[0], tau_supp)
+        first = (0,)
+        plan.update({"zeros": zeros, "zero_set": label, "raw": raw})
+    in_s = _indicator(supp, d)
+    complete = (*first, *(k for k in candidates.tolist() if k and _pins(mask[k], _meets(in_s, k))))
     partition = components_mod_d(supp, d, (*np.flatnonzero(whole).tolist(), *complete))
-    stuck = sorted(set(partial) - set(complete))
+    stuck = sorted(set(candidates.tolist()) - set(complete))
     split = partition.n_components > 1  # one component cannot split further under D_g
     if stuck and split and partition.n_components > components_mod_d(supp, d, dg).n_components:
         return PreconditionViolated(f"rows {stuck} cannot be completed from the support, which splits without them")
-    return {"mask": report.omega, "route": "known", "partition": partition, "complete": complete, "unsolved": stuck}
-
-
-def _plan_hole(X, report: WindowReport, L, tau_rel, tau_supp):
-    """First signal hole: a zero of band row 0 (length L+1), else an exact-L anchor."""
-    g = report.window
-    band = _filled_band(report)
-    L = band if L is None else L
-    if band is None or L != band:
-        return AnchorInvalid("hole route needs a short window that is nonzero on all of 0..L")
-    mc = measurement_coeffs(_anchored_problem(X, g, tau_rel)[0], L)
-    b0 = np.abs(mc.b[0])
-    peak = float(b0.max())
-    long_holes = np.flatnonzero(b0 <= tau_rel * peak) if peak > 0.0 else ()
-    if len(long_holes):
-        return {"L": L, "anchor": int(long_holes[0]), "hole_len": L + 1, "coeffs": mc}
-    exact = hole_classifier(mc, L, tau_rel)
-    if exact:
-        return {"L": L, "anchor": exact[0], "hole_len": L, "coeffs": mc}
-    return AnchorInvalid("no hole of length L or L+1 detected in the measurement")
+    return {**plan, "partition": partition, "complete": complete, "unsolved": stuck}
 
 
 def _plan_dcpair(X, report: WindowReport, L, tau_rel, tau_supp):
@@ -842,13 +794,6 @@ def _known_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
     return components_mod_d(_row0_support(X, g, tau_supp), X.d, plan["steps"])
 
 
-def _hole_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    """Band components of the support, from band row 0 solved off the planned hole."""
-    g0 = canonical_anchor(g, tau_rel)[0]
-    a, _ = _hole_rows(plan["coeffs"], g0, plan["L"], plan["anchor"], plan["hole_len"], tau_rel, 1)
-    return components_mod_d(support_from_magnitudes(a[0], tau_supp), X.d, plan["L"])
-
-
 def _dcpair_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
     """The dc-pair solver's own partition: its support comes from the off-diagonal rows."""
     return _solve_dcpair(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp).components
@@ -862,8 +807,8 @@ class Route:
     arguments, or the exception saying why the route does not apply: an
     explicit mode raises it, the auto router and the decision try the next
     route.  A plan reads X only where its window class needs the signal: the
-    known route's support when it completes partial rows, the hole route's
-    band rows.  A plan never scans X for an all-zero measurement: each public
+    known route's support when it completes rows, and the signal's hole when
+    a short window's row 0 is partial.  A plan never scans X for an all-zero measurement: each public
     call does that once, before any plan runs.  ``solver`` is a
     module-global name looked up at each call, so a wrapper installed on this
     module (a tracer, a profiler) sees the solver run.  ``partition`` is the support split the condition
@@ -878,7 +823,6 @@ class Route:
 
 ROUTES = (
     Route("known", _plan_known, "_solve_known", _known_components),
-    Route("hole", _plan_hole, "recover_with_hole", _hole_components),
     Route("dcpair", _plan_dcpair, "_solve_dcpair", _dcpair_components),
 )
 
@@ -913,15 +857,15 @@ def recover(
     """Route a measurement to the solver matching the window's certified class.
 
     ``mode`` is ``auto`` or the name of one entry of ``ROUTES``.  A named route
-    runs alone and raises its plan's exception when it does not apply;
-    ``hole`` answers an all-zero measurement first, whatever the window.
+    runs alone and raises its plan's exception when it does not apply.
     ``auto`` answers an all-zero measurement first, then runs the first route,
-    in ``ROUTES`` order, whose plan applies: ``known``, a mask whose row 0 is
-    whole and whose nonempty rows are the window's difference set (hole-free,
+    in ``ROUTES`` order, whose plan applies: ``known``, a mask whose nonempty
+    rows are the window's difference set and whose row 0 is whole (hole-free,
     a generic short band, any other difference set, or partial rows completed
-    from the signal's support, as for a punctured center); ``hole``, a signal
-    hole of length L+1 then L (short windows nonzero on all of 0..L);
-    ``dcpair``, a dc row punctured at a conjugate pair.  When none applies the
+    from the signal's support, as for a punctured center) or completed off a
+    signal hole of length L+1 then L (short windows nonzero on all of 0..L,
+    noted as ``zero_set``); ``dcpair``, a dc row punctured at a conjugate
+    pair.  When none applies the
     outcome is Undecidable with no estimate.  Its notes name the route and
     give the reason when the window fits a route's class but not its theorem,
     as for partial rows that cannot be completed and leave the support split,
@@ -933,8 +877,8 @@ def recover(
     if route is None and mode != "auto":
         raise StftprError(f"unknown recovery mode: {mode}")
     report = classify_window(g, tau_rel)
-    if mode in ("auto", "hole") and _zero_measurement(X):
-        return _zero_outcome(X.d, mode)
+    if mode == "auto" and _zero_measurement(X):
+        return _zero_outcome(X.d)
     if route is not None:
         plan = route.plan(X, report, L, tau_rel, tau_supp)
         if isinstance(plan, StftprError):
@@ -948,15 +892,13 @@ def recover(
     return globals()[route.solver](X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
 
 
-def _comb_witnesses(
-    X0: SpectrogramMeasurement, g0: CyclicSignal, L: int, tau_rel: float
-) -> tuple[CyclicSignal, ...]:
+def _comb_witnesses(X: SpectrogramMeasurement, g: CyclicSignal, L: int) -> tuple[CyclicSignal, ...]:
     """Equal-amplitude comb translates reproducing the measurement, if any."""
-    d = X0.d
-    scale = float(X0.sq_mag.max())
+    d = X.d
+    scale = float(X.sq_mag.max())
     if scale <= 0.0:
         return ()
-    energy = X0.total_mass() / (d * g0.norm() ** 2)
+    energy = X.total_mass() / (d * g.norm() ** 2)
     witnesses = []
     for r in range(2, min(d, L + 1) + 1):
         if d % r != 0 or (L + 1) % r != 0:
@@ -967,7 +909,7 @@ def _comb_witnesses(
             v = np.zeros(d, dtype=np.complex128)
             v[s::r] = amp
             cand = CyclicSignal(d, v)
-            gap = float(np.abs(measure(cand, g0).sq_mag - X0.sq_mag).max())
+            gap = float(np.abs(measure(cand, g).sq_mag - X.sq_mag).max())
             if gap <= 1e-9 * scale:
                 matched.append(cand)
         if len(matched) >= 2:
@@ -988,8 +930,8 @@ def decide_retrievability(
     An all-zero measurement is Retrievable.  Otherwise the first route in
     ``ROUTES`` order whose plan applies judges its support partition: connected
     is Retrievable, anything else NotRetrievable.  A short window nonzero on
-    all of its band whose signal shows no hole is NotRetrievable when comb
-    translates reproduce the measurement.  Outside every implemented uniqueness
+    all of its band, whose row 0 is partial and whose signal shows no hole to
+    pin it, is NotRetrievable when comb translates reproduce the measurement.  Outside every implemented uniqueness
     condition the honest answer is Undecidable.
     """
     g, d = report.window, X.d
@@ -999,16 +941,16 @@ def decide_retrievability(
         return DecisionReport(VERDICT_RETRIEVABLE, ConnectivityPartition("empty", (), ()), notes)
 
     route, plan, rejected = _first_route(X, report, tau_rel, tau_supp)
-    L = _filled_band(report) if "hole" in rejected else None
+    # the known plan rejects a partial row 0 no zero set pins with AnchorInvalid, only on filled bands
+    L = _filled_band(report) if isinstance(rejected.get("known"), AnchorInvalid) else None
     if L is not None:
         if route is None:
-            X0, g0, _ = _anchored_problem(X, g, tau_rel)
-            witnesses = _comb_witnesses(X0, g0, L, tau_rel)
+            witnesses = _comb_witnesses(X, g, L)
             if witnesses:
                 partition = components_mod_d(witnesses[0].support(), d, L)
                 notes.update({"route": "comb-family", "L": L, "translates": len(witnesses)})
                 return DecisionReport(VERDICT_NOT_RETRIEVABLE, partition, notes, witnesses)
-        notes.update({"L": L, "hole_routes": "no signal hole detected"})
+        notes.update({"L": L, "zero_set": "no signal hole detected"})
         if d % (L + 1) == 0:
             notes["open_gap"] = "band width + 1 divides d; only hole-based uniqueness is implemented"
 
@@ -1016,7 +958,7 @@ def decide_retrievability(
         notes.update(_open_case(rejected) or {"route": "none", "reason": "window class matches no implemented uniqueness condition"})
         return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
     partition = route.partition(X, g, plan, tau_rel, tau_supp)
-    notes["route"] = f"hole-{plan['hole_len']}" if route.name == "hole" else plan.get("route", route.name)
-    notes.update({k: plan[k] for k in ("L", "anchor") if k in plan})
+    notes["route"] = plan.get("route", route.name)
+    notes.update({k: plan[k] for k in ("L", "zero_set") if k in plan})
     verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE
     return DecisionReport(verdict, partition, notes)

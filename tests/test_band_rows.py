@@ -8,9 +8,12 @@ on ``np.fft.fft`` checks, without timing anything, that a short window's
 ambiguity transforms only its band rows, that a generic decision builds no
 relation table, and that the short-window routes transform no more relation
 rows than they read.  A counting wrapper on the all-zero check checks that
-``recover`` and ``decide_retrievability`` each scan the measurement once.  A counting wrapper on ``np.linalg.lstsq`` checks that
-row completion fits only the frequencies where the window's ambiguity row
-vanishes, never a whole row.
+``recover`` and ``decide_retrievability`` each scan the measurement once, and
+one on ``relation_transform`` that each public call on a hole or line item
+transforms once, and that the known plan reads no measurement on a window
+with a partial row 0 and no zero-set reader.  A counting wrapper on
+``np.linalg.lstsq`` checks that row completion fits only the frequencies
+where the window's ambiguity row vanishes, never a whole row.
 """
 
 import numpy as np
@@ -38,7 +41,15 @@ from stftpr.spectral import (
     stft,
     stft_rows,
 )
-from stftpr.windows import DEFAULT_TAU_REL, classify_window, difference_set, omega_mask
+from stftpr.errors import WindowClassError
+from stftpr.windows import (
+    DEFAULT_TAU_REL,
+    classify_window,
+    construct_punctured_center_window,
+    construct_punctured_dc_window,
+    difference_set,
+    omega_mask,
+)
 from test_golden_propagation import _box, _with_zero_runs, golden_cases
 
 DIMENSIONS = (2, 3, 16, 17, 1024)
@@ -176,13 +187,13 @@ def test_each_public_call_scans_for_a_zero_measurement_once(monkeypatch):
     monkeypatch.setattr(recovery, "_zero_measurement", lambda X: scans.append(X.d) or scan(X))
     rng = rng_for("band-rows-zero-scan")
     d, L = 32, 3
-    g = CyclicSignal(d, np.r_[np.ones(L + 1), np.zeros(d - L - 1)])  # box: row 0 vanishes, so the hole route runs
+    g = CyclicSignal(d, np.r_[np.ones(L + 1), np.zeros(d - L - 1)])  # box: row 0 vanishes, so the hole is read
     v = random_signal(rng, d).entries.copy()
     v[5 : 6 + L] = 0.0
     X = measure(CyclicSignal(d, v), g)
-    assert recover(X, g).notes["route"] == "hole-4" and len(scans) == 1
+    assert recover(X, g).notes["zero_set"] == "hole-L+1" and len(scans) == 1
     scans.clear()
-    assert decide_retrievability(X, classify_window(g)).notes["route"] == "hole-4" and len(scans) == 1
+    assert decide_retrievability(X, classify_window(g)).notes["zero_set"] == "hole-L+1" and len(scans) == 1
 
 
 @pytest.mark.parametrize("d", (2, 3, 16, 17, 511, 1024))
@@ -218,7 +229,8 @@ def test_relation_rows_match_the_table(d):
 
 
 def _short_route_cases():
-    """Generic d=1024, L=3 (the known route) and a box window L=3 with a signal hole (the hole route)."""
+    """Generic d=1024, L=3 and a box window L=3 with a signal hole, whose row 0 the known route
+    completes off that hole."""
     rng = rng_for("band-rows-routes")
     g = random_short_window(rng, 1024, 3)
     yield "generic", measure(random_signal(rng, 1024), g), g
@@ -240,7 +252,9 @@ def test_short_window_routes_transform_only_the_rows_they_read(monkeypatch, case
     counted = _count_fft_rows(monkeypatch, ("fft", "ifft"))
     outcome = recover(X, g)
     decision = decide_retrievability(X, report)
-    assert outcome.notes["route"] == route and decision.notes["route"].startswith(route.split("-")[0])
+    expected = {"generic": ("generic", None), "hole-4": ("known", "hole-L+1")}[route]
+    assert (outcome.notes["route"], outcome.notes.get("zero_set")) == expected
+    assert (decision.notes["route"], decision.notes.get("zero_set")) == expected
     assert calls and all(rows is not None and len(rows) <= 7 for rows in calls)
     assert counted and max(counted) <= 7
 
@@ -266,3 +280,59 @@ def test_row_completion_fits_at_most_L_frequencies(monkeypatch):
     recover(X, g)
     decide_retrievability(X, classify_window(g))
     assert columns and max(columns) <= 3  # the box window's rows vanish at up to L = 3 frequencies
+
+
+def _line_item(rng, L=7):
+    """The band-short line shape: an L = 7 window and a span that embed in d = 511."""
+    f, g, d = embed_line(dict(enumerate(random_entries(rng, 246))), dict(enumerate(random_entries(rng, L + 1))))
+    assert d == 511
+    return measure(f, g), g
+
+
+def test_each_public_call_transforms_a_hole_or_line_item_once(monkeypatch):
+    calls = []
+
+    def counting(X, rows=None):
+        calls.append(rows)
+        return relation_transform(X, rows)
+
+    monkeypatch.setattr(recovery, "relation_transform", counting)
+    X, g = next(case[1:] for case in _short_route_cases() if case[0] == "hole-4")
+    assert recover(X, g).notes["zero_set"] == "hole-L+1" and len(calls) == 1
+    calls.clear()
+    assert decide_retrievability(X, classify_window(g)).notes["zero_set"] == "hole-L+1" and len(calls) == 1
+    calls.clear()
+    X, g = _line_item(rng_for("band-rows-line-transforms"))
+    assert recover_line_block(X, g, 7).notes["zero_set"] == "span" and len(calls) == 1
+
+
+class _Unread:
+    """A measurement stand-in that fails any read but its dimension."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the plan read X.{name}")
+
+
+def test_known_plan_reads_no_measurement_without_a_zero_set_source(monkeypatch):
+    # a punctured-dc window's row 0 is partial, and its band is all of Z_d: no
+    # zero-set reader, so the plan rejects it unread.  A punctured center keeps
+    # row 0 whole: the plan reads the support off it, but no relation row and no hole.
+    read = []
+    monkeypatch.setattr(recovery, "relation_transform", lambda *a, **k: read.append("relation_transform"))
+    monkeypatch.setattr(recovery, "hole_zero_set", lambda *a, **k: read.append("hole_zero_set"))
+    for d in (15, 31):
+        report = classify_window(construct_punctured_dc_window(d, seed=1))
+        assert not report.omega.mask[0].all()
+        plan = recovery._plan_known(_Unread(d), report, None, DEFAULT_TAU_REL, DEFAULT_TAU_SUPP)
+        assert isinstance(plan, WindowClassError), plan
+    for d in (16, 40):
+        g = construct_punctured_center_window(d)
+        report = classify_window(g)
+        assert report.omega.mask[0].all() and not report.omega.mask[d // 2].all()
+        X = measure(random_signal(rng_for("band-rows-center-plan", d), d), g)
+        plan = recovery._plan_known(X, report, None, DEFAULT_TAU_REL, DEFAULT_TAU_SUPP)
+        assert [*plan["complete"], *plan["unsolved"]] == [d // 2] and "zero_set" not in plan
+    assert read == []

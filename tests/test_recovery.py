@@ -27,6 +27,7 @@ from stftpr.errors import (
     PreconditionViolated,
     WindowClassError,
 )
+from stftpr.linemode import recover_line_block
 from stftpr.recovery import (
     ROUTES,
     STATUS_INCONSISTENT,
@@ -41,14 +42,13 @@ from stftpr.recovery import (
     compare_up_to_phase,
     decide_retrievability,
     hole_classifier,
+    hole_zero_set,
     is_inconsistent,
     measurement_coeffs,
     propagate_phases,
     recover,
-    recover_autocorrelations,
-    recover_with_hole,
 )
-from stftpr.recovery import _complete_row
+from stftpr.recovery import _complete_row, _divide_full_rows
 from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, measure
 from stftpr.windows import (
     classify_window,
@@ -109,7 +109,7 @@ def test_recover_autocorrelations_full_window():
     mask = omega_mask(g)
     assert mask.all_true
     f = random_signal(rng, d)
-    corr = recover_autocorrelations(measure(f, g), g, mask)
+    corr = _divide_full_rows(measure(f, g), g, mask)[0]
     assert corr.known_shifts == tuple(range(d))
     for k in corr.known_shifts:
         assert np.abs(corr.a[k] - naive_autocorrelation(f.entries, k)).max() < 1e-9
@@ -120,7 +120,7 @@ def test_recover_autocorrelations_generic_band():
     d, L = 10, 3
     g = random_short_window(rng, d, L)
     assert omega_mask(g).same_mask(omega_L_d(d, L))
-    corr = recover_autocorrelations(measure(random_signal(rng, d), g), g)
+    corr = _divide_full_rows(measure(random_signal(rng, d), g), g, omega_mask(g))[0]
     assert corr.known_shifts == (0, 1, 2, 3, 7, 8, 9)
 
 
@@ -128,8 +128,14 @@ def test_recover_autocorrelations_skips_center_row():
     d = 8
     g = construct_punctured_center_window(d)
     rng = rng_for("center-rows")
-    corr = recover_autocorrelations(measure(random_signal(rng, d), g), g)
+    corr = _divide_full_rows(measure(random_signal(rng, d), g), g, omega_mask(g))[0]
     assert corr.known_shifts == tuple(k for k in range(d) if k != 4)
+
+
+def _hermitian_residual(corr):
+    """Max violation of a[d-k][j] = conj(a[k][j+k]) over shift pairs both known."""
+    pairs = [(k, (corr.d - k) % corr.d) for k in corr.a if (corr.d - k) % corr.d in corr.a]
+    return max(float(np.abs(corr.a[m] - np.conj(np.roll(corr.a[k], -k))).max()) for k, m in pairs)
 
 
 def test_correlation_hermitian_pairing():
@@ -137,12 +143,11 @@ def test_correlation_hermitian_pairing():
     for d in (6, 9, 13):
         f = random_signal(rng, d)
         corr = CorrelationData(d, {k: naive_autocorrelation(f.entries, k) for k in range(d)})
-        assert corr.hermitian_residual() < 1e-12
-        extracted = recover_autocorrelations(measure(f, random_signal(rng, d)), random_signal(rng, d))
+        assert _hermitian_residual(corr) < 1e-12
         # rows extracted from a self-consistent measurement also pair up
         g = random_signal(rng, d)
-        corr2 = recover_autocorrelations(measure(f, g), g)
-        assert corr2.hermitian_residual() < 1e-9
+        corr2 = _divide_full_rows(measure(f, g), g, omega_mask(g))[0]
+        assert len(corr2.a) == d and _hermitian_residual(corr2) < 1e-9
 
 
 # ------------------------------------------------------------- phase assembly
@@ -489,12 +494,20 @@ def test_banded_equation_residual_matches_the_roll_loop():
         assert res <= 1e-10 * scale and np.abs(a - a_true).max() <= 1e-8 * np.abs(a_true).max()
 
 
+def _assert_zero_set(out, label):
+    """The known route answered, with row 0 completed off a zero set of the given source."""
+    assert out.notes["route"] == "known" and out.notes["zero_set"] == label, out.notes
+    assert out.notes["completed_rows"][0] == 0
+
+
 def test_recover_with_hole_long_hole():
+    # a box window's row 0 vanishes at l = 2, 4, 6; the zeros 4..7 pin it
     rng = rng_for("hole-long")
     d, L = 8, 3
-    g = random_short_window(rng, d, L)
+    g = box_window(d, L)
     f = random_signal(rng, d, support=[0, 1, 2, 3])
-    out = recover_with_hole(measure(f, g), g, L, anchor=4, hole_len=L + 1)
+    out = recover(measure(f, g), g)
+    _assert_zero_set(out, "hole-L+1")
     assert out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -502,12 +515,14 @@ def test_recover_with_hole_long_hole():
 def test_recover_with_hole_exact_hole():
     rng = rng_for("hole-exact")
     d, L = 8, 3
-    g = random_short_window(rng, d, L)
+    g = box_window(d, L)
     f = random_signal(rng, d, support=[5, 0, 1])
     X = measure(f, g)
-    anchors = hole_classifier(measurement_coeffs(X, L), L)
-    assert 1 in anchors
-    out = recover_with_hole(X, g, L, anchor=1, hole_len=L)
+    assert 1 in hole_classifier(measurement_coeffs(X, L), L)
+    label, zeros = hole_zero_set(measurement_coeffs(X, L))
+    assert label == "hole-L" and np.flatnonzero(zeros).tolist() == [2, 3, 4]
+    out = recover(X, g)
+    _assert_zero_set(out, "hole-L")
     assert out.status == STATUS_UNIQUE
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
@@ -517,28 +532,32 @@ def test_recover_with_hole_rejects_comb():
     g = box_window(d, L)
     f = CyclicSignal(d, np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=complex))
     X = measure(f, g)
+    assert hole_zero_set(measurement_coeffs(X, L)) is None
     with pytest.raises(AnchorInvalid):
-        recover(X, g, mode="hole", L=L)
+        recover(X, g, mode="known")
 
 
 def test_recover_with_hole_rejects_wrong_class():
+    # support {0, 3}: row 0 vanishes at every odd l, and a window not filled on
+    # its band has no zero-set reader, so the known route rejects it unread
     rng = rng_for("hole-wrong-class")
-    g = CyclicSignal(6, np.array([1, 0, 1, 0, 0, 0], dtype=complex))  # support {0, 2}, not 0..2
+    g = CyclicSignal(6, np.array([1, 0, 0, 1, 0, 0], dtype=complex))
     X = measure(random_signal(rng, 6, support=[0, 1]), g)
     with pytest.raises(WindowClassError):
-        recover_with_hole(X, g, 2, anchor=3, hole_len=3)
+        recover(X, g, mode="known")
 
 
 def test_recover_with_hole_rejects_bad_anchor():
     rng = rng_for("hole-bad")
     d, L = 8, 3
-    g = random_short_window(rng, d, L)
+    g = box_window(d, L)
     f = random_signal(rng, d)  # nonvanishing: no holes at all
     with pytest.raises(AnchorInvalid):
-        recover_with_hole(measure(f, g), g, L, anchor=2, hole_len=L + 1)
+        recover(measure(f, g), g, mode="known")
 
 
 def test_hole_and_generic_solvers_agree():
+    # the same data through the generic route and through row 0 completed off a declared zero set
     rng = rng_for("agree")
     d, L = 12, 4
     g = random_short_window(rng, d, L)
@@ -546,7 +565,9 @@ def test_hole_and_generic_solvers_agree():
     f = random_signal(rng, d, support=[0, 1, 2, 3, 4, 5, 6])  # zeros on 7..11
     X = measure(f, g)
     a = recover(X, g, mode="known", L=L)
-    b = recover_with_hole(X, g, L, anchor=7, hole_len=L + 1)
+    b = recover_line_block(X, g, L, f_span_bound=7)
+    assert a.notes["route"] == "generic"
+    _assert_zero_set(b, "span")
     gamma, err = compare_up_to_phase(a.estimate, b.estimate)
     assert err < 1e-9
 
@@ -567,22 +588,34 @@ def test_hole_route_straddle_window_at_large_d():
     rng = rng_for("hole-straddle")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for hole in (L + 1, L):
+        for hole, label in ((L + 1, "hole-L+1"), (L, "hole-L")):
             f = _with_hole(rng, d, hole)
-            out = recover(measure(f, g), g, mode="hole")
-            assert out.status == STATUS_UNIQUE and out.notes["route"] == f"hole-{hole}"
+            out = recover(measure(f, g), g)
+            _assert_zero_set(out, label)
+            assert out.status == STATUS_UNIQUE
             assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hole_route_wide_band_sweep(seed):
+    # the random positive windows keep every band row whole, so the generic
+    # route answers; box windows with L+1 | d lose up to L frequencies of row 0,
+    # which the hole pins
     d = 256
     rng = rng_for("hole-sweep", seed)
     for L in (3, 30, 60, 120):
         g = CyclicSignal(d, np.concatenate([np.abs(rng.standard_normal(L + 1)) + 0.05, np.zeros(d - L - 1)]))
         for hole in (L + 1, L):
             f = _with_hole(rng, d, hole)
-            out = recover(measure(f, g), g, mode="hole", L=L)
+            out = recover(measure(f, g), g)
+            assert out.notes["route"] == "generic" and out.status == STATUS_UNIQUE, (L, hole, out.status)
+            assert compare_up_to_phase(f, out.estimate)[1] < 1e-9, (L, hole)
+    for L in (3, 15, 63):
+        g = box_window(d, L)
+        for hole, label in ((L + 1, "hole-L+1"), (L, "hole-L")):
+            f = _with_hole(rng, d, hole)
+            out = recover(measure(f, g), g)
+            _assert_zero_set(out, label)
             assert out.status == STATUS_UNIQUE, (L, hole, out.status)
             assert compare_up_to_phase(f, out.estimate)[1] < 1e-9, (L, hole)
 
@@ -649,7 +682,8 @@ def test_hole_route_completion_residual_ignores_the_window_scale(scale):
     f[10:15] = 0.0
     f = CyclicSignal(d, f)
     out = recover(measure(f, g), g)
-    assert out.notes["route"] == "hole-4" and out.status == STATUS_UNIQUE, out.notes
+    _assert_zero_set(out, "hole-L+1")
+    assert out.status == STATUS_UNIQUE
     assert out.notes["equation_residual"] < 1e-12 * np.abs(f.entries).max() ** 2
     assert compare_up_to_phase(f, out.estimate)[1] < 1e-8
 
@@ -679,10 +713,15 @@ def test_center_route_two_point_support_is_one_component():
 
 
 def test_center_route_rejects_other_windows():
-    # the known route, which completes the center row, needs a whole row 0:
-    # a box window's vanishes at l = 2, 4, 6
+    # the known route, which completes the center row, needs row 0 whole or
+    # pinned by a zero set: a box window's vanishes at l = 2, 4, 6, and a
+    # dense signal shows no hole; a window not filled on its band has no
+    # zero-set reader at all
     rng = rng_for("center-guard")
     g = box_window(8, 3)
+    with pytest.raises(AnchorInvalid):
+        recover(measure(random_signal(rng, 8), g), g, mode="known")
+    g = CyclicSignal(8, np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=complex))
     with pytest.raises(WindowClassError):
         recover(measure(random_signal(rng, 8), g), g, mode="known")
 
@@ -727,6 +766,20 @@ def test_dc_pair_below_five_is_undecidable():
     assert decision.verdict == VERDICT_UNDECIDABLE and decision.notes["reason"] == "need d >= 5, got 4"
     with pytest.raises(PreconditionViolated):
         recover(X, g, mode="dcpair")
+
+
+@pytest.mark.parametrize("d", [29, 31, 35])
+def test_punctured_dc_windows_answer_spikes_and_two_point_signals(d):
+    # ROADMAP 4f: the band of a punctured-dc window is all of Z_d, so its
+    # signal holes are not read as zero sets; the dc-pair route answers them
+    g = construct_punctured_dc_window(d, 1)
+    rng = rng_for("dc-sparse-exact", d)
+    signals = [CyclicSignal.delta(d, j) for j in range(d)]
+    signals += [random_signal(rng, d, support=sorted(rng.choice(d, 2, replace=False).tolist())) for _ in range(10)]
+    for f in signals:
+        out = recover(measure(f, g), g)
+        assert out.notes["route"] == "dcpair" and out.status == STATUS_UNIQUE, (f.support(), out.notes)
+        assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
 
 def test_dc_route_coprimality_guard():
@@ -780,13 +833,13 @@ def test_round_trip_recovery(path, d):
             if path == "hole-long":
                 # signal vanishes on j*..j*+L
                 supp = [(j_star + L + 1 + off) % d for off in range(d - L - 1)]
-                hole_len = L + 1
             else:
                 # signal nonzero at j*, vanishes on the next L indices
                 supp = [(j_star + L + 1 + off) % d for off in range(d - L)]
-                hole_len = L
             f = random_signal(rng, d, support=supp)
-            out = recover_with_hole(measure(f, g), g, L, anchor=j_star, hole_len=hole_len)
+            # the forced zero sits off row 0, so the support completes it and no zero set is read
+            out = recover(measure(f, g), g)
+            assert out.notes["route"] == "known" and "zero_set" not in out.notes, out.notes
         elif path == "center":
             g = construct_punctured_center_window(d)
             f = random_signal(rng, d)
@@ -866,31 +919,33 @@ def test_decide_honest_undecidable():
 
 
 @pytest.mark.parametrize("window", ["dense", "sparse"])
-def test_hole_mode_answers_a_zero_measurement_whatever_the_window(window):
+def test_auto_mode_answers_a_zero_measurement_whatever_the_window(window):
     rng = rng_for("zero-hole-mode", window)
     d = 16
     g = random_signal(rng, d) if window == "dense" else random_sparse_window(rng, d)
-    out = recover(measure(CyclicSignal.zeros(d), g), g, mode="hole")
-    assert out.notes == {"route": "hole", "case": "zero-signal"}
+    out = recover(measure(CyclicSignal.zeros(d), g), g)
+    assert out.notes == {"route": "auto", "case": "zero-signal"}
     assert not out.estimate.entries.any()
 
 
 def test_decide_hole_route_uses_connectivity():
-    # a box window's row 0 vanishes at l = 3, 6, 9, so the hole route decides
+    # a box window's row 0 vanishes at l = 3, 6, 9, so the known route decides off the signal's hole
     rng = rng_for("decide-hole")
     d, L = 12, 3
     g = box_window(d, L)
     f = random_signal(rng, d, support=[0, 1, 2, 3, 4, 5, 6])
     decision = decide_retrievability(measure(f, g), classify_window(g))
-    assert decision.verdict == VERDICT_RETRIEVABLE and decision.notes["route"].startswith("hole")
+    assert decision.verdict == VERDICT_RETRIEVABLE
+    assert decision.notes["route"] == "known" and decision.notes["zero_set"] == "hole-L+1"
     f2 = random_signal(rng, d, support=[0, 6])
     decision2 = decide_retrievability(measure(f2, g), classify_window(g))
-    assert decision2.verdict == VERDICT_NOT_RETRIEVABLE and decision2.notes["route"].startswith("hole")
+    assert decision2.verdict == VERDICT_NOT_RETRIEVABLE
+    assert decision2.notes["route"] == "known" and decision2.notes["zero_set"] == "hole-L+1"
 
 
 def test_decide_hole_partition_matches_recover_on_rolled_windows():
-    # decide reads band row 0 of the anchored problem, as recover does; a box
-    # window rolled off index 0 makes the unanchored ambiguity row the wrong divisor
+    # the hole is read off band row 0 of the window-anchored problem; a box
+    # window rolled off index 0 moves the unanchored row's zeros by its shift
     rng = rng_for("decide-hole-rolled")
     d, L = 64, 3
     for _ in range(40):
@@ -900,7 +955,8 @@ def test_decide_hole_partition_matches_recover_on_rolled_windows():
             f[(start + np.arange(length)) % d] = 0.0
         X = measure(CyclicSignal(d, f), g)
         outcome, decision = recover(X, g), decide_retrievability(X, classify_window(g))
-        assert decision.notes["route"] == outcome.notes["route"] and outcome.notes["route"].startswith("hole")
+        _assert_zero_set(outcome, "hole-L+1")
+        assert decision.notes["route"] == "known" and decision.notes["zero_set"] == "hole-L+1"
         assert decision.partition == outcome.components
 
 
@@ -979,7 +1035,7 @@ def test_compare_up_to_phase_rejects_zero_reference():
 
 
 def test_route_table_order():
-    assert [route.name for route in ROUTES] == ["known", "hole", "dcpair"]
+    assert [route.name for route in ROUTES] == ["known", "dcpair"]
 
 
 def test_auto_routing_reaches_each_solver():
@@ -992,10 +1048,10 @@ def test_auto_routing_reaches_each_solver():
     # generic short
     g = random_short_window(rng, d, 3)
     assert recover(measure(f, g), g).notes["route"] == "generic"
-    # hole on a short window whose row 0 vanishes
+    # a short window whose row 0 vanishes, completed off the signal's hole
     g = box_window(12, 3)
     f12 = random_signal(rng, 12, support=list(range(7)))
-    assert recover(measure(f12, g), g).notes["route"].startswith("hole")
+    _assert_zero_set(recover(measure(f12, g), g), "hole-L+1")
     # partial rows: a forced ambiguity zero, the punctured center
     g = forced_zero_window(rng, 12, 4)
     assert recover(measure(f12, g), g).notes["route"] == "known"
