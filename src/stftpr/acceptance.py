@@ -262,14 +262,39 @@ def forced_zero_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal
             return g
 
 
+def row0_zero_window(rng: np.random.Generator, d: int, L: int) -> CyclicSignal:
+    """Window nonzero on all of 0..L (2 <= L, 2L+1 < d) whose ambiguity row 0 vanishes at a random l.
+
+    Row 0 is the transform of |g|², so the weights w_j = |g_j|² are drawn
+    with sum_j w_j ω^(jl) = 0: w_2..w_L at random, w_0 and w_1 solved.
+    The row is partial, and only a zero set of the signal completes it.
+    """
+    if not 2 <= L < (d - 1) / 2:
+        raise ValueError(f"need 2 <= L and 2L+1 < d, got L={L}, d={d}")
+    while True:
+        l = int(rng.integers(1, d))
+        z = np.exp(2j * np.pi * l / d)
+        if abs(z.imag) < 0.1:
+            continue
+        w = np.zeros(L + 1)
+        w[2:] = rng.uniform(0.5, 1.5, size=L - 1)
+        rest = np.dot(w[2:], z ** np.arange(2, L + 1))
+        w[1] = -rest.imag / z.imag
+        w[0] = -rest.real - w[1] * z.real
+        if (w[:2] > 0.1).all():
+            v = np.zeros(d, dtype=np.complex128)
+            v[: L + 1] = np.sqrt(w) * np.exp(2j * np.pi * rng.uniform(size=L + 1))
+            return CyclicSignal(d, v)
+
+
 def criterion_7_hole(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Non-generic short windows recover signals with length-(L+1) or exact-L holes, and the zero-set
-    reader finds each hole from the measurement."""
+    """Short windows with a partial row 0 recover signals with length-(L+1) or exact-L holes: the
+    zero-set reader finds each hole from the measurement, and row 0 is completed off it."""
     d, L = 12, 4
     worst = 0.0
     for trial in range(100):
         rng = _rng(seed, 7, trial)
-        g = forced_zero_window(rng, d, L)  # starts at index 0, so its band rows are anchored
+        g = row0_zero_window(rng, d, L)  # starts at index 0, so its band rows are anchored
         j_star = int(rng.integers(0, d))
         # a length-(L+1) hole on j*..j*+L; an exact-L hole after j*, nonzero at j* and at j*+L+1
         for label, start, length in (("hole-L+1", j_star, L + 1), ("hole-L", j_star + 1, L)):
@@ -281,7 +306,7 @@ def criterion_7_hole(seed: int = DEFAULT_SEED) -> CriterionResult:
                 why = f"trial {trial}: reader missed the {label} at {start}"
                 return CriterionResult(7, "hole-based recovery", False, why)
             out = recover(X, g)
-            if out.status != STATUS_UNIQUE or out.notes["route"] != "known":
+            if out.status != STATUS_UNIQUE or (out.notes["route"], out.notes.get("zero_set")) != ("known", label):
                 return CriterionResult(7, "hole-based recovery", False, f"trial {trial} ({label}): {out.status}")
             worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
     return CriterionResult(7, "hole-based recovery", worst < 1e-7, f"max aligned error {worst:.3e} (< 1e-7)")

@@ -411,39 +411,39 @@ def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
 
 
 def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
-                 partition=None, complete=(), unsolved=(), zeros=None, zero_set=None, raw=None):
+                 partition=None, complete=(), unsolved=(), zero_set=None, raw=None, row0=None):
     """Divide every whole row, complete the planned rows, split the support under the steps, then propagate.
 
     ``partition`` is the split of the support S the plan judged when the mask
     has partial rows or the signal a zero set; otherwise S is read off the
-    divided shift-0 row and split under ``steps``.  Row 0, when planned,
-    is completed off the zero set ``zeros`` of the signal (labelled
-    ``zero_set``), and each other completed row k off S ∩ (S+k).  The
-    completion residual, divided by the window energy ‖g‖² so that it is in
-    the units of the signal's rows, reaches the verdict as
-    ``equation_residual``.  The ``unsolved`` partial rows take no part in the
-    walk, but the estimate must still reproduce them where they are known:
-    that miss, in the same units, reaches the verdict too.  ``raw`` holds the
-    relation rows a zero-set plan already transformed, every one of them to
-    be completed, so none is transformed again.
+    divided shift-0 row and split under ``steps``.  Each completed row k
+    other than 0 is completed off S ∩ (S+k).  The completion residual,
+    divided by the window energy ‖g‖² so that it is in the units of the
+    signal's rows, reaches the verdict as ``equation_residual``.  The
+    ``unsolved`` partial rows take no part in the walk, but the estimate must
+    still reproduce them where they are known: that miss, in the same units,
+    reaches the verdict too.  A zero-set plan (labelled ``zero_set``) hands
+    over the relation rows it transformed (``raw``), every one of them to be
+    completed, and row 0 already completed off the zero set with its
+    residual (``row0``), so nothing is transformed or fitted twice.
     """
-    if raw is None:
-        corr, raw = _divide_full_rows(X, g, mask, (*complete, *unsolved))
-    else:
-        corr = CorrelationData(g.d, {})
-    if partition is None:
-        partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
-    eq_residual, energy, notes = 0.0, g.norm() ** 2, {"route": route}
+    energy, notes = g.norm() ** 2, {"route": route}
     if L is not None:
         notes.update({"L": L, "window_shift": shift})
-    if zero_set is not None:
+    if raw is None:
+        corr, raw = _divide_full_rows(X, g, mask, (*complete, *unsolved))
+        eq_residual = 0.0
+    else:
+        corr, eq_residual = CorrelationData(g.d, {0: row0[0]}), row0[1] / energy
         notes["zero_set"] = zero_set
+    if partition is None:
+        partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
     if complete:
         rows, in_s = dict(corr.a), _indicator(partition.universe, g.d)
         for k in complete:
-            allowed = ~zeros if k == 0 else _meets(in_s, k)
-            rows[k], res = _complete_row(*raw[k], mask.mask[k], allowed)
-            eq_residual = max(eq_residual, res / energy)
+            if k not in rows:  # a zero-set plan's row 0 is already in
+                rows[k], res = _complete_row(*raw[k], mask.mask[k], _meets(in_s, k))
+                eq_residual = max(eq_residual, res / energy)
         corr = CorrelationData(g.d, rows)
         notes.update({"completed_rows": list(complete), "equation_residual": eq_residual})
     outcome = propagate_phases(corr, partition, tau_supp)
@@ -721,7 +721,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     The rows that cannot be completed (``unsolved``) must not split the
     support further than D_g does; when they do, the plan names them
     (PreconditionViolated).  The plan hands the solver its partition of S,
-    and with a zero set the relation rows it transformed.
+    and with a zero set the relation rows it transformed and row 0 completed.
     """
     g, d, dg, mask = report.window, report.window.d, report.dg, report.omega.mask
     rows = np.zeros(d, dtype=bool)
@@ -758,9 +758,9 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
         label, zeros = zero_set
         if not _pins(mask[0], ~zeros):
             return AnchorInvalid(f"the {label} zero set does not pin the vanished frequencies of row 0")
-        supp = support_from_magnitudes(_complete_row(*raw[0], mask[0], ~zeros)[0], tau_supp)
-        first = (0,)
-        plan.update({"zeros": zeros, "zero_set": label, "raw": raw})
+        row0 = _complete_row(*raw[0], mask[0], ~zeros)
+        supp, first = support_from_magnitudes(row0[0], tau_supp), (0,)
+        plan.update({"zero_set": label, "raw": raw, "row0": row0})
     in_s = _indicator(supp, d)
     complete = (*first, *(k for k in candidates.tolist() if k and _pins(mask[k], _meets(in_s, k))))
     partition = components_mod_d(supp, d, (*np.flatnonzero(whole).tolist(), *complete))

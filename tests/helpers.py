@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-from stftpr.acceptance import forced_zero_window, random_entries, random_short_window, random_signal
+from stftpr.acceptance import forced_zero_window, random_entries, random_short_window, random_signal, row0_zero_window
 from stftpr.spectral import CyclicSignal
 
 

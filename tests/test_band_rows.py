@@ -306,6 +306,25 @@ def test_each_public_call_transforms_a_hole_or_line_item_once(monkeypatch):
     assert recover_line_block(X, g, 7).notes["zero_set"] == "span" and len(calls) == 1
 
 
+def test_each_public_call_completes_each_row_of_a_hole_or_line_item_once(monkeypatch):
+    # the zero-set plan completes row 0 to read the support and hands it to the solver
+    fits = []
+    complete_row = recovery._complete_row
+
+    def counting(*args):
+        fits.append(args)
+        return complete_row(*args)
+
+    monkeypatch.setattr(recovery, "_complete_row", counting)
+    X, g = next(case[1:] for case in _short_route_cases() if case[0] == "hole-4")
+    out = recover(X, g)
+    assert out.notes["completed_rows"][0] == 0 and len(fits) == len(out.notes["completed_rows"])
+    fits.clear()
+    X, g = _line_item(rng_for("band-rows-line-transforms"))
+    out = recover_line_block(X, g, 7)
+    assert out.notes["completed_rows"][0] == 0 and len(fits) == len(out.notes["completed_rows"])
+
+
 class _Unread:
     """A measurement stand-in that fails any read but its dimension."""
 

@@ -10,6 +10,7 @@ from helpers import (
     random_signal,
     random_sparse_window,
     rng_for,
+    row0_zero_window,
 )
 from oracles import (
     loop_banded_equation_residual,
@@ -828,18 +829,23 @@ def test_round_trip_recovery(path, d):
             out = recover(measure(f, g), g, mode="known", L=L)
         elif path in ("hole-long", "hole-exact"):
             L = 2
-            g = forced_zero_window(rng, d, L)
             j_star = int(rng.integers(0, d))
             if path == "hole-long":
                 # signal vanishes on j*..j*+L
-                supp = [(j_star + L + 1 + off) % d for off in range(d - L - 1)]
+                supp, label = [(j_star + L + 1 + off) % d for off in range(d - L - 1)], "hole-L+1"
             else:
                 # signal nonzero at j*, vanishes on the next L indices
-                supp = [(j_star + L + 1 + off) % d for off in range(d - L)]
+                supp, label = [(j_star + L + 1 + off) % d for off in range(d - L)], "hole-L"
+            if d > 2 * L + 1:
+                # row 0 vanishes at a frequency pair: the hole the measurement shows completes it
+                g = row0_zero_window(rng, d, L)
+            else:
+                # at d = 5 no short band 0..L (2L+1 < d) holds a zero of row 0, so a forced zero
+                # off row 0 stands in, completed from the support with no zero set read
+                g, label = forced_zero_window(rng, d, L), None
             f = random_signal(rng, d, support=supp)
-            # the forced zero sits off row 0, so the support completes it and no zero set is read
             out = recover(measure(f, g), g)
-            assert out.notes["route"] == "known" and "zero_set" not in out.notes, out.notes
+            assert (out.notes["route"], out.notes.get("zero_set")) == ("known", label), out.notes
         elif path == "center":
             g = construct_punctured_center_window(d)
             f = random_signal(rng, d)
