@@ -682,8 +682,9 @@ def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
 
 
 def _zero_measurement(X: SpectrogramMeasurement) -> bool:
-    """No positive entry: any other measurement, however small against the window, carries a signal."""
-    return not X.sq_mag.any()
+    """No positive entry: any other measurement, however small against the window, carries a signal.
+    Entries are finite and nonnegative, so the peak decides."""
+    return not X.sq_mag.max() > 0.0
 
 
 def _zero_outcome(d: int) -> RecoveryOutcome:

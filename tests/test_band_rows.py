@@ -3,18 +3,23 @@
 Row k of ``stft(f, g)`` is exactly zero unless an exact nonzero of f meets one
 of ``roll(g, k)``.  Every output is compared bit for bit with
 ``oracles.dense_stft``, which transforms all d rows.  ``relation_transform``
-with ``rows`` is compared with the rows of the full table.  A counting wrapper
+with ``rows`` is compared with the rows of the full table, on both sides of its
+switch from a real product to a real FFT, and ``tracemalloc`` checks that a
+band's rows allocate no d x d block.  A counting wrapper
 on ``np.fft.fft`` checks, without timing anything, that a short window's
 ambiguity transforms only its band rows, that a generic decision builds no
 relation table, and that the short-window routes transform no more relation
 rows than they read.  A counting wrapper on the all-zero check checks that
-``recover`` and ``decide_retrievability`` each scan the measurement once, and
+``recover`` and ``decide_retrievability`` each scan the measurement once (and
+only an exact zero measurement reads as the zero signal), and
 one on ``relation_transform`` that each public call on a hole or line item
 transforms once, and that the known plan reads no measurement on a window
 with a partial row 0 and no zero-set reader.  A counting wrapper on
 ``np.linalg.lstsq`` checks that row completion fits only the frequencies
 where the window's ambiguity row vanishes, never a whole row.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +201,20 @@ def test_each_public_call_scans_for_a_zero_measurement_once(monkeypatch):
     assert decide_retrievability(X, classify_window(g)).notes["zero_set"] == "hole-L+1" and len(scans) == 1
 
 
+def test_only_an_exact_zero_measurement_is_the_zero_signal():
+    d = 16
+    g = random_signal(rng_for("band-rows-zero-signal"), d)
+    report = classify_window(g)
+    tiny = np.zeros((d, d))
+    tiny[3, 5] = 5e-324  # the smallest subnormal is still a positive entry
+    X = SpectrogramMeasurement(d, tiny)
+    assert recover(X, g).notes.get("case") != "zero-signal"
+    assert decide_retrievability(X, report).notes.get("case") != "zero-signal"
+    zero = SpectrogramMeasurement(d, np.zeros((d, d)))
+    assert recover(zero, g).notes == {"route": "auto", "case": "zero-signal"}
+    assert decide_retrievability(zero, report).notes["case"] == "zero-signal"
+
+
 @pytest.mark.parametrize("d", (2, 3, 16, 17, 511, 1024))
 def test_relation_rows_match_the_table(d):
     rng = rng_for("relation-rows", d)
@@ -226,6 +245,52 @@ def test_relation_rows_match_the_table(d):
         mc = measurement_coeffs(X, L)
         for k in range(L + 1):
             assert np.abs(mc.b[k] - np.fft.ifft(table[k])).max() <= bound
+
+
+@pytest.mark.parametrize("d", (16, 17, 1024))
+def test_relation_rows_match_the_table_at_the_edges(d, monkeypatch):
+    # m distinct folded columns min(k, d - k) come from one real product up to
+    # m = 2 * bit_length(d), and from a real FFT of every row beyond it
+    rng = rng_for("relation-rows-edges", d)
+    crossover = 2 * d.bit_length()
+    row_sets = {
+        "k and d-k": [1, d - 1, 3, d - 3, 0],
+        "row d/2 and its fold": [d // 2 - 1, d // 2, d - d // 2],
+        "duplicates": [2, d - 2, 5] * ((d + 5) // 6),  # at least d/2 entries, three rows
+        "crossover": list(range(crossover)),
+        "crossover+1": list(range(crossover + 1)),
+    }
+    measurements = (
+        SpectrogramMeasurement(d, rng.random((d, d))),
+        measure(random_signal(rng, d), random_short_window(rng, d, 3)),
+    )
+    rfft_rows = _count_fft_rows(monkeypatch, ("rfft",))
+    for X in measurements:
+        table = relation_transform(X).values
+        bound = 1e-15 * np.abs(table).max()
+        for name, rows in row_sets.items():
+            rfft_rows.clear()
+            got = relation_transform(X, rows)
+            assert got.shape == (len(rows), d)
+            assert np.abs(got - table[np.asarray(rows, dtype=np.intp) % d]).max(initial=0.0) <= bound, name
+            if name.startswith("crossover") and 2 * len(rows) < d:
+                assert bool(rfft_rows) == (name == "crossover+1"), name
+    assert len(row_sets["duplicates"]) * 2 >= d
+
+
+def test_relation_rows_allocate_no_table():
+    d = 1024
+    rng = rng_for("relation-rows-memory")
+    X = measure(random_signal(rng, d), random_short_window(rng, d, 3))
+    rows = [0, 1, 2, 3, d - 3, d - 2, d - 1]
+    relation_transform(X, rows)  # warm numpy's caches outside the traced call
+    tracemalloc.start()
+    try:
+        relation_transform(X, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 / 4
 
 
 def _short_route_cases():
