@@ -235,7 +235,7 @@ def criterion_6_dc(seed: int = DEFAULT_SEED) -> CriterionResult:
             rng = _rng(seed, 6, d, trial)
             supp = _mixed_supports(rng, d, trial, antipodal_slot=False)
             f = random_signal(rng, d, supp)
-            out = recover(measure(f, g), g, mode="dcpair")
+            out = recover(measure(f, g), g, mode="known")
             if out.status != STATUS_UNIQUE:
                 return CriterionResult(6, "punctured-dc window", False, f"d={d} trial {trial}: {out.status}")
             worst = max(worst, compare_up_to_phase(f, out.estimate)[1])

@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .errors import StftprError
 from .recovery import (
-    ROUTES,
+    MODES,
     STATUS_INCONSISTENT,
     STATUS_PER_COMPONENT,
     STATUS_UNDECIDABLE,
@@ -328,7 +328,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("recover", help="reconstruct a signal from a measurement")
     p.add_argument("--measurement", required=True)
     p.add_argument("--window", required=True)
-    p.add_argument("--mode", choices=("auto", *(route.name for route in ROUTES)), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--L", type=int)
     p.add_argument("--out")
     _tolerances(p)

@@ -1,33 +1,34 @@
 """Reconstruction and decision procedures on Z_d.
 
-All solvers share one pipeline: turn the squared-magnitude measurement into
-shift-autocorrelation data ``a[k][j] = f_j * conj(f_{j-k})`` for whichever
-shifts the window's ambiguity support makes available, partition the recovered
-support under the matching gap relation, then fix one phase per component and
-propagate.  Every route gets its rows by dividing by the window ambiguity
-where the mask is true.  A row whose ambiguity vanishes at a few frequencies
-is completed from a known zero set of the signal (``_complete_row``).  The
-known route reads the support S off row 0 and completes row k off
-S ∩ (S+k), where it must vanish.  Row 0 itself is divided when whole, and
-otherwise completed off a zero set of the signal: a hole read off the
-measurement for short windows filled on their band (``hole_zero_set``), or
-everything off the signal's span in line mode.  A dc row punctured at a
-conjugate pair has its own route.
+Every measurement goes through one route, the known route: turn the
+squared-magnitude measurement into shift-autocorrelation data
+``a[k][j] = f_j * conj(f_{j-k})`` for whichever shifts the window's ambiguity
+support makes available, partition the recovered support under the matching
+gap relation, then fix one phase per component and propagate.  Rows are
+divided by the window ambiguity where the mask is true.  A row whose
+ambiguity vanishes at a few frequencies is completed from a known zero set of
+the signal (``_complete_row``).  The support S is read off row 0, and row k
+is completed off S ∩ (S+k), where it must vanish.  Row 0 itself is divided
+when whole.  Otherwise it is completed off a zero set of the signal (a hole
+read off the measurement for short windows filled on their band,
+``hole_zero_set``, or everything off the signal's span in line mode), or,
+when every other row is whole and row 0 misses only a conjugate pair ±l*
+(a punctured dc row), in closed form from the energy identity
+(``_row0_from_energy``).
 
-Every route returns through one verdict, ``_verdict``: the data is
+Every outcome returns through one verdict, ``_verdict``: the data is
 Inconsistent when the estimate misses a known autocorrelation row, or the
-route's own equation (completed and unsolved rows, dc row), by more than the
+route's own equation (completed and unsolved rows), by more than the
 consistency tolerance at the data's scale.  Otherwise the support partition
 decides between one global phase and one phase per component.
 
-``ROUTES`` lists the routes in the order the auto router tries them;
-``recover``, ``decide_retrievability`` and the CLI all read that one table.
+``_plan_known`` is the one dispatch: ``recover``, ``decide_retrievability``
+and the CLI's ``--mode`` choices (``MODES``) all go through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,8 @@ STATUS_UNDECIDABLE = "Undecidable"
 VERDICT_RETRIEVABLE = "Retrievable"
 VERDICT_NOT_RETRIEVABLE = "NotRetrievable"
 VERDICT_UNDECIDABLE = "Undecidable"
+
+MODES = ("auto", "known")
 
 
 def is_inconsistent(residual: float, scale: float) -> bool:
@@ -199,28 +202,9 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _stacked_rows(corr: CorrelationData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Known shifts ascending, their rows as one array, and lag[i, j] = (j - k_i) mod d."""
-    shifts = np.array(corr.known_shifts, dtype=np.intp)
-    rows = np.array([corr.a[k] for k in corr.known_shifts], dtype=np.complex128).reshape(shifts.size, corr.d)
-    lag = (np.arange(corr.d) - shifts[:, None]) % corr.d
-    return shifts, rows, lag
-
-
-def _row_residual(stacked: tuple[np.ndarray, np.ndarray, np.ndarray], est: np.ndarray) -> float:
-    """Largest |a[k][j] - est_j conj(est_{j-k})| over stacked rows; NaN anywhere makes it NaN."""
-    _, rows, lag = stacked
-    return float(np.abs(rows - est * np.conj(est[lag])).max(initial=0.0))
-
-
 def _peak(row0: np.ndarray) -> float:
-    """Largest squared magnitude on the shift-0 row: the data scale of every route but the dc pair."""
+    """Largest squared magnitude on the shift-0 row: the data scale of every verdict."""
     return float(np.clip(row0.real, 0.0, None).max())
-
-
-def _one_component(relation: str, supp: tuple[int, ...]) -> ConnectivityPartition:
-    """The whole support as one component, or none when it is empty: the dc-pair partitions."""
-    return ConnectivityPartition(relation, (supp,) if supp else (), supp)
 
 
 def _verdict(
@@ -234,7 +218,7 @@ def _verdict(
     """The status every route returns: Inconsistent, else unique per the partition.
 
     The residual is the larger of the row residual and the route's own equation
-    (partial rows, hole band rows, line rows or dc row), NaN when either is.  The
+    (completed and unsolved rows), NaN when either is.  The
     data is Inconsistent when that residual exceeds the consistency tolerance
     at ``scale``; otherwise one component means one global phase.
     """
@@ -264,7 +248,7 @@ def propagate_phases(
 
     That visit order is the contract.  When the known nonzero shifts fold
     (k -> min(k, d-k)) to exactly {1..L} and rows 1..L are known, as on every
-    band, full, center and dc-triangle walk, the walk only ever follows steps
+    band, full, center and dc walk, the walk only ever follows steps
     ±1..±L through rows 1..L: its tree is then built in closed form
     (``_band_tree``), and only the phases go level by level.  Other step sets
     walk the frontier.
@@ -273,16 +257,18 @@ def propagate_phases(
         raise StftprError("shift-0 autocorrelation row is required")
     d = corr.d
     mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
-    stacked = _stacked_rows(corr)
-    shifts, rows, _ = stacked
+    shifts = np.array(corr.known_shifts, dtype=np.intp)
+    rows = np.array([corr.a[k] for k in corr.known_shifts], dtype=np.complex128).reshape(shifts.size, d)
     L = int(np.minimum(shifts, d - shifts).max())  # shifts[0] is 0
     if np.array_equal(shifts[1 : L + 1], np.arange(1, L + 1)):
         phases, reached = _band_walk(rows, d, L, partition)
     else:
         phases, reached = _frontier_walk(shifts, rows, d, partition)
     est = np.where(reached, mags * np.exp(1j * phases), 0.0)
-    notes = {"tau_supp": tau_supp}
-    return _verdict(CyclicSignal(d, est), partition, notes, _peak(corr.a[0]), _row_residual(stacked, est))
+    # largest |a[k][j] - est_j conj(est_{j-k})| over the known rows; NaN anywhere makes it NaN
+    lag = (np.arange(d) - shifts[:, None]) % d
+    row_residual = float(np.abs(rows - est * np.conj(est[lag])).max(initial=0.0))
+    return _verdict(CyclicSignal(d, est), partition, {"tau_supp": tau_supp}, _peak(corr.a[0]), row_residual)
 
 
 def _frontier_walk(
@@ -411,7 +397,7 @@ def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
 
 
 def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
-                 partition=None, complete=(), unsolved=(), zero_set=None, raw=None, row0=None):
+                 partition=None, complete=(), unsolved=(), zero_set=None, raw=None, row0=None, divided=None):
     """Divide every whole row, complete the planned rows, split the support under the steps, then propagate.
 
     ``partition`` is the split of the support S the plan judged when the mask
@@ -422,20 +408,22 @@ def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=Non
     signal's rows, reaches the verdict as ``equation_residual``.  The
     ``unsolved`` partial rows take no part in the walk, but the estimate must
     still reproduce them where they are known: that miss, in the same units,
-    reaches the verdict too.  A zero-set plan (labelled ``zero_set``) hands
-    over the relation rows it transformed (``raw``), every one of them to be
-    completed, and row 0 already completed off the zero set with its
-    residual (``row0``), so nothing is transformed or fitted twice.
+    reaches the verdict too.  A plan that completed row 0 hands it over with
+    its residual (``row0``): a zero-set plan (labelled ``zero_set``) with the
+    relation rows it transformed (``raw``), every one of them to be
+    completed, and a dc plan with the rows it divided (``divided``).
+    Nothing is transformed or fitted twice.
     """
     energy, notes = g.norm() ** 2, {"route": route}
     if L is not None:
         notes.update({"L": L, "window_shift": shift})
-    if raw is None:
+    if row0 is None:
         corr, raw = _divide_full_rows(X, g, mask, (*complete, *unsolved))
         eq_residual = 0.0
     else:
-        corr, eq_residual = CorrelationData(g.d, {0: row0[0]}), row0[1] / energy
-        notes["zero_set"] = zero_set
+        corr, eq_residual = CorrelationData(g.d, {**(divided or {}), 0: row0[0]}), row0[1] / energy
+        if zero_set is not None:
+            notes["zero_set"] = zero_set
     if partition is None:
         partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
     if complete:
@@ -561,115 +549,36 @@ def _pins(divides: np.ndarray, allowed: np.ndarray) -> bool:
     return enough and np.linalg.matrix_rank(_fit_basis(missing, zero, divides.size)) == missing.size
 
 
-def recover_missing_dc_pair(
-    corr: CorrelationData,
-    dc_row: np.ndarray,
-    lstar_value: int,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-) -> RecoveryOutcome:
-    """Recovery when all nonzero shift rows are known but the dc row misses the
-    conjugate frequency pair +-l*.
+def _row0_from_energy(
+    others: np.ndarray, R_0: np.ndarray, V_0: np.ndarray, divides: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Row 0 a_0 = |f|² from its relation row R_0 = fft(a_0) * conj(V_0) and every other row a_k (``others``).
 
-    Magnitudes are rebuilt from off-diagonal products (triangle identity through
-    two other support members); supports of size <= 2 fall back to locating a
-    single spike from the dc phase ramp, or to the quadratic determined by total
-    energy and the known cross product.  Output is verified against every known
-    row and the trusted part of the dc row, at the scale of the total energy.
+    Summed over k ≠ 0, |a_k[j]|² = a_0[j] a_0[j-k] gives s_j = a_0[j] (E - a_0[j]),
+    where E = Σ a_0 is row 0 at frequency 0, which ``divides`` must hold.  So
+    a_0[j] is a root of t² - E t + s_j: the small root, except at most one
+    index (a_0[j] > E/2) that takes the other.  That index, or none, is the
+    candidate whose transform misses the divided frequencies least; every
+    candidate's miss comes from one inverse transform of the small roots' miss
+    r, as ‖r‖² + n c_j² + 2 c_j Re(d ifft(r)[j]), with c_j the gap between the
+    roots and n the divided frequencies.  All of it is worked in units of E,
+    so no square leaves the range of floats.  The residual is
+    ``_complete_row``'s: max|ifft(fft(a_0) * conj(V_0) - R_0)|.
     """
-    d = corr.d
-    ls = int(lstar_value) % d
-    violation = _dc_pair_violation(d, ls)
-    if violation is not None:
-        raise violation
-    missing = {ls, (d - ls) % d}
-    if 0 in corr.known_shifts:
-        raise StftprError("dc-pair route expects the shift-0 row to be absent")
-    dc_row = np.asarray(dc_row, dtype=np.complex128)
-    trusted = np.array([l not in missing for l in range(d)])
-
-    energy = float(dc_row[0].real)
-    offdiag = np.zeros(d, dtype=np.float64)
-    for k in corr.known_shifts:
-        offdiag = np.maximum(offdiag, np.abs(corr.a[k]))
-    smax = float(offdiag.max())
-    notes: dict = {"route": "dcpair", "lstar": ls, "tau_supp": tau_supp}
-
-    tiny = max(energy, smax, 1.0) * 1e-14
-    if smax <= max(tau_supp * energy, tiny):
-        # at most one nonzero entry
-        est = np.zeros(d, dtype=np.complex128)
-        supp: tuple[int, ...] = ()
-        if energy > tiny:
-            ratio = dc_row[1] / energy
-            j = int(round(-np.angle(ratio) * d / (2.0 * math.pi))) % d
-            est[j] = math.sqrt(energy)
-            supp = (j,)
-        partition = _one_component("all-nonzero-shifts", supp)
-        notes["case"] = "spike"
-        residuals = _row_residual(_stacked_rows(corr), est), _dc_residual(est, dc_row, trusted)
-        return _verdict(CyclicSignal(d, est), partition, notes, energy, *residuals)
-
-    supp = tuple(int(j) for j in np.nonzero(offdiag > tau_supp * smax)[0])
-
-    if len(supp) == 2:
-        p, q = supp
-        v = corr.a[(q - p) % d][q]  # f_q * conj(f_p)
-        disc = max(energy * energy - 4.0 * abs(v) ** 2, 0.0)
-        root = math.sqrt(disc)
-        candidates = []
-        for x in ((energy + root) / 2.0, (energy - root) / 2.0):
-            y = energy - x
-            if x <= 0.0 or y <= 0.0:
-                continue
-            est = np.zeros(d, dtype=np.complex128)
-            est[p] = math.sqrt(x)
-            est[q] = v / est[p]
-            # rescale q to the quadratic magnitude, keeping the relative phase exact
-            if abs(est[q]) > 0:
-                est[q] *= math.sqrt(y) / abs(est[q])
-            candidates.append(est)
-        if not candidates:
-            raise PreconditionViolated("energy split infeasible for a two-point support")
-        stacked = _stacked_rows(corr)
-        scored = [(_row_residual(stacked, e), _dc_residual(e, dc_row, trusted)) for e in candidates]
-        best = min(range(len(candidates)), key=lambda i: max(scored[i]))
-        partition = _one_component("all-nonzero-shifts", supp)
-        notes["case"] = "two-point"
-        return _verdict(CyclicSignal(d, candidates[best]), partition, notes, energy, *scored[best])
-
-    # three or more support members: triangle identity for each squared magnitude
-    a0 = np.zeros(d, dtype=np.float64)
-    for j in supp:
-        others = [m for m in supp if m != j][:2]
-        aj, bj = others[0], others[1]
-        num = abs(corr.a[(j - aj) % d][j]) * abs(corr.a[(j - bj) % d][j])
-        den = abs(corr.a[(bj - aj) % d][bj])
-        a0[j] = num / den
-    rows = dict(corr.a)
-    rows[0] = a0.astype(np.complex128)
-    full = CorrelationData(d, rows)
-    supp = support_from_magnitudes(full.a[0], tau_supp)
-    partition = _one_component("all-nonzero-shifts", supp)
-    outcome = propagate_phases(full, partition, tau_supp)
-    notes.update(outcome.notes)
-    notes["case"] = "triangle"
-    dc_residual = _dc_residual(outcome.estimate.entries, dc_row, trusted)
-    return _verdict(outcome.estimate, partition, notes, energy, outcome.residual, dc_residual)
-
-
-def _dc_residual(est: np.ndarray, dc_row: np.ndarray, trusted: np.ndarray) -> float:
-    predicted = np.fft.fft(np.abs(est) ** 2)
-    return float(np.abs(predicted[trusted] - dc_row[trusted]).max())
-
-
-def _solve_dcpair(X, g, mask: OmegaMask, lstar: int, tau_rel, tau_supp) -> RecoveryOutcome:
-    """Every full row divided, and the dc row divided where its mask is true and zero elsewhere."""
-    corr, raw = _divide_full_rows(X, g, mask, (0,))
-    R_0, V_0 = raw[0]
-    keep = mask.mask[0]
-    dc_row = np.zeros(X.d, dtype=np.complex128)
-    dc_row[keep] = R_0[keep] / np.conj(V_0[keep])
-    return recover_missing_dc_pair(corr, dc_row, lstar, tau_supp)
+    d = R_0.size
+    A = np.zeros(d, dtype=np.complex128)
+    A[divides] = R_0[divides] / np.conj(V_0[divides])
+    E = A[0].real
+    u = (np.abs(others / E) ** 2).sum(axis=0)  # s_j / E²
+    gap = np.sqrt(np.clip(1.0 - 4.0 * u, 0.0, None))  # the large root less the small one
+    a0 = 2.0 * u / (1.0 + gap)  # the small root, without cancellation
+    r = np.where(divides, np.fft.fft(a0) - A / E, 0.0)
+    miss = np.count_nonzero(divides) * gap**2 + 2.0 * gap * (d * np.fft.ifft(r)).real  # less ‖r‖²
+    j = int(np.argmin(miss))
+    if miss[j] < 0.0:
+        a0[j] += gap[j]
+    a0 *= E
+    return a0, float(np.abs(np.fft.ifft(np.fft.fft(a0) * np.conj(V_0) - R_0)).max())
 
 
 def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
@@ -699,7 +608,7 @@ def _filled_band(report: WindowReport) -> int | None:
 
 def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     """The rows with a true entry are exactly those of the window's difference set D_g, and row 0
-    is whole or a zero set of the signal pins it.
+    is whole, pinned by a zero set of the signal, or punctured at a dc pair ±l* with every other row whole.
 
     When every D_g row is whole and no zero set is declared, the mask is
     D_g x Z_d and the plan does not read X.  Its notes keep the two classic
@@ -713,16 +622,21 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     row 0 needs a zero set Z of the signal that pins its own: on a short
     window nonzero on all of its band 0..L with 2L+1 < d, the first hole
     the measurement shows (``hole_zero_set``; AnchorInvalid when there is
-    none).  Any other window with a partial row 0, such as a punctured-dc
-    window, whose band is all of Z_d, is rejected before X is read.  The
-    caller may declare Z instead (``zero_set``, a label and a mask of Z; line
+    none).  When every other row is whole and row 0 misses only a conjugate
+    pair ±l* (a punctured-dc window), the whole rows are divided once and
+    row 0 is completed from them in closed form (``_row0_from_energy``);
+    every shift is then a step.  A (d, l*) outside the dc-pair theorem
+    (``_dc_pair_violation``) is PreconditionViolated, and any other window
+    with a partial row 0 is rejected, both before X is read.  The caller
+    may declare Z instead (``zero_set``, a label and a mask of Z; line
     mode declares everything off the signal's span).  With a zero set, row 0
     is completed off Z even when whole, and every row 0 < k <= d/2 of D_g
     off S ∩ (S+k); row d-k holds the same data, a_{d-k}[j] = conj(a_k[j+k]).
     The rows that cannot be completed (``unsolved``) must not split the
     support further than D_g does; when they do, the plan names them
     (PreconditionViolated).  The plan hands the solver its partition of S,
-    and with a zero set the relation rows it transformed and row 0 completed.
+    and row 0 completed when it completed it, with the relation rows it
+    transformed (a zero set) or the rows it divided (a dc pair).
     """
     g, d, dg, mask = report.window, report.window.d, report.dg, report.omega.mask
     rows = np.zeros(d, dtype=bool)
@@ -731,9 +645,16 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     if (mask.any(axis=1) != rows).any() or (L is not None and not whole[rows].all()):
         error = WindowClassError if L is None else NonGenericWindow
         return error("window mask has a true entry off the rows of D_g, or (with an L) a partial row")
-    # a band covering all of Z_d (the punctured-dc windows) is left to the dc-pair route
-    band = _filled_band(report) if zero_set is None and not whole[0] and not dg.covers_all else None
-    if zero_set is None and not whole[0] and band is None:
+    partial0 = zero_set is None and not whole[0]
+    dc = partial0 and whole[1:].all()  # every other row whole: row 0 from the energy identity
+    band = _filled_band(report) if partial0 and not dg.covers_all else None
+    if dc:
+        ls = np.flatnonzero(~mask[0])
+        if ls.size != 2 or ls[0] == 0 or ls[1] != d - ls[0]:
+            return WindowClassError("row 0 is not punctured at exactly a conjugate pair ±l*, and no zero set of the signal is known")
+        if (why := _dc_pair_violation(d, int(ls[0]))) is not None:
+            return why
+    elif partial0 and band is None:
         return WindowClassError("row 0 has a hole, and no zero set of the signal is known for this window")
     if zero_set is None and whole[rows].all():
         if L is None and dg.covers_all:
@@ -747,6 +668,11 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     plan = {"mask": report.omega, "route": "known"}
     if whole[0] and zero_set is None:
         supp, first, candidates = _row0_support(X, g, tau_supp), (), np.flatnonzero(rows & ~whole)
+    elif dc:
+        corr, raw = _divide_full_rows(X, g, report.omega, (0,))
+        row0 = _row0_from_energy(np.stack(list(corr.a.values())), *raw[0], mask[0])
+        supp, first, candidates = support_from_magnitudes(row0[0], tau_supp), (0,), np.flatnonzero(~whole)
+        plan.update({"divided": corr.a, "row0": row0})
     else:
         candidates = np.flatnonzero(rows[: d // 2 + 1])
         raw = dict(zip(candidates.tolist(), zip(*_relation_rows(X, g, candidates))))
@@ -772,14 +698,6 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     return {**plan, "partition": partition, "complete": complete, "unsolved": stuck}
 
 
-def _plan_dcpair(X, report: WindowReport, L, tau_rel, tau_supp):
-    d, mask = report.window.d, report.omega.mask
-    ls = np.flatnonzero(~mask[0])
-    if np.count_nonzero(~mask) != 2 or ls.size != 2 or ls[0] == 0 or ls[1] != d - ls[0]:
-        return WindowClassError("window mask is not punctured on a dc-row conjugate pair")
-    return _dc_pair_violation(d, int(ls[0])) or {"mask": report.omega, "lstar": int(ls[0])}
-
-
 def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -> tuple[int, ...]:
     """Support read off the divided shift-0 row, which the known route's masks keep whole."""
     # relation row 0 transforms the row sums of X, ambiguity row 0 transforms |g|^2
@@ -788,63 +706,9 @@ def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -
     return support_from_magnitudes(a0, tau_supp)
 
 
-def _known_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    """The plan's own partition when the mask has partial rows, else the support split under D_g."""
-    if "partition" in plan:
-        return plan["partition"]
-    return components_mod_d(_row0_support(X, g, tau_supp), X.d, plan["steps"])
-
-
-def _dcpair_components(X, g, plan, tau_rel, tau_supp) -> ConnectivityPartition:
-    """The dc-pair solver's own partition: its support comes from the off-diagonal rows."""
-    return _solve_dcpair(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp).components
-
-
-@dataclass(frozen=True)
-class Route:
-    """One uniqueness condition: window-class plan, solver, and judged partition.
-
-    ``plan(X, report, L, tau_rel, tau_supp)`` returns the solver's keyword
-    arguments, or the exception saying why the route does not apply: an
-    explicit mode raises it, the auto router and the decision try the next
-    route.  A plan reads X only where its window class needs the signal: the
-    known route's support when it completes rows, and the signal's hole when
-    a short window's row 0 is partial.  A plan never scans X for an all-zero measurement: each public
-    call does that once, before any plan runs.  ``solver`` is a
-    module-global name looked up at each call, so a wrapper installed on this
-    module (a tracer, a profiler) sees the solver run.  ``partition`` is the support split the condition
-    judges: connected means retrievable.
-    """
-
-    name: str
-    plan: Callable
-    solver: str
-    partition: Callable
-
-
-ROUTES = (
-    Route("known", _plan_known, "_solve_known", _known_components),
-    Route("dcpair", _plan_dcpair, "_solve_dcpair", _dcpair_components),
-)
-
-
-def _first_route(X, report: WindowReport, tau_rel: float, tau_supp: float):
-    """The first route whose plan applies and its plan (or None, None), and every rejection before it."""
-    rejected: dict[str, StftprError] = {}
-    for route in ROUTES:
-        plan = route.plan(X, report, None, tau_rel, tau_supp)
-        if not isinstance(plan, StftprError):
-            return route, plan, rejected
-        rejected[route.name] = plan
-    return None, None, rejected
-
-
-def _open_case(rejected: dict[str, StftprError]) -> dict | None:
-    """Notes naming a route whose window class fits but whose theorem's hypotheses fail."""
-    for name, why in rejected.items():
-        if isinstance(why, PreconditionViolated):
-            return {"route": name, "reason": str(why)}
-    return None
+def _open_case(why: StftprError, fallback: dict) -> dict:
+    """Notes naming the known route when the window fits its class but not its theorem's hypotheses."""
+    return {"route": "known", "reason": str(why)} if isinstance(why, PreconditionViolated) else fallback
 
 
 def recover(
@@ -855,42 +719,37 @@ def recover(
     tau_rel: float = DEFAULT_TAU_REL,
     tau_supp: float = DEFAULT_TAU_SUPP,
 ) -> RecoveryOutcome:
-    """Route a measurement to the solver matching the window's certified class.
+    """Plan the known route for the window's certified class, then solve it.
 
-    ``mode`` is ``auto`` or the name of one entry of ``ROUTES``.  A named route
-    runs alone and raises its plan's exception when it does not apply.
-    ``auto`` answers an all-zero measurement first, then runs the first route,
-    in ``ROUTES`` order, whose plan applies: ``known``, a mask whose nonempty
-    rows are the window's difference set and whose row 0 is whole (hole-free,
-    a generic short band, any other difference set, or partial rows completed
-    from the signal's support, as for a punctured center) or completed off a
-    signal hole of length L+1 then L (short windows nonzero on all of 0..L,
-    noted as ``zero_set``); ``dcpair``, a dc row punctured at a conjugate
-    pair.  When none applies the
-    outcome is Undecidable with no estimate.  Its notes name the route and
-    give the reason when the window fits a route's class but not its theorem,
-    as for partial rows that cannot be completed and leave the support split,
-    or a dc pair whose l* shares a factor with d.
+    ``mode`` is one of ``MODES``.  ``auto`` answers an all-zero measurement
+    first, then runs the known route when its plan applies: a mask whose
+    nonempty rows are the window's difference set, with row 0 whole
+    (hole-free, a generic short band, any other difference set, or partial
+    rows completed from the signal's support, as for a punctured center),
+    completed off a signal hole of length L+1 then L (short windows nonzero
+    on all of 0..L, noted as ``zero_set``), or punctured at a conjugate pair
+    ±l* with every other row whole (a punctured dc row, completed from the
+    energy identity).  When it does not apply the outcome is Undecidable with
+    no estimate; the notes name the route and give the reason when the window
+    fits its class but not its theorem, as for partial rows that cannot be
+    completed and leave the support split, or a dc pair whose l* shares a
+    factor with d.  ``known`` runs the plan with ``L`` (the band it must be)
+    and raises its exception when it does not apply.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")
-    route = next((r for r in ROUTES if r.name == mode), None)
-    if route is None and mode != "auto":
+    if mode not in MODES:
         raise StftprError(f"unknown recovery mode: {mode}")
     report = classify_window(g, tau_rel)
     if mode == "auto" and _zero_measurement(X):
         return _zero_outcome(X.d)
-    if route is not None:
-        plan = route.plan(X, report, L, tau_rel, tau_supp)
-        if isinstance(plan, StftprError):
+    plan = _plan_known(X, report, L if mode == "known" else None, tau_rel, tau_supp)
+    if isinstance(plan, StftprError):
+        if mode == "known":
             raise plan
-    else:
-        route, plan, rejected = _first_route(X, report, tau_rel, tau_supp)
-        if route is None:
-            notes = _open_case(rejected) or {"route": "auto", "reason": "window class matches no implemented solver"}
-            partition = ConnectivityPartition("unknown", (), ())
-            return RecoveryOutcome(STATUS_UNDECIDABLE, None, partition, 0, float("nan"), notes)
-    return globals()[route.solver](X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
+        notes = _open_case(plan, {"route": "auto", "reason": "window class matches no implemented solver"})
+        return RecoveryOutcome(STATUS_UNDECIDABLE, None, ConnectivityPartition("unknown", (), ()), 0, float("nan"), notes)
+    return _solve_known(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
 
 
 def _comb_witnesses(X: SpectrogramMeasurement, g: CyclicSignal, L: int) -> tuple[CyclicSignal, ...]:
@@ -928,12 +787,13 @@ def decide_retrievability(
     """Decide, from the measurement alone, whether the underlying signal is
     determined up to one global phase by this window.
 
-    An all-zero measurement is Retrievable.  Otherwise the first route in
-    ``ROUTES`` order whose plan applies judges its support partition: connected
-    is Retrievable, anything else NotRetrievable.  A short window nonzero on
-    all of its band, whose row 0 is partial and whose signal shows no hole to
-    pin it, is NotRetrievable when comb translates reproduce the measurement.  Outside every implemented uniqueness
-    condition the honest answer is Undecidable.
+    An all-zero measurement is Retrievable.  Otherwise, when the known
+    route's plan applies, its support partition decides: connected is
+    Retrievable, anything else NotRetrievable.  A short window nonzero on all
+    of its band, whose row 0 is partial and whose signal shows no hole to pin
+    it, is NotRetrievable when comb translates reproduce the measurement.
+    Outside every implemented uniqueness condition the honest answer is
+    Undecidable.
     """
     g, d = report.window, X.d
     notes: dict = {"tau_rel": tau_rel, "tau_supp": tau_supp}
@@ -941,25 +801,25 @@ def decide_retrievability(
         notes["case"] = "zero-signal"
         return DecisionReport(VERDICT_RETRIEVABLE, ConnectivityPartition("empty", (), ()), notes)
 
-    route, plan, rejected = _first_route(X, report, tau_rel, tau_supp)
-    # the known plan rejects a partial row 0 no zero set pins with AnchorInvalid, only on filled bands
-    L = _filled_band(report) if isinstance(rejected.get("known"), AnchorInvalid) else None
+    plan = _plan_known(X, report, None, tau_rel, tau_supp)
+    # the plan rejects a partial row 0 no zero set pins with AnchorInvalid, only on filled bands
+    L = _filled_band(report) if isinstance(plan, AnchorInvalid) else None
     if L is not None:
-        if route is None:
-            witnesses = _comb_witnesses(X, g, L)
-            if witnesses:
-                partition = components_mod_d(witnesses[0].support(), d, L)
-                notes.update({"route": "comb-family", "L": L, "translates": len(witnesses)})
-                return DecisionReport(VERDICT_NOT_RETRIEVABLE, partition, notes, witnesses)
+        witnesses = _comb_witnesses(X, g, L)
+        if witnesses:
+            partition = components_mod_d(witnesses[0].support(), d, L)
+            notes.update({"route": "comb-family", "L": L, "translates": len(witnesses)})
+            return DecisionReport(VERDICT_NOT_RETRIEVABLE, partition, notes, witnesses)
         notes.update({"L": L, "zero_set": "no signal hole detected"})
         if d % (L + 1) == 0:
             notes["open_gap"] = "band width + 1 divides d; only hole-based uniqueness is implemented"
 
-    if route is None:
-        notes.update(_open_case(rejected) or {"route": "none", "reason": "window class matches no implemented uniqueness condition"})
+    if isinstance(plan, StftprError):
+        notes.update(_open_case(plan, {"route": "none", "reason": "window class matches no implemented uniqueness condition"}))
         return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
-    partition = route.partition(X, g, plan, tau_rel, tau_supp)
-    notes["route"] = plan.get("route", route.name)
+    # the plan's own partition when it read the support, else the support split under D_g
+    partition = plan["partition"] if "partition" in plan else components_mod_d(_row0_support(X, g, tau_supp), d, plan["steps"])
+    notes["route"] = plan["route"]
     notes.update({k: plan[k] for k in ("L", "zero_set") if k in plan})
     verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE
     return DecisionReport(verdict, partition, notes)

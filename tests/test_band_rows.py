@@ -46,7 +46,7 @@ from stftpr.spectral import (
     stft,
     stft_rows,
 )
-from stftpr.errors import WindowClassError
+from stftpr.errors import PreconditionViolated
 from stftpr.windows import (
     DEFAULT_TAU_REL,
     classify_window,
@@ -128,8 +128,8 @@ def test_non_finite_entries_meet_every_row():
 
 def test_row0_support_matches_the_dense_tables():
     # the known and center routes read row 0, which their masks keep
-    # whole; the dc-pair and box windows' row 0 vanishes somewhere, and their
-    # routes read the support from other rows or from a solved band row
+    # whole; the dc and box windows' row 0 vanishes somewhere, and the known
+    # route completes it, from the energy identity or off a signal hole
     cases, skipped = [], set()
     for case in golden_cases():
         if omega_mask(case[2]).mask[0].all():
@@ -371,6 +371,29 @@ def test_each_public_call_transforms_a_hole_or_line_item_once(monkeypatch):
     assert recover_line_block(X, g, 7).notes["zero_set"] == "span" and len(calls) == 1
 
 
+def test_each_public_call_transforms_a_dc_item_once_and_decides_without_a_walk(monkeypatch):
+    # the plan divides the whole rows once, completes row 0 from them and hands both to the solver
+    calls = {"relation_transform": 0, "propagate_phases": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(recovery, name, counting(name, getattr(recovery, name)))
+    g = construct_punctured_dc_window(15, seed=1)
+    X = measure(random_signal(rng_for("band-rows-dc-calls"), 15), g)
+    decision = decide_retrievability(X, classify_window(g))
+    assert decision.notes["route"] == "known" and decision.partition.components == (tuple(range(15)),)
+    assert calls == {"relation_transform": 1, "propagate_phases": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert recover(X, g).notes["completed_rows"] == [0]
+    assert calls == {"relation_transform": 1, "propagate_phases": 1}
+
+
 def test_each_public_call_completes_each_row_of_a_hole_or_line_item_once(monkeypatch):
     # the zero-set plan completes row 0 to read the support and hands it to the solver
     fits = []
@@ -401,17 +424,19 @@ class _Unread:
 
 
 def test_known_plan_reads_no_measurement_without_a_zero_set_source(monkeypatch):
-    # a punctured-dc window's row 0 is partial, and its band is all of Z_d: no
-    # zero-set reader, so the plan rejects it unread.  A punctured center keeps
-    # row 0 whole: the plan reads the support off it, but no relation row and no hole.
+    # a punctured-dc window whose l* shares a factor with d fits no theorem, and
+    # its band is all of Z_d: no zero-set reader, so the plan rejects it unread.
+    # A punctured center keeps row 0 whole: the plan reads the support off it,
+    # but no relation row and no hole.
     read = []
     monkeypatch.setattr(recovery, "relation_transform", lambda *a, **k: read.append("relation_transform"))
     monkeypatch.setattr(recovery, "hole_zero_set", lambda *a, **k: read.append("hole_zero_set"))
-    for d in (15, 31):
+    for d, ls in ((9, 3), (10, 4)):
+        monkeypatch.setattr("stftpr.windows.lstar", lambda d: ls)
         report = classify_window(construct_punctured_dc_window(d, seed=1))
         assert not report.omega.mask[0].all()
         plan = recovery._plan_known(_Unread(d), report, None, DEFAULT_TAU_REL, DEFAULT_TAU_SUPP)
-        assert isinstance(plan, WindowClassError), plan
+        assert isinstance(plan, PreconditionViolated), plan
     for d in (16, 40):
         g = construct_punctured_center_window(d)
         report = classify_window(g)

@@ -11,7 +11,7 @@ import pytest
 from helpers import random_short_window, random_signal, rng_for
 from stftpr import serialize, windows
 from stftpr.cli import build_parser, main
-from stftpr.recovery import ROUTES, compare_up_to_phase
+from stftpr.recovery import compare_up_to_phase
 from stftpr.spectral import SpectrogramMeasurement, measure
 
 
@@ -170,7 +170,7 @@ def test_counterexample_delta_line_mode(workdir, capsys):
 def test_recover_mode_choices_are_the_route_table():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     mode = next(a for a in sub.choices["recover"]._actions if a.dest == "mode")
-    assert tuple(mode.choices) == ("auto", *(route.name for route in ROUTES))
+    assert tuple(mode.choices) == ("auto", "known")
 
 
 def test_non_coprime_dc_pair_recovers_undecidable(workdir, monkeypatch, capsys):
@@ -183,7 +183,9 @@ def test_non_coprime_dc_pair_recovers_undecidable(workdir, monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "Undecidable" and "l*=3" in doc["notes"]["reason"]
     assert main(["decide", "--measurement", "X.csv", "--window", "g.json"]) == 4
-    assert main(["recover", "--measurement", "X.csv", "--window", "g.json", "--mode", "dcpair"]) == 65
+    assert main(["recover", "--measurement", "X.csv", "--window", "g.json", "--mode", "known"]) == 65
+    # the dc-pair mode is gone: naming it is a usage error
+    assert main(["recover", "--measurement", "X.csv", "--window", "g.json", "--mode", "dcpair"]) == 64
 
 
 def test_cli_import_leaves_the_battery_unloaded():

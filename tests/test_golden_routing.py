@@ -38,13 +38,12 @@ from helpers import (
 )
 from stftpr import serialize
 from stftpr.cli import main
-from stftpr.recovery import ROUTES, decide_retrievability, recover
+from stftpr.recovery import MODES, decide_retrievability, recover
 from stftpr.spectral import CyclicSignal, measure
 from stftpr.windows import classify_window, construct_punctured_dc_window
 from test_golden_propagation import golden_cases
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "routing.json"
-MODES = ("auto", *(route.name for route in ROUTES))
 CLI_CASES = (
     "full-d16",
     "generic-L3-disconnected",

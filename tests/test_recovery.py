@@ -19,18 +19,19 @@ from oracles import (
     naive_autocorrelation,
     union_find_components,
 )
-from stftpr import windows
+from stftpr import serialize, windows
 from stftpr.connectivity import components_mod_d
 from stftpr.errors import (
     AnchorInvalid,
     EmptySupport,
     NonGenericWindow,
     PreconditionViolated,
+    StftprError,
     WindowClassError,
 )
 from stftpr.linemode import recover_line_block
 from stftpr.recovery import (
-    ROUTES,
+    MODES,
     STATUS_INCONSISTENT,
     STATUS_PER_COMPONENT,
     STATUS_UNDECIDABLE,
@@ -49,8 +50,8 @@ from stftpr.recovery import (
     propagate_phases,
     recover,
 )
-from stftpr.recovery import _complete_row, _divide_full_rows
-from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, measure
+from stftpr.recovery import _complete_row, _divide_full_rows, _row0_from_energy
+from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, measure, stft_rows
 from stftpr.windows import (
     classify_window,
     construct_punctured_center_window,
@@ -732,25 +733,26 @@ def test_dc_route_examples():
     for d, supp in ((7, [0, 2, 5]), (6, None), (9, [3])):
         g = construct_punctured_dc_window(d, seed=50 + d)
         f = random_signal(rng, d, support=supp)
-        out = recover(measure(f, g), g, mode="dcpair")
-        assert out.status == STATUS_UNIQUE
+        out = recover(measure(f, g), g, mode="known")
+        assert out.status == STATUS_UNIQUE and out.notes["completed_rows"] == [0]
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
 
 
-def test_non_coprime_dc_pair_is_undecidable(monkeypatch):
-    # l* = 3 shares a factor with d = 9: no dc-pair uniqueness theorem applies
-    monkeypatch.setattr(windows, "lstar", lambda d: 3)
-    g = construct_punctured_dc_window(9, seed=1)
-    assert set(omega_mask(g).false_entries()) == {(0, 3), (0, 6)}
-    X = measure(random_signal(rng_for("dc-non-coprime"), 9), g)
+@pytest.mark.parametrize("d,ls", [(9, 3), (10, 4)])
+def test_non_coprime_dc_pair_is_undecidable(monkeypatch, d, ls):
+    # l* shares a factor with d: no dc-pair uniqueness theorem applies
+    monkeypatch.setattr(windows, "lstar", lambda d: ls)
+    g = construct_punctured_dc_window(d, seed=1)
+    assert set(omega_mask(g).false_entries()) == {(0, ls), (0, d - ls)}
+    X = measure(random_signal(rng_for("dc-non-coprime", d), d), g)
     out = recover(X, g)
     assert out.status == STATUS_UNDECIDABLE and out.estimate is None
-    assert out.notes["route"] == "dcpair" and "l*=3" in out.notes["reason"]
+    assert out.notes["route"] == "known" and f"l*={ls}" in out.notes["reason"]
     decision = decide_retrievability(X, classify_window(g))
     assert decision.verdict == VERDICT_UNDECIDABLE
-    assert decision.notes["route"] == "dcpair" and "l*=3" in decision.notes["reason"]
+    assert decision.notes["route"] == "known" and f"l*={ls}" in decision.notes["reason"]
     with pytest.raises(PreconditionViolated):
-        recover(X, g, mode="dcpair")
+        recover(X, g, mode="known")
 
 
 def test_dc_pair_below_five_is_undecidable():
@@ -762,33 +764,86 @@ def test_dc_pair_below_five_is_undecidable():
     X = measure(random_signal(rng, 4), g)
     out = recover(X, g)
     assert out.status == STATUS_UNDECIDABLE and out.estimate is None
-    assert out.notes == {"route": "dcpair", "reason": "need d >= 5, got 4"}
+    assert out.notes == {"route": "known", "reason": "need d >= 5, got 4"}
     decision = decide_retrievability(X, classify_window(g))
     assert decision.verdict == VERDICT_UNDECIDABLE and decision.notes["reason"] == "need d >= 5, got 4"
     with pytest.raises(PreconditionViolated):
-        recover(X, g, mode="dcpair")
+        recover(X, g, mode="known")
+
+
+def _exact_dc_rows(f: CyclicSignal, g: CyclicSignal):
+    """Every row a_k, k != 0, of f, and row 0's relation row R_0 = fft(a_0) * conj(V_0) with V_0."""
+    d = f.d
+    a = np.array([f.entries * np.conj(np.roll(f.entries, k)) for k in range(d)])
+    rows, amb = stft_rows(g, g)
+    V_0 = amb[np.searchsorted(rows, 0)]
+    return a[1:], np.fft.fft(a[0]) * np.conj(V_0), V_0
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 31])
+def test_row0_from_energy_returns_the_true_row(d):
+    g = construct_punctured_dc_window(d, seed=1)
+    divides = omega_mask(g).mask[0]
+    rng = rng_for("row0-energy", d)
+    dominant = random_signal(rng, d).entries.copy()
+    dominant[d // 2] *= 3.0 * np.sqrt(d)  # |f_j|^2 above E/2: the large root
+    halves = np.zeros(d, dtype=complex)
+    halves[[1, d - 2]] = [2.0, -2.0j]  # two equal entries of E/2 each
+    signals = {"dominant": dominant, "halves": halves, "dense": random_signal(rng, d).entries}
+    signals.update({f"spike-{j}": CyclicSignal.delta(d, j).entries for j in range(d)})
+    for name, v in signals.items():
+        f = CyclicSignal(d, v)
+        a0, residual = _row0_from_energy(*_exact_dc_rows(f, g), divides)
+        truth = np.abs(v) ** 2
+        assert np.abs(a0 - truth).max() <= 1e-12 * truth.max(), (name, a0, truth)
+        assert residual <= 1e-12 * truth.sum() * g.norm() ** 2, (name, residual)
+
+
+@pytest.mark.parametrize("d", [21, 27, 31, 35])
+def test_punctured_dc_windows_survive_the_csv_round_trip(d):
+    # ROADMAP 4d: the CLI's 12-digit CSV round trip must not make exact dc data Inconsistent
+    g = construct_punctured_dc_window(d, 1)
+    report = classify_window(g)
+    rng = rng_for("dc-csv12", d)
+    sizes = {"dense": d, "two-point": 2, "three-point": 3, "half": d // 2}
+    for kind, size in sizes.items():
+        for trial in range(10):
+            f = random_signal(rng, d, support=sorted(rng.choice(d, size, replace=False).tolist()))
+            X = serialize.measurement_from_csv(serialize.measurement_to_csv(measure(f, g)))
+            out = recover(X, g)
+            assert out.status == STATUS_UNIQUE, (kind, trial, out.status, out.residual)
+            assert compare_up_to_phase(f, out.estimate)[1] <= 1e-7, (kind, trial)
+            assert decide_retrievability(X, report).verdict == VERDICT_RETRIEVABLE, (kind, trial)
+
+
+@pytest.mark.parametrize("p", [-150, -100, -50, 0, 50, 100, 140])
+def test_punctured_dc_verdict_ignores_the_scale_of_f(p):
+    # ROADMAP 4g: the verdict, the estimate and the partition scale with f
+    d = 31
+    g = construct_punctured_dc_window(d, 1)
+    f = random_signal(rng_for("dc-scale"), d)
+    scaled = CyclicSignal(d, f.entries * 10.0**p)
+    X = measure(scaled, g)
+    out = recover(X, g)
+    assert out.status == STATUS_UNIQUE, (p, out.residual)
+    assert compare_up_to_phase(scaled, out.estimate)[1] <= 1e-10
+    decision = decide_retrievability(X, classify_window(g))
+    assert decision.verdict == VERDICT_RETRIEVABLE
+    assert decision.partition.components == (tuple(range(d)),)
 
 
 @pytest.mark.parametrize("d", [29, 31, 35])
 def test_punctured_dc_windows_answer_spikes_and_two_point_signals(d):
     # ROADMAP 4f: the band of a punctured-dc window is all of Z_d, so its
-    # signal holes are not read as zero sets; the dc-pair route answers them
+    # signal holes are not read as zero sets; row 0 comes from the energy identity
     g = construct_punctured_dc_window(d, 1)
     rng = rng_for("dc-sparse-exact", d)
     signals = [CyclicSignal.delta(d, j) for j in range(d)]
     signals += [random_signal(rng, d, support=sorted(rng.choice(d, 2, replace=False).tolist())) for _ in range(10)]
     for f in signals:
         out = recover(measure(f, g), g)
-        assert out.notes["route"] == "dcpair" and out.status == STATUS_UNIQUE, (f.support(), out.notes)
+        assert out.notes["route"] == "known" and out.status == STATUS_UNIQUE, (f.support(), out.notes)
         assert compare_up_to_phase(f, out.estimate)[1] < 1e-9
-
-
-def test_dc_route_coprimality_guard():
-    from stftpr.recovery import recover_missing_dc_pair
-
-    corr = CorrelationData(8, {k: np.zeros(8, dtype=complex) for k in range(1, 8)})
-    with pytest.raises(PreconditionViolated):
-        recover_missing_dc_pair(corr, np.zeros(8, dtype=complex), lstar_value=2)
 
 
 # -------------------------------------------------------------- round trips
@@ -853,7 +908,7 @@ def test_round_trip_recovery(path, d):
         else:
             g = construct_punctured_dc_window(d, seed=trial + 31 * d)
             f = random_signal(rng, d)
-            out = recover(measure(f, g), g, mode="dcpair")
+            out = recover(measure(f, g), g, mode="known")
         assert out.status == STATUS_UNIQUE, (path, d, trial, out.status)
         worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
     assert worst < 1e-7, (path, d, worst)
@@ -1041,7 +1096,13 @@ def test_compare_up_to_phase_rejects_zero_reference():
 
 
 def test_route_table_order():
-    assert [route.name for route in ROUTES] == ["known", "dcpair"]
+    # one route: the dc-pair and hole modes are gone
+    assert MODES == ("auto", "known")
+    g = construct_punctured_dc_window(7, seed=1)
+    X = measure(random_signal(rng_for("modes"), 7), g)
+    for gone in ("dcpair", "hole"):
+        with pytest.raises(StftprError, match="unknown recovery mode"):
+            recover(X, g, mode=gone)
 
 
 def test_auto_routing_reaches_each_solver():
@@ -1066,7 +1127,8 @@ def test_auto_routing_reaches_each_solver():
     # punctured dc
     gd = construct_punctured_dc_window(9, seed=4)
     f9 = random_signal(rng, 9)
-    assert recover(measure(f9, gd), gd).notes["route"] == "dcpair"
+    out = recover(measure(f9, gd), gd)
+    assert (out.notes["route"], out.notes["completed_rows"]) == ("known", [0])
 
 
 def test_auto_routing_undecidable_without_uniqueness_route():
