@@ -4,8 +4,11 @@ Every measurement goes through one route, the known route: turn the
 squared-magnitude measurement into shift-autocorrelation data
 ``a[k][j] = f_j * conj(f_{j-k})`` for whichever shifts the window's ambiguity
 support makes available, partition the recovered support under the matching
-gap relation, then fix one phase per component and propagate.  Rows are
-divided by the window ambiguity where the mask is true.  A row whose
+gap relation, then fix one phase per component and propagate.  Only the
+rows k <= d/2 are transformed, divided, completed and checked: X is real, so
+row d-k is the mirror of row k, a_{d-k}[j] = conj(a_k[j+k]), and adds no
+equation.  Rows are divided by the window ambiguity where the mask is
+true, read off the window's certification (``OmegaMask.ambiguity``).  A row whose
 ambiguity vanishes at a few frequencies is completed from a known zero set of
 the signal (``_complete_row``).  The support S is read off row 0, and row k
 is completed off S ∩ (S+k), where it must vanish.  Row 0 itself is divided
@@ -43,7 +46,7 @@ from .errors import (
     StftprError,
     WindowClassError,
 )
-from .spectral import CyclicSignal, SpectrogramMeasurement, measure, relation_transform, stft_rows
+from .spectral import CyclicSignal, SpectrogramMeasurement, measure, relation_transform
 from .windows import (
     DEFAULT_TAU_REL,
     OmegaMask,
@@ -161,31 +164,32 @@ def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> MeasurementCoeffici
     return MeasurementCoefficients(X.d, L, b)
 
 
-def _relation_rows(X: SpectrogramMeasurement, g: CyclicSignal, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relation rows R[i] = fft(a_k) * conj(V_gg[k]) for k = shifts[i], rows of D_g, from one
-    transform, and the window's ambiguity rows V_gg[k], built from its own rows only."""
-    amb_rows, amb = stft_rows(g, g)  # every row of D_g is one of these
+def _relation_rows(X: SpectrogramMeasurement, mask: OmegaMask, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relation rows R[i] = fft(a_k) * conj(V_gg[k]) for k = shifts[i], rows k <= d/2 of D_g,
+    from one transform, and the ambiguity rows V_gg[k] the mask was certified from."""
+    amb_rows, amb = mask.ambiguity
     return relation_transform(X, shifts), amb[np.searchsorted(amb_rows, shifts)]
 
 
 def _divide_full_rows(
-    X: SpectrogramMeasurement, g: CyclicSignal, mask: OmegaMask, extra=()
+    X: SpectrogramMeasurement, mask: OmegaMask, extra=()
 ) -> tuple[CorrelationData, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Rows ifft(R[k] / conj(V_gg[k])) for every k whose mask row is all true, in one batch, and
-    for each k in ``extra`` the undivided relation row R[k] with the ambiguity row V_gg[k].  Each
-    row is transformed once."""
+    """Rows ifft(R[k] / conj(V_gg[k])) for every k <= d/2 whose mask row is all true, in one
+    batch, and for each k in ``extra`` (each k <= d/2) the undivided relation row R[k] with the
+    ambiguity row V_gg[k].  Each row is transformed once.  Row d-k is the mirror of row k,
+    a_{d-k}[j] = conj(a_k[j+k]), and adds no equation."""
     full = mask.mask.all(axis=1)
-    whole = np.flatnonzero(full)
+    whole = np.flatnonzero(full[: X.d // 2 + 1])
     shifts = np.concatenate((whole, np.array([k for k in extra if not full[k]], dtype=np.intp)))
-    R, V = _relation_rows(X, g, shifts)
+    R, V = _relation_rows(X, mask, shifts)
     at = {k: i for i, k in enumerate(shifts.tolist())}
-    raw = {k: (R[at[k]].copy(), V[at[k]]) for k in extra}
-    divisors = V[: whole.size]
-    vanished = np.abs(divisors).min(axis=1) <= 0.0  # guard: mask said "true" but the value is zero
+    raw = {k: (R[at[k]].copy(), V[at[k]].copy()) for k in extra}
+    # R and V are fresh arrays: conjugate and divide in place rather than allocate more blocks
+    divisors = np.conjugate(V[: whole.size], out=V[: whole.size])
+    vanished = (divisors == 0.0).any(axis=1)  # guard: mask said "true" but the value is zero
     if vanished.any():
         raise StftprError(f"internal: ambiguity row {whole[vanished][0]} vanishes under a true mask")
-    # R is a fresh array: divide in place rather than allocate another d x d block
-    table = np.fft.ifft(np.divide(R[: whole.size], np.conj(divisors), out=R[: whole.size]), axis=1)
+    table = np.fft.ifft(np.divide(R[: whole.size], divisors, out=R[: whole.size]), axis=1)
     return CorrelationData(X.d, dict(zip(whole.tolist(), table))), raw
 
 
@@ -265,9 +269,11 @@ def propagate_phases(
     else:
         phases, reached = _frontier_walk(shifts, rows, d, partition)
     est = np.where(reached, mags * np.exp(1j * phases), 0.0)
-    # largest |a[k][j] - est_j conj(est_{j-k})| over the known rows; NaN anywhere makes it NaN
-    lag = (np.arange(d) - shifts[:, None]) % d
-    row_residual = float(np.abs(rows - est * np.conj(est[lag])).max(initial=0.0))
+    # largest |a[k][j] - est_j conj(est_{j-k})| over the known rows, worked in place; NaN anywhere makes it NaN
+    miss = est[(np.arange(d) - shifts[:, None]) % d]
+    np.conjugate(miss, out=miss)
+    np.subtract(rows, np.multiply(est, miss, out=miss), out=miss)
+    row_residual = float(np.abs(miss).max(initial=0.0))
     return _verdict(CyclicSignal(d, est), partition, {"tau_supp": tau_supp}, _peak(corr.a[0]), row_residual)
 
 
@@ -418,7 +424,7 @@ def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=Non
     if L is not None:
         notes.update({"L": L, "window_shift": shift})
     if row0 is None:
-        corr, raw = _divide_full_rows(X, g, mask, (*complete, *unsolved))
+        corr, raw = _divide_full_rows(X, mask, (*complete, *unsolved))
         eq_residual = 0.0
     else:
         corr, eq_residual = CorrelationData(g.d, {**(divided or {}), 0: row0[0]}), row0[1] / energy
@@ -429,10 +435,11 @@ def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=Non
     if complete:
         rows, in_s = dict(corr.a), _indicator(partition.universe, g.d)
         for k in complete:
-            if k not in rows:  # a zero-set plan's row 0 is already in
+            if k not in rows:  # a plan's completed row 0 is already in
                 rows[k], res = _complete_row(*raw[k], mask.mask[k], _meets(in_s, k))
                 eq_residual = max(eq_residual, res / energy)
-        corr = CorrelationData(g.d, rows)
+        if len(rows) > len(corr.a):
+            corr = CorrelationData(g.d, rows)
         notes.update({"completed_rows": list(complete), "equation_residual": eq_residual})
     outcome = propagate_phases(corr, partition, tau_supp)
     notes.update(outcome.notes)
@@ -618,13 +625,15 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
 
     Otherwise (route ``known``) the support S is read off row 0, and a row k
     vanishes off S ∩ (S+k).  A whole row 0 is divided, and each partial row
-    is completed where S ∩ (S+k) pins its vanished frequencies.  A partial
+    k <= d/2 is completed where S ∩ (S+k) pins its vanished frequencies (row
+    d-k is its mirror and is neither completed nor named).  A partial
     row 0 needs a zero set Z of the signal that pins its own: on a short
     window nonzero on all of its band 0..L with 2L+1 < d, the first hole
     the measurement shows (``hole_zero_set``; AnchorInvalid when there is
     none).  When every other row is whole and row 0 misses only a conjugate
-    pair ±l* (a punctured-dc window), the whole rows are divided once and
-    row 0 is completed from them in closed form (``_row0_from_energy``);
+    pair ±l* (a punctured-dc window), the whole rows k <= d/2 are divided
+    once and row 0 is completed in closed form (``_row0_from_energy``) from
+    them and their mirrors, gathered in one indexing step;
     every shift is then a step.  A (d, l*) outside the dc-pair theorem
     (``_dc_pair_violation``) is PreconditionViolated, and any other window
     with a partial row 0 is rejected, both before X is read.  The caller
@@ -665,17 +674,20 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
         if L is not None:
             return NonGenericWindow(f"mask does not equal the width-{L} band")
         return {"mask": report.omega, "steps": dg, "route": "known"}
-    plan = {"mask": report.omega, "route": "known"}
+    plan, half = {"mask": report.omega, "route": "known"}, slice(0, d // 2 + 1)
     if whole[0] and zero_set is None:
-        supp, first, candidates = _row0_support(X, g, tau_supp), (), np.flatnonzero(rows & ~whole)
+        supp, first, candidates = _row0_support(X, g, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
     elif dc:
-        corr, raw = _divide_full_rows(X, g, report.omega, (0,))
-        row0 = _row0_from_energy(np.stack(list(corr.a.values())), *raw[0], mask[0])
+        corr, raw = _divide_full_rows(X, report.omega, (0,))
+        a = np.stack(list(corr.a.values()))  # rows 1..d/2, whole; a[k-1] is a_k
+        k = np.arange(1, (d + 1) // 2)[:, None]  # each k whose mirror d-k is another row
+        others = np.concatenate((a, np.conj(a[k - 1, (np.arange(d) + k) % d])))  # a_{d-k}[j] = conj(a_k[j+k])
+        row0 = _row0_from_energy(others, *raw[0], mask[0])
         supp, first, candidates = support_from_magnitudes(row0[0], tau_supp), (0,), np.flatnonzero(~whole)
         plan.update({"divided": corr.a, "row0": row0})
     else:
-        candidates = np.flatnonzero(rows[: d // 2 + 1])
-        raw = dict(zip(candidates.tolist(), zip(*_relation_rows(X, g, candidates))))
+        candidates = np.flatnonzero(rows[half])
+        raw = dict(zip(candidates.tolist(), zip(*_relation_rows(X, report.omega, candidates))))
         if zero_set is None:
             # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift
             b = {k: np.roll(np.fft.ifft(raw[k][0]), report.canonical_shift) for k in range(band + 1)}

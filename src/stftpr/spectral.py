@@ -71,7 +71,7 @@ class CyclicSignal:
         peak = mags.max()
         if peak == 0.0:
             return ()
-        return tuple(int(j) for j in np.nonzero(mags > tau_rel * peak)[0])
+        return tuple(np.flatnonzero(mags > tau_rel * peak).tolist())
 
     def shifted(self, y: int) -> "CyclicSignal":
         """Time shift: entry j of the result is entry j - y of the input."""
@@ -138,9 +138,10 @@ def meeting_shifts(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.flatnonzero(np.fft.irfft(fa * np.conj(fb), a.shape[0]) > 0.5)
 
 
-def stft_rows(f: CyclicSignal, g: CyclicSignal) -> tuple[np.ndarray, np.ndarray]:
+def stft_rows(f: CyclicSignal, g: CyclicSignal, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The rows k of :func:`stft` where exact nonzeros of f and ``roll(g, k)`` meet, and their
-    values; every other row is exactly zero.  A non-finite entry meets every row (inf * 0 is NaN)."""
+    values; every other row is exactly zero.  A non-finite entry meets every row (inf * 0 is NaN).
+    With ``half``, only the rows k <= d/2 among them."""
     if f.d != g.d:
         raise DimensionMismatch(f"signal has d={f.d}, window has d={g.d}")
     d, fv, gv = f.d, f.entries, g.entries
@@ -149,6 +150,8 @@ def stft_rows(f: CyclicSignal, g: CyclicSignal) -> tuple[np.ndarray, np.ndarray]
         rows = meeting_shifts(fv != 0, None if g is f else gv != 0)
     else:
         rows = np.arange(d)
+    if half:
+        rows = rows[2 * rows <= d]
     # row k holds f[j] * conj(g[(j - k) mod d])
     shifted = gv[(np.arange(d)[None, :] - rows[:, None]) % d]
     return rows, np.fft.fft(fv[None, :] * np.conj(shifted), axis=1)
@@ -186,19 +189,21 @@ def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | n
     ``V_ff(k, l) * conj(V_gg(k, l))`` entrywise.
 
     With ``rows`` (shifts k, taken mod d) only those rows are returned, as an
-    array of shape ``(len(rows), d)``.  Fewer than d/2 rows are transformed
-    alone, within roundoff of the table: their m distinct frequency columns
+    array of shape ``(len(rows), d)``.  Up to d/2 + 1 rows are transformed
+    alone, within roundoff of the table: each needs one frequency column of X's
+    transform, column min(k, d-k) of its real FFT, so the m distinct columns
     come from one real matrix product with m twiddle columns while m is at
-    most 2 * bit_length(d), from one real FFT of every row beyond that, and
-    then each row takes one FFT.  From d/2 rows on, the table is built and
+    most 2 * bit_length(d), else from one real FFT over the frequency axis, and
+    then each row takes one FFT.  From d/2 + 2 rows on, the table is built and
     sliced, so the values are its exact bits.
     """
     d = X.d
     k = None if rows is None else np.asarray(rows, dtype=np.intp) % d
-    if k is not None and 2 * k.size < d:
+    if k is not None and k.size <= d // 2 + 1:
         # row k needs column k of the inverse-sign frequency transform, the conjugate
         # of the forward one; X is real, so forward column d-k is conj(column k)
-        c, back = np.unique(np.minimum(k, d - k), return_inverse=True)
+        fold = np.minimum(k, d - k)
+        c, back = np.unique(fold, return_inverse=True)
         # the product's cost grows with m, the FFT's with log d: timed at d = 64..2048 on
         # a 2-vCPU Xeon with one BLAS thread, they cross at m of 2 to 3.5 bit_length(d)
         if c.size <= 2 * d.bit_length():
@@ -207,9 +212,10 @@ def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | n
             w = np.exp(-2j * np.pi * np.arange(d) / d)
             spectrum = (X.sq_mag @ w[np.outer(np.arange(d), c) % d].view(np.float64)).view(np.complex128)
         else:
-            spectrum = np.fft.rfft(X.sq_mag, axis=1)[:, c]
-        cols = spectrum[:, back].T / d
-        return np.fft.fft(np.where((k <= d // 2)[:, None], np.conj(cols), cols), axis=1)
+            spectrum, back = np.fft.rfft(X.sq_mag, axis=1), fold
+        cols = spectrum.T[back]  # a fresh (len(rows), d) block: conjugate it in place
+        np.conjugate(cols, out=cols, where=(k <= d // 2)[:, None])
+        return np.fft.fft(cols, axis=1, norm="forward")
     # forward over the shift axis, inverse-sign over the frequency axis; the d
     # and 1/d factors cancel against ifft's normalization
     table = np.fft.ifft(np.fft.fft(X.sq_mag, axis=0), axis=1).T

@@ -23,12 +23,19 @@ DEFAULT_TAU_REL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class OmegaMask:
-    """Boolean support mask of an ambiguity table with its threshold rule."""
+    """Boolean support mask of an ambiguity table with its threshold rule.
+
+    A mask certified from a window keeps the ambiguity rows it was built from,
+    ``ambiguity = (rows, values)``: V_gg on ascending rows k <= d/2 from 0,
+    among them every such row of the window's difference set.  The rows past
+    d/2 are their mirrors, |V_gg(-k, -l)| = |V_gg(k, l)|.
+    """
 
     d: int
     mask: np.ndarray
     threshold: float
     threshold_rule: str
+    ambiguity: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool)
@@ -83,28 +90,31 @@ class WindowReport:
 
 
 def omega_mask(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> OmegaMask:
-    """Boolean mask of the window's ambiguity table.
+    """Boolean mask of the window's ambiguity table, built from its rows k <= d/2.
 
     An entry is kept when its magnitude exceeds ``tau_rel`` times the table's
     peak magnitude (the peak sits at (0, 0) and equals the window energy).
+    |V(-k,-l)| = |V(k,l)| exactly, so mask row d-k is row k at -l; rows 0 and
+    d/2 are their own mirrors and are folded onto themselves, so roundoff can
+    never split a boundary entry across the conjugate symmetry.
     """
     if not (0.0 < tau_rel < 1.0):
         raise StftprError(f"tau_rel must lie in (0, 1), got {tau_rel}")
+    d = g.d
     # rows off the support's difference set are exactly zero and stay false
-    rows, mags = stft_rows(g, g)
-    mags = np.abs(mags)
-    # |V(-k,-l)| = |V(k,l)| exactly; fold the pair so roundoff can never split a boundary
-    # entry across the conjugate symmetry (rows hold 0 and -k with k: row i pairs with -i)
-    neg = (-np.arange(g.d)) % g.d
-    mags = np.maximum(mags, mags[np.ix_((-np.arange(rows.size)) % rows.size, neg)])
+    rows, amb = stft_rows(g, g, half=True)
+    mags = np.abs(amb)
     peak = float(mags.max(initial=0.0))
     if peak == 0.0:
         raise EmptySupport("cannot certify the zero window")
     threshold = tau_rel * peak
-    mask = np.zeros((g.d, g.d), dtype=bool)
-    mask[rows] = mags > threshold
+    kept = mags > threshold
+    mask = np.zeros((d, d), dtype=bool)
+    mask[rows] = kept
+    mask[(d - rows) % d] |= kept[:, (-np.arange(d)) % d]
+    amb.setflags(write=False)
     rule = f"|V| > {tau_rel:g} * max|V| (max|V| = {peak:.6g})"
-    return OmegaMask(g.d, mask, threshold, rule)
+    return OmegaMask(d, mask, threshold, rule, (rows, amb))
 
 
 def omega_L_d(d: int, L: int) -> OmegaMask:
@@ -350,28 +360,23 @@ def canonical_anchor(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> tuple
     the smallest start index.
     """
     supp = g.support(tau_rel)
+    shift = supp[_anchor_index(supp, g.d)]
+    return (g if shift == 0 else CyclicSignal(g.d, np.roll(g.entries, -shift))), shift
+
+
+def _anchor_index(supp: tuple[int, ...], d: int) -> int:
+    """Position in the sorted support of the index after the largest cyclic gap, the first on ties."""
     if not supp:
         raise EmptySupport("cannot anchor the zero window")
-    d = g.d
-    if len(supp) == d:
-        return g, 0
-    best_start, best_gap = None, -1
-    for i, s in enumerate(supp):
-        prev = supp[i - 1]
-        gap = (s - prev) % d if len(supp) > 1 else d
-        if gap > best_gap or (gap == best_gap and s < best_start):
-            best_start, best_gap = s, gap
-    anchored = CyclicSignal(d, np.roll(g.entries, -best_start))
-    return anchored, best_start % d
+    gaps = [(s - p) % d for p, s in zip(supp[-1:] + supp[:-1], supp)]  # a lone index's gap is 0
+    return gaps.index(max(gaps))
 
 
 def classify_window(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> WindowReport:
     """Full certification report for a window."""
-    anchored, shift = canonical_anchor(g, tau_rel)
-    d = g.d
-    supp = g.support(tau_rel)
-    anchored_supp = anchored.support(tau_rel)
-    span = max(anchored_supp) + 1
+    d, supp = g.d, g.support(tau_rel)
+    i = _anchor_index(supp, d)
+    shift, span = supp[i], (supp[i - 1] - supp[i]) % d + 1  # the anchored support ends at supp[i-1]
     short_L = span - 1 if span - 1 < d / 2 else None
 
     mask = omega_mask(g, tau_rel)

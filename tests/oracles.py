@@ -89,6 +89,16 @@ def dense_omega_mask(g, tau_rel: float) -> tuple[np.ndarray, float, str]:
     return mags > tau_rel * peak, tau_rel * peak, f"|V| > {tau_rel:g} * max|V| (max|V| = {peak:.6g})"
 
 
+def loop_anchor_start(supp, d: int) -> int:
+    """The support index after the largest cyclic gap, smallest start on ties, one gap at a time."""
+    best_start, best_gap = None, -1
+    for i, s in enumerate(supp):
+        gap = (s - supp[i - 1]) % d if len(supp) > 1 else d
+        if gap > best_gap or (gap == best_gap and s < best_start):
+            best_start, best_gap = s, gap
+    return best_start % d
+
+
 def union_find_components(support, d: int | None, L) -> tuple[tuple[int, ...], ...]:
     """Components under steps of magnitude 1..L, or under each step of a step set (an iterable
     or an object with ``members``), mod d when given, by union-find over every step."""

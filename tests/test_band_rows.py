@@ -26,7 +26,7 @@ import pytest
 
 from helpers import random_entries, random_short_window, random_signal, rng_for
 from oracles import dense_omega_mask, dense_stft
-from stftpr import recovery, spectral
+from stftpr import recovery, spectral, windows
 from stftpr.linemode import recover_line_block
 from stftpr.recovery import (
     DEFAULT_TAU_SUPP,
@@ -229,7 +229,9 @@ def test_relation_rows_match_the_table(d):
         [d // 2],
         [*range(d - L, d), *range(L + 1)],  # a band that wraps past index 0
         [5, -1, 3, -d - 2, 2 * d + 1],  # unsorted and negative, taken mod d
-        list(rng.permutation(d)[: (d + 1) // 2]),  # half the rows: the table, sliced
+        list(rng.permutation(d)[: (d + 1) // 2]),  # half the rows
+        list(range(d // 2 + 1)),  # rows 0..d/2, as the full route reads them: the last row path
+        list(range(d // 2 + 2)),  # one row past the switch: the table, sliced
     )
     for X in measurements:
         table = relation_transform(X).values
@@ -238,7 +240,7 @@ def test_relation_rows_match_the_table(d):
             got = relation_transform(X, rows)
             expected = table[np.asarray(rows, dtype=np.intp) % d]
             assert got.shape == (len(rows), d)
-            if 2 * len(rows) >= d:
+            if len(rows) > d // 2 + 1:
                 assert np.array_equal(got, expected)
             else:
                 assert np.abs(got - expected).max(initial=0.0) <= bound
@@ -257,6 +259,7 @@ def test_relation_rows_match_the_table_at_the_edges(d, monkeypatch):
         "k and d-k": [1, d - 1, 3, d - 3, 0],
         "row d/2 and its fold": [d // 2 - 1, d // 2, d - d // 2],
         "duplicates": [2, d - 2, 5] * ((d + 5) // 6),  # at least d/2 entries, three rows
+        "duplicates past the switch": ([2, d - 2, 5] * d)[: d // 2 + 2],  # the table, sliced
         "crossover": list(range(crossover)),
         "crossover+1": list(range(crossover + 1)),
     }
@@ -273,7 +276,7 @@ def test_relation_rows_match_the_table_at_the_edges(d, monkeypatch):
             got = relation_transform(X, rows)
             assert got.shape == (len(rows), d)
             assert np.abs(got - table[np.asarray(rows, dtype=np.intp) % d]).max(initial=0.0) <= bound, name
-            if name.startswith("crossover") and 2 * len(rows) < d:
+            if name.startswith("crossover") and len(rows) <= d // 2 + 1:
                 assert bool(rfft_rows) == (name == "crossover+1"), name
     assert len(row_sets["duplicates"]) * 2 >= d
 
@@ -392,6 +395,71 @@ def test_each_public_call_transforms_a_dc_item_once_and_decides_without_a_walk(m
     calls.update(dict.fromkeys(calls, 0))
     assert recover(X, g).notes["completed_rows"] == [0]
     assert calls == {"relation_transform": 1, "propagate_phases": 1}
+
+
+def _ambiguity_items():
+    """One item per way the known route reads the window: full, generic band, punctured center,
+    punctured dc and a box window completed off a signal hole."""
+    rng = rng_for("band-rows-ambiguity-builds")
+    full = random_signal(rng, 64)
+    yield "full", measure(random_signal(rng, 64), full), full
+    g = random_short_window(rng, 64, 3)
+    yield "generic", measure(random_signal(rng, 64), g), g
+    g = construct_punctured_center_window(16)
+    yield "center", measure(random_signal(rng, 16), g), g
+    g = construct_punctured_dc_window(15, seed=1)
+    yield "dc", measure(random_signal(rng, 15), g), g
+    g = _box(32, 3)
+    yield "hole", measure(_with_zero_runs(rng, 32, [(5, 4)]), g), g
+
+
+@pytest.mark.parametrize("case", _ambiguity_items(), ids=lambda case: case[0])
+def test_the_window_ambiguity_is_built_once_per_certification(monkeypatch, case):
+    # recover builds V_gg once, inside classify_window, and reads it off the report from then on;
+    # decide reads the caller's report and builds none
+    name, X, g = case
+    builds, inside, transformed = [], [], []
+    stft_rows, classify, transform = spectral.stft_rows, windows.classify_window, recovery.relation_transform
+
+    def counting_rows(f, h, *args, **kwargs):
+        if f is h:
+            builds.append(bool(inside))
+        return stft_rows(f, h, *args, **kwargs)
+
+    def certifying(*args, **kwargs):
+        inside.append(True)
+        try:
+            return classify(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (spectral, windows, recovery):
+        for attr, spy in (("stft_rows", counting_rows), ("classify_window", certifying)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, spy)
+    monkeypatch.setattr(recovery, "relation_transform", lambda X, rows=None: transformed.append(rows) or transform(X, rows))
+    outcome = recover(X, g)
+    assert outcome.status == "UniqueUpToGlobalPhase", (name, outcome.notes)
+    assert builds == [True], name
+    d = g.d
+    if name == "full":
+        assert len(transformed) == 1 and len(transformed[0]) == d // 2 + 1
+    assert all(rows is not None and max(rows) <= d // 2 for rows in transformed), name
+    report = windows.classify_window(g)
+    builds.clear()
+    decide_retrievability(X, report)
+    assert builds == [], name
+
+
+def test_a_dc_item_builds_its_rows_once_in_the_plan_and_once_with_row0(monkeypatch):
+    # the plan's divided rows, then those with the completed row 0; nothing new to add after that
+    built = []
+    init = recovery.CorrelationData.__post_init__
+    monkeypatch.setattr(recovery.CorrelationData, "__post_init__", lambda self: built.append(len(self.a)) or init(self))
+    g = construct_punctured_dc_window(15, seed=1)
+    X = measure(random_signal(rng_for("band-rows-dc-builds"), 15), g)
+    assert recover(X, g).notes["completed_rows"] == [0]
+    assert built == [7, 8]
 
 
 def test_each_public_call_completes_each_row_of_a_hole_or_line_item_once(monkeypatch):

@@ -104,6 +104,24 @@ def test_measurement_coeffs_hole_marker():
 # ------------------------------------------------------- autocorrelation rows
 
 
+def _with_mirrors(corr):
+    """Every row the divided rows k <= d/2 determine: row d-k is a_{d-k}[j] = conj(a_k[j+k])."""
+    rows = dict(corr.a)
+    for k, row in corr.a.items():
+        rows.setdefault((corr.d - k) % corr.d, np.conj(np.roll(row, -k)))
+    return rows
+
+
+def _assert_rows_match(corr, f, whole):
+    """The divided rows are the whole rows k <= d/2, and with their mirrors every whole row is f's."""
+    d = corr.d
+    assert corr.known_shifts == tuple(k for k in whole if 2 * k <= d)
+    rows = _with_mirrors(corr)
+    assert sorted(rows) == list(whole)
+    for k, row in rows.items():
+        assert np.abs(row - naive_autocorrelation(f.entries, k)).max() < 1e-9, k
+
+
 def test_recover_autocorrelations_full_window():
     rng = rng_for("full-rows")
     d = 9
@@ -111,10 +129,7 @@ def test_recover_autocorrelations_full_window():
     mask = omega_mask(g)
     assert mask.all_true
     f = random_signal(rng, d)
-    corr = _divide_full_rows(measure(f, g), g, mask)[0]
-    assert corr.known_shifts == tuple(range(d))
-    for k in corr.known_shifts:
-        assert np.abs(corr.a[k] - naive_autocorrelation(f.entries, k)).max() < 1e-9
+    _assert_rows_match(_divide_full_rows(measure(f, g), mask)[0], f, range(d))
 
 
 def test_recover_autocorrelations_generic_band():
@@ -122,16 +137,16 @@ def test_recover_autocorrelations_generic_band():
     d, L = 10, 3
     g = random_short_window(rng, d, L)
     assert omega_mask(g).same_mask(omega_L_d(d, L))
-    corr = _divide_full_rows(measure(random_signal(rng, d), g), g, omega_mask(g))[0]
-    assert corr.known_shifts == (0, 1, 2, 3, 7, 8, 9)
+    f = random_signal(rng, d)
+    _assert_rows_match(_divide_full_rows(measure(f, g), omega_mask(g))[0], f, (0, 1, 2, 3, 7, 8, 9))
 
 
 def test_recover_autocorrelations_skips_center_row():
     d = 8
     g = construct_punctured_center_window(d)
     rng = rng_for("center-rows")
-    corr = _divide_full_rows(measure(random_signal(rng, d), g), g, omega_mask(g))[0]
-    assert corr.known_shifts == tuple(k for k in range(d) if k != 4)
+    f = random_signal(rng, d)
+    _assert_rows_match(_divide_full_rows(measure(f, g), omega_mask(g))[0], f, [k for k in range(d) if k != 4])
 
 
 def _hermitian_residual(corr):
@@ -146,10 +161,9 @@ def test_correlation_hermitian_pairing():
         f = random_signal(rng, d)
         corr = CorrelationData(d, {k: naive_autocorrelation(f.entries, k) for k in range(d)})
         assert _hermitian_residual(corr) < 1e-12
-        # rows extracted from a self-consistent measurement also pair up
+        # rows k <= d/2 extracted from a self-consistent measurement determine the rest by the pairing
         g = random_signal(rng, d)
-        corr2 = _divide_full_rows(measure(f, g), g, omega_mask(g))[0]
-        assert len(corr2.a) == d and _hermitian_residual(corr2) < 1e-9
+        _assert_rows_match(_divide_full_rows(measure(f, g), omega_mask(g))[0], f, range(d))
 
 
 # ------------------------------------------------------------- phase assembly
@@ -637,7 +651,7 @@ def test_known_route_completes_rows_pinned_by_isolated_zeros():
         X = measure(f, g)
         out = recover(X, g)
         assert out.status == STATUS_UNIQUE, (trial, out.notes)
-        assert out.notes["route"] == "known" and out.notes["completed_rows"] == [1, 63]
+        assert out.notes["route"] == "known" and out.notes["completed_rows"] == [1]  # row 63 is its mirror
         worst = max(worst, compare_up_to_phase(f, out.estimate)[1])
         assert decide_retrievability(X, report).verdict == VERDICT_RETRIEVABLE
     assert worst < 1e-8
@@ -976,7 +990,7 @@ def test_decide_honest_undecidable():
     f = random_signal(rng, 64)  # nonvanishing: no zeros anywhere
     decision = decide_retrievability(measure(f, g), classify_window(g))
     assert decision.verdict == VERDICT_UNDECIDABLE
-    assert decision.notes["route"] == "known" and "rows [1, 63]" in decision.notes["reason"]
+    assert decision.notes["route"] == "known" and "rows [1] " in decision.notes["reason"]  # and mirror 63
 
 
 @pytest.mark.parametrize("window", ["dense", "sparse"])
@@ -1137,4 +1151,4 @@ def test_auto_routing_undecidable_without_uniqueness_route():
     f = random_signal(rng, 64)
     out = recover(measure(f, g), g)
     assert out.status == STATUS_UNDECIDABLE and out.estimate is None
-    assert out.notes["route"] == "known" and "rows [1, 63]" in out.notes["reason"]
+    assert out.notes["route"] == "known" and "rows [1] " in out.notes["reason"]  # and mirror 63

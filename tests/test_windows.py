@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import forced_zero_window, random_short_window, random_signal, random_sparse_window, rng_for
+from oracles import dense_omega_mask, dense_stft, loop_anchor_start
 from stftpr.errors import EmptySupport, StftprError
 from stftpr.spectral import CyclicSignal, ambiguity
 from stftpr.windows import (
+    DEFAULT_TAU_REL,
     canonical_anchor,
     classify_window,
     construct_line_difference_window,
@@ -41,6 +43,50 @@ def test_omega_mask_symmetry_under_negation():
         for k in range(d):
             for l in range(d):
                 assert m[k, l] == m[(-k) % d, (-l) % d]
+
+
+def _windows_at(d):
+    """Every construction that exists at d, and seeded dense, sparse and short windows."""
+    rng = rng_for("half-mask", d)
+    found = {f"power-L{L}": construct_power_window(d, L) for L in range((d + 1) // 2)}
+    if d % 2 == 0 and 4 <= d <= 50:
+        found["center"] = construct_punctured_center_window(d)
+    if 5 <= d <= 35:
+        found["dc"] = construct_punctured_dc_window(d, seed=1)
+    for n in range(1, 7):
+        positions = line_difference_positions(n)
+        if positions[-1] < d:
+            v = np.zeros(d, dtype=complex)
+            for j, c in construct_line_difference_window(n, np.arange(1, n + 1) * (1 - 0.5j)).items():
+                v[j] = c
+            found[f"line-{n}"] = CyclicSignal(d, v)
+    found["dense"] = random_signal(rng, d)
+    taps = rng.choice(d, size=int(rng.integers(1, min(d, 7) + 1)), replace=False)
+    found["sparse"] = random_signal(rng, d, support=sorted(taps.tolist()))
+    for L in sorted({0, 1, 3, (d - 1) // 2} & set(range((d + 1) // 2))):
+        found[f"short-L{L}"] = random_short_window(rng, d, L)
+    return found
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 16, 17, 256))
+def test_half_built_mask_equals_the_dense_fold(d):
+    # the mask is built from ambiguity rows k <= d/2 and mirrored; the reference
+    # folds the whole dense table, entry (k, l) with (-k, -l)
+    windows = _windows_at(d)
+    if d == 4:  # every punctured-center window, here where the parametrisation starts
+        windows.update({f"center-{c}": construct_punctured_center_window(c) for c in range(4, 51, 2)})
+    for name, g in windows.items():
+        got = omega_mask(g)
+        mask, threshold, rule = dense_omega_mask(g.entries, DEFAULT_TAU_REL)
+        assert np.array_equal(got.mask, mask), name
+        assert (got.threshold, got.threshold_rule) == (threshold, rule), name
+        neg = (-np.arange(g.d)) % g.d
+        assert np.array_equal(got.mask, got.mask[np.ix_(neg, neg)]), name
+        rows, values = got.ambiguity
+        dg = difference_set(g.support(0.0), g.d).members
+        half = {k for k in dg if 2 * k <= g.d}  # the rows k <= d/2 of D_g, each among the built rows
+        assert rows[0] == 0 and (np.diff(rows) > 0).all() and 2 * rows[-1] <= g.d and half <= set(rows.tolist()), name
+        assert np.array_equal(values, dense_stft(g.entries, g.entries)[rows]), name
 
 
 def test_omega_band_shapes():
@@ -279,3 +325,19 @@ def test_classify_window_report_fields():
     full = classify_window(construct_power_window(7, 3))
     assert full.is_full and full.dg.covers_all
     assert full.real_valued
+
+
+def test_one_support_scan_anchors_as_the_gap_loop_does():
+    # every support of Z_d: the shift, the anchored support's span and the support tuple
+    for d in range(2, 10):
+        for bits in range(1, 2**d):
+            v = ((bits >> np.arange(d)) & 1) * (1.0 + np.arange(d))
+            g = CyclicSignal(d, v)
+            supp = tuple(int(j) for j in np.nonzero(v)[0])
+            shift = loop_anchor_start(supp, d)
+            anchored, got = canonical_anchor(g)
+            assert got == shift and anchored.support() == tuple(sorted((j - shift) % d for j in supp))
+            report = classify_window(g)
+            span = max((j - shift) % d for j in supp) + 1
+            assert report.support == supp and report.canonical_shift == shift
+            assert report.short_L == (span - 1 if 2 * (span - 1) < d else None), (d, supp)
