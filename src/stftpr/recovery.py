@@ -242,8 +242,8 @@ def propagate_phases(
     """Assemble an estimate by anchoring one phase per component and walking edges.
 
     Magnitudes come from the shift-0 row; each component's smallest index gets a
-    real positive phase.  The walk then goes level by level in breadth-first
-    visit order: frontier index, then shift ascending, forward before backward.
+    real positive phase.  The walk then follows breadth-first visit order:
+    frontier index, then shift ascending, forward before backward.
     Each support index not yet reached takes the first phase the frontier
     implies for it, and the next frontier is those indices in the order they
     were reached.  Edges the walk did not follow are checked only through the
@@ -254,8 +254,8 @@ def propagate_phases(
     (k -> min(k, d-k)) to exactly {1..L} and rows 1..L are known, as on every
     band, full, center and dc walk, the walk only ever follows steps
     ±1..±L through rows 1..L: its tree is then built in closed form
-    (``_band_tree``), and only the phases go level by level.  Other step sets
-    walk the frontier.
+    (``_band_tree``), and the phases are set in one scalar pass over its edges
+    in level order.  Other step sets walk the frontier.
     """
     if 0 not in corr.a:
         raise StftprError("shift-0 autocorrelation row is required")
@@ -270,7 +270,7 @@ def propagate_phases(
         phases, reached = _frontier_walk(shifts, rows, d, partition)
     est = np.where(reached, mags * np.exp(1j * phases), 0.0)
     # largest |a[k][j] - est_j conj(est_{j-k})| over the known rows, worked in place; NaN anywhere makes it NaN
-    miss = est[(np.arange(d) - shifts[:, None]) % d]
+    miss = np.concatenate((est, est))[(d - shifts)[:, None] + np.arange(d)]
     np.conjugate(miss, out=miss)
     np.subtract(rows, np.multiply(est, miss, out=miss), out=miss)
     row_residual = float(np.abs(miss).max(initial=0.0))
@@ -318,16 +318,16 @@ def _band_walk(
     """Phases and reached indices of the breadth-first walk under steps ±1..±L, where rows[k] is a_k for k <= L.
 
     Each component's tree is built in closed form over the support's positions
-    relative to its anchor; then every component's level h is set at once, with
-    the frontier walk's own float expressions: forward, wrap(arg a_k[child] +
-    parent's phase); backward, wrap(parent's phase - arg a_k[parent]).  An
-    anchor an earlier tree already reached (a partition finer than the band
-    split) is set back to phase 0, as the frontier walk does.
+    relative to its anchor; then one scalar pass over every tree's edges in
+    level order sets each child after its parent, with the frontier walk's own
+    float operations: forward, wrap(parent's phase + arg a_k[child]); backward,
+    wrap(parent's phase - arg a_k[parent]).  An anchor an earlier tree already
+    reached (a partition finer than the band split) is set back to phase 0, as
+    the frontier walk does.
     """
     universe = np.asarray(partition.universe, dtype=np.intp)
     reached = np.zeros(d, dtype=bool)
-    phases = np.zeros(d)
-    edges, again = [], []
+    ph, edges, again = [0.0] * d, [], []
     for comp in partition.components:
         anchor = comp[0]
         if reached[anchor]:
@@ -345,11 +345,11 @@ def _band_walk(
         # a[k][j] = f_j conj(f_{j-k}): a forward edge reads row k at the child, a backward one at the parent
         angle = sign * np.angle(rows[step, np.where(sign > 0, child, parent)])
         order = np.argsort(level, kind="stable")
-        child, parent, angle = child[order], parent[order], angle[order]
-        start = 0
-        for end in np.cumsum(np.bincount(level)).tolist()[1:]:
-            phases[child[start:end]] = _wrap(phases[parent[start:end]] + angle[start:end])
-            start = end
+        pi, turn = math.pi, 2.0 * math.pi
+        # parents come first in level order; Python floats wrap with _wrap's own IEEE operations
+        for c, p, a in zip(child[order].tolist(), parent[order].tolist(), angle[order].tolist()):
+            ph[c] = (ph[p] + a + pi) % turn - pi
+    phases = np.array(ph)
     phases[again] = 0.0
     return phases, reached
 
@@ -599,8 +599,8 @@ def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
 
 def _zero_measurement(X: SpectrogramMeasurement) -> bool:
     """No positive entry: any other measurement, however small against the window, carries a signal.
-    Entries are finite and nonnegative, so the peak decides."""
-    return not X.sq_mag.max() > 0.0
+    Entries are finite and nonnegative, so a positive entry on row 0 settles it, and otherwise the peak decides."""
+    return not (X.sq_mag[0].max() > 0.0 or X.sq_mag.max() > 0.0)
 
 
 def _zero_outcome(d: int) -> RecoveryOutcome:
@@ -647,7 +647,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     and row 0 completed when it completed it, with the relation rows it
     transformed (a zero set) or the rows it divided (a dc pair).
     """
-    g, d, dg, mask = report.window, report.window.d, report.dg, report.omega.mask
+    d, dg, mask = report.window.d, report.dg, report.omega.mask
     rows = np.zeros(d, dtype=bool)
     rows[list(dg.members)] = True
     whole = mask.all(axis=1)
@@ -676,12 +676,13 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
         return {"mask": report.omega, "steps": dg, "route": "known"}
     plan, half = {"mask": report.omega, "route": "known"}, slice(0, d // 2 + 1)
     if whole[0] and zero_set is None:
-        supp, first, candidates = _row0_support(X, g, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
+        supp, first, candidates = _row0_support(X, report.omega, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
     elif dc:
         corr, raw = _divide_full_rows(X, report.omega, (0,))
         a = np.stack(list(corr.a.values()))  # rows 1..d/2, whole; a[k-1] is a_k
         k = np.arange(1, (d + 1) // 2)[:, None]  # each k whose mirror d-k is another row
-        others = np.concatenate((a, np.conj(a[k - 1, (np.arange(d) + k) % d])))  # a_{d-k}[j] = conj(a_k[j+k])
+        shifted = np.concatenate((a, a), axis=1)[k - 1, k + np.arange(d)]  # a_k[j+k], off a doubled copy
+        others = np.concatenate((a, np.conj(shifted)))  # a_{d-k}[j] = conj(a_k[j+k])
         row0 = _row0_from_energy(others, *raw[0], mask[0])
         supp, first, candidates = support_from_magnitudes(row0[0], tau_supp), (0,), np.flatnonzero(~whole)
         plan.update({"divided": corr.a, "row0": row0})
@@ -710,11 +711,11 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     return {**plan, "partition": partition, "complete": complete, "unsolved": stuck}
 
 
-def _row0_support(X: SpectrogramMeasurement, g: CyclicSignal, tau_supp: float) -> tuple[int, ...]:
+def _row0_support(X: SpectrogramMeasurement, mask: OmegaMask, tau_supp: float) -> tuple[int, ...]:
     """Support read off the divided shift-0 row, which the known route's masks keep whole."""
-    # relation row 0 transforms the row sums of X, ambiguity row 0 transforms |g|^2
+    # relation row 0 transforms the row sums of X; the certified ambiguity rows start at row 0, fft(|g|^2)
     r0 = np.fft.fft(X.sq_mag.sum(axis=1)) / X.d
-    a0 = np.fft.ifft(r0 / np.conj(np.fft.fft(g.entries * np.conj(g.entries))))
+    a0 = np.fft.ifft(r0 / np.conj(mask.ambiguity[1][0]))
     return support_from_magnitudes(a0, tau_supp)
 
 
@@ -830,7 +831,7 @@ def decide_retrievability(
         notes.update(_open_case(plan, {"route": "none", "reason": "window class matches no implemented uniqueness condition"}))
         return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
     # the plan's own partition when it read the support, else the support split under D_g
-    partition = plan["partition"] if "partition" in plan else components_mod_d(_row0_support(X, g, tau_supp), d, plan["steps"])
+    partition = plan["partition"] if "partition" in plan else components_mod_d(_row0_support(X, report.omega, tau_supp), d, plan["steps"])
     notes["route"] = plan["route"]
     notes.update({k: plan[k] for k in ("L", "zero_set") if k in plan})
     verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE

@@ -153,7 +153,7 @@ def stft_rows(f: CyclicSignal, g: CyclicSignal, half: bool = False) -> tuple[np.
     if half:
         rows = rows[2 * rows <= d]
     # row k holds f[j] * conj(g[(j - k) mod d])
-    shifted = gv[(np.arange(d)[None, :] - rows[:, None]) % d]
+    shifted = np.concatenate((gv, gv))[(d - rows)[:, None] + np.arange(d)]
     return rows, np.fft.fft(fv[None, :] * np.conj(shifted), axis=1)
 
 

@@ -237,6 +237,29 @@ def test_propagate_phases_matches_loop_walk_exactly(case):
     assert out.residual == residual
 
 
+@pytest.mark.parametrize("L", (3, 7))
+@pytest.mark.parametrize("n_components", (1, 2))
+def test_propagate_phases_matches_loop_walk_exactly_on_deep_bands(L, n_components):
+    # at d = 1024 a band walks about d / (2L) levels; phase noise on every nonzero row
+    # makes each edge imply its own phase, so any other tree or order of wrapping shows
+    rng = rng_for("walk-vs-loop-deep", L, n_components)
+    d = 1024
+    keep = rng.uniform(size=d) < 0.8
+    keep[::L] = True  # no run of L zeros: the support is one band component
+    if n_components == 2:
+        keep[100 : 101 + L] = keep[600 : 601 + L] = False  # two runs of L+1 zeros cut it in two
+    f = random_signal(rng, d, support=np.flatnonzero(keep))
+    shifts = sorted({*range(L + 1), *(d - k for k in range(1, L + 1))})
+    noise = {k: np.exp(1j * rng.normal(scale=0.1 if k else 0.0, size=d)) for k in shifts}
+    corr = CorrelationData(d, {k: naive_autocorrelation(f.entries, k) * noise[k] for k in shifts})
+    part = components_mod_d(f.support(), d, L)
+    assert part.n_components == n_components
+    out = propagate_phases(corr, part)
+    est, residual = loop_propagate_phases(corr.a, d, part.components, part.universe)
+    assert np.array_equal(out.estimate.entries, est)
+    assert out.residual == residual
+
+
 def _walk_row_sets(d):
     """(known shifts, partition steps) of every walk shape: rows 0..L (hole and line routes) and the
     band ±L (known route) for each L < d/2, every shift, and every shift but d/2.  Up to d = 8, rows
