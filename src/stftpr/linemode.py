@@ -53,11 +53,10 @@ def recover_line_block(
     index is a known zero of it: the known route completes row 0 off that
     zero set (noted ``zero_set``: ``span``), reads the support S there, and
     completes every other row k off S ∩ (S+k), so the window's ambiguity
-    zeros cost nothing.  The residual of those completions
-    (``equation_residual``, over the window energy ‖g‖²) and of the rows
-    decides the verdict: a signal longer than ``f_span_bound`` is
-    Inconsistent.  Embedded indices never wrap, so the partition is reported
-    under the line relation.
+    zeros cost nothing.  The estimate's relative miss of the relation rows
+    it read (``residual``) decides the verdict: a signal longer than
+    ``f_span_bound`` is Inconsistent.  Embedded indices never wrap, so the
+    partition is reported under the line relation.
     """
     if X.d != g.d:
         raise DimensionMismatch(f"measurement d={X.d}, window d={g.d}")

@@ -19,11 +19,12 @@ when every other row is whole and row 0 misses only a conjugate pair ±l*
 (a punctured dc row), in closed form from the energy identity
 (``_row0_from_energy``).
 
-Every outcome returns through one verdict, ``_verdict``: the data is
-Inconsistent when the estimate misses a known autocorrelation row, or the
-route's own equation (completed and unsolved rows), by more than the
-consistency tolerance at the data's scale.  Otherwise the support partition
-decides between one global phase and one phase per component.
+Every outcome returns through one verdict, ``_verdict``, on one residual
+(``_relation_miss``): the estimate's largest miss of the relation rows the
+route read, in the units of the measurement and relative to its peak
+R[0, 0] = ΣX/d.  The data is Inconsistent when that miss exceeds the
+consistency tolerance.  Otherwise the support partition decides between one
+global phase and one phase per component.
 
 ``_plan_known`` is the one dispatch: ``recover``, ``decide_retrievability``
 and the CLI's ``--mode`` choices (``MODES``) all go through it.
@@ -76,23 +77,26 @@ def is_inconsistent(residual: float, scale: float) -> bool:
 
 @dataclass(frozen=True)
 class CorrelationData:
-    """Shift autocorrelations a[k][j] = f_j * conj(f_{j-k}) for known shifts k."""
+    """Shift autocorrelations a[k][j] = f_j * conj(f_{j-k}) as one block: ``rows[i]`` is a_k for k = ``shifts[i]``, ascending."""
 
     d: int
-    a: dict[int, np.ndarray]
+    shifts: np.ndarray
+    rows: np.ndarray
 
-    def __post_init__(self):
-        clean = {}
-        for k, row in self.a.items():
-            arr = np.asarray(row, dtype=np.complex128)
-            if arr.shape != (self.d,):
-                raise DimensionMismatch(f"row {k} has shape {arr.shape}, expected ({self.d},)")
-            clean[int(k) % self.d] = arr
-        object.__setattr__(self, "a", clean)
+    @classmethod
+    def from_dict(cls, d: int, a: dict) -> CorrelationData:
+        """Stack the rows ``a[k]`` (k taken mod d) once, by ascending shift."""
+        rows = {int(k) % d: np.asarray(row, dtype=np.complex128) for k, row in a.items()}
+        for k, row in rows.items():
+            if row.shape != (d,):
+                raise DimensionMismatch(f"row {k} has shape {row.shape}, expected ({d},)")
+        shifts = sorted(rows)
+        return cls(d, np.array(shifts, dtype=np.intp), np.array([rows[k] for k in shifts]).reshape(len(shifts), d))
 
     @property
-    def known_shifts(self) -> tuple[int, ...]:
-        return tuple(sorted(self.a))
+    def a(self) -> dict[int, np.ndarray]:
+        """The rows by shift, as views of the block."""
+        return dict(zip(self.shifts.tolist(), self.rows))
 
 
 @dataclass(frozen=True)
@@ -166,31 +170,31 @@ def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> MeasurementCoeffici
 
 def _relation_rows(X: SpectrogramMeasurement, mask: OmegaMask, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relation rows R[i] = fft(a_k) * conj(V_gg[k]) for k = shifts[i], rows k <= d/2 of D_g,
-    from one transform, and the ambiguity rows V_gg[k] the mask was certified from."""
+    from one transform, and the ambiguity rows V_gg[k] the mask was certified from (a view of
+    them when the shifts are a run of the certified rows, as on the full and band routes)."""
     amb_rows, amb = mask.ambiguity
-    return relation_transform(X, shifts), amb[np.searchsorted(amb_rows, shifts)]
+    at = np.searchsorted(amb_rows, shifts)
+    run = at.size and (np.diff(at) == 1).all()
+    return relation_transform(X, shifts), amb[at[0] : at[-1] + 1] if run else amb[at]
 
 
 def _divide_full_rows(
     X: SpectrogramMeasurement, mask: OmegaMask, extra=()
-) -> tuple[CorrelationData, dict[int, tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[CorrelationData, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Rows ifft(R[k] / conj(V_gg[k])) for every k <= d/2 whose mask row is all true, in one
-    batch, and for each k in ``extra`` (each k <= d/2) the undivided relation row R[k] with the
-    ambiguity row V_gg[k].  Each row is transformed once.  Row d-k is the mirror of row k,
-    a_{d-k}[j] = conj(a_k[j+k]), and adds no equation."""
+    batch, and the relation rows read, (shifts, R, V): those rows, then each partial k in
+    ``extra`` (each k <= d/2), undivided, with their ambiguity rows.  Each row is transformed
+    once.  Row d-k is the mirror of row k, a_{d-k}[j] = conj(a_k[j+k]), and adds no equation."""
     full = mask.mask.all(axis=1)
     whole = np.flatnonzero(full[: X.d // 2 + 1])
     shifts = np.concatenate((whole, np.array([k for k in extra if not full[k]], dtype=np.intp)))
     R, V = _relation_rows(X, mask, shifts)
-    at = {k: i for i, k in enumerate(shifts.tolist())}
-    raw = {k: (R[at[k]].copy(), V[at[k]].copy()) for k in extra}
-    # R and V are fresh arrays: conjugate and divide in place rather than allocate more blocks
-    divisors = np.conjugate(V[: whole.size], out=V[: whole.size])
+    divisors = np.conj(V[: whole.size])
     vanished = (divisors == 0.0).any(axis=1)  # guard: mask said "true" but the value is zero
     if vanished.any():
         raise StftprError(f"internal: ambiguity row {whole[vanished][0]} vanishes under a true mask")
-    table = np.fft.ifft(np.divide(R[: whole.size], divisors, out=R[: whole.size]), axis=1)
-    return CorrelationData(X.d, dict(zip(whole.tolist(), table))), raw
+    table = np.fft.ifft(np.divide(R[: whole.size], divisors, out=divisors), axis=1, out=divisors)
+    return CorrelationData(X.d, whole, table), (shifts, R, V)
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -206,39 +210,37 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _peak(row0: np.ndarray) -> float:
-    """Largest squared magnitude on the shift-0 row: the data scale of every verdict."""
-    return float(np.clip(row0.real, 0.0, None).max())
+def _relation_miss(est: np.ndarray, shifts: np.ndarray, R: np.ndarray, V: np.ndarray) -> float:
+    """The estimate's relative miss of the relation rows read: max |fft(est·conj(est[·−k]))·conj(V[i]) − R[i]| / R[0, 0].
 
-
-def _verdict(
-    estimate: CyclicSignal,
-    partition: ConnectivityPartition,
-    notes: dict,
-    scale: float,
-    row_residual: float,
-    own_residual: float = 0.0,
-) -> RecoveryOutcome:
-    """The status every route returns: Inconsistent, else unique per the partition.
-
-    The residual is the larger of the row residual and the route's own equation
-    (completed and unsolved rows), NaN when either is.  The
-    data is Inconsistent when that residual exceeds the consistency tolerance
-    at ``scale``; otherwise one component means one global phase.
+    Row i is shift k = shifts[i], and shift 0 is among them.  R[0, 0] = ΣX/d
+    is ‖f‖²‖g‖² on exact data and the peak of every relation row, so the miss
+    does not depend on the scale of f or g, and the max squares nothing.  A
+    NaN anywhere makes it NaN; no miss at all is 0, even on a zero measurement.
     """
-    residual = float(np.max([row_residual, own_residual]))
-    if is_inconsistent(residual, scale):
+    d = est.size
+    # est_{j-k} off a doubled copy, then the rows est_j conj(est_{j-k}) and their transforms, all in one block
+    miss = np.lib.stride_tricks.sliding_window_view(np.concatenate((est, est)), d)[d - shifts]
+    np.fft.fft(np.multiply(est, np.conj(miss, out=miss), out=miss), axis=1, out=miss)
+    np.conj(miss, out=miss)
+    miss *= V
+    np.conj(miss, out=miss)  # times conj(V), without a conjugated copy of V
+    miss -= R
+    worst = float(np.abs(miss).max(initial=0.0))
+    return worst / R[np.flatnonzero(shifts == 0)[0], 0].real if worst else worst
+
+
+def _verdict(estimate: CyclicSignal, partition: ConnectivityPartition, notes: dict, residual: float) -> RecoveryOutcome:
+    """The status every route returns: Inconsistent when the relative miss ``residual``
+    exceeds the consistency tolerance (or is NaN), else one component means one global phase."""
+    if is_inconsistent(residual, 1.0):
         status = STATUS_INCONSISTENT
     else:
         status = STATUS_UNIQUE if partition.n_components <= 1 else STATUS_PER_COMPONENT
     return RecoveryOutcome(status, estimate, partition, partition.n_components, residual, notes)
 
 
-def propagate_phases(
-    corr: CorrelationData,
-    partition: ConnectivityPartition,
-    tau_supp: float = DEFAULT_TAU_SUPP,
-) -> RecoveryOutcome:
+def propagate_phases(corr: CorrelationData, partition: ConnectivityPartition) -> CyclicSignal:
     """Assemble an estimate by anchoring one phase per component and walking edges.
 
     Magnitudes come from the shift-0 row; each component's smallest index gets a
@@ -246,9 +248,8 @@ def propagate_phases(
     frontier index, then shift ascending, forward before backward.
     Each support index not yet reached takes the first phase the frontier
     implies for it, and the next frontier is those indices in the order they
-    were reached.  Edges the walk did not follow are checked only through the
-    row residual: the estimate must reproduce every known row, at the scale of
-    the largest shift-0 entry, or the data is Inconsistent (``_verdict``).
+    were reached.  Edges the walk did not follow are checked only by the
+    solver's one residual (``_relation_miss``).
 
     That visit order is the contract.  When the known nonzero shifts fold
     (k -> min(k, d-k)) to exactly {1..L} and rows 1..L are known, as on every
@@ -257,24 +258,16 @@ def propagate_phases(
     (``_band_tree``), and the phases are set in one scalar pass over its edges
     in level order.  Other step sets walk the frontier.
     """
-    if 0 not in corr.a:
+    d, shifts, rows = corr.d, corr.shifts, corr.rows
+    if not shifts.size or shifts[0] != 0:
         raise StftprError("shift-0 autocorrelation row is required")
-    d = corr.d
-    mags = np.sqrt(np.clip(corr.a[0].real, 0.0, None))
-    shifts = np.array(corr.known_shifts, dtype=np.intp)
-    rows = np.array([corr.a[k] for k in corr.known_shifts], dtype=np.complex128).reshape(shifts.size, d)
+    mags = np.sqrt(np.clip(rows[0].real, 0.0, None))
     L = int(np.minimum(shifts, d - shifts).max())  # shifts[0] is 0
     if np.array_equal(shifts[1 : L + 1], np.arange(1, L + 1)):
         phases, reached = _band_walk(rows, d, L, partition)
     else:
         phases, reached = _frontier_walk(shifts, rows, d, partition)
-    est = np.where(reached, mags * np.exp(1j * phases), 0.0)
-    # largest |a[k][j] - est_j conj(est_{j-k})| over the known rows, worked in place; NaN anywhere makes it NaN
-    miss = np.concatenate((est, est))[(d - shifts)[:, None] + np.arange(d)]
-    np.conjugate(miss, out=miss)
-    np.subtract(rows, np.multiply(est, miss, out=miss), out=miss)
-    row_residual = float(np.abs(miss).max(initial=0.0))
-    return _verdict(CyclicSignal(d, est), partition, {"tau_supp": tau_supp}, _peak(corr.a[0]), row_residual)
+    return CyclicSignal(d, np.where(reached, mags * np.exp(1j * phases), 0.0))
 
 
 def _frontier_walk(
@@ -403,53 +396,42 @@ def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
 
 
 def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
-                 partition=None, complete=(), unsolved=(), zero_set=None, raw=None, row0=None, divided=None):
+                 partition=None, complete=(), unsolved=(), zero_set=None, relation=None, divided=None, row0=None):
     """Divide every whole row, complete the planned rows, split the support under the steps, then propagate.
 
     ``partition`` is the split of the support S the plan judged when the mask
     has partial rows or the signal a zero set; otherwise S is read off the
     divided shift-0 row and split under ``steps``.  Each completed row k
-    other than 0 is completed off S ∩ (S+k).  The completion residual,
-    divided by the window energy ‖g‖² so that it is in the units of the
-    signal's rows, reaches the verdict as ``equation_residual``.  The
-    ``unsolved`` partial rows take no part in the walk, but the estimate must
-    still reproduce them where they are known: that miss, in the same units,
-    reaches the verdict too.  A plan that completed row 0 hands it over with
-    its residual (``row0``): a zero-set plan (labelled ``zero_set``) with the
-    relation rows it transformed (``raw``), every one of them to be
-    completed, and a dc plan with the rows it divided (``divided``).
-    Nothing is transformed or fitted twice.
+    other than 0 is completed off S ∩ (S+k).  The ``unsolved`` partial rows
+    take no part in the walk.  A plan that completed row 0 hands it over
+    (``row0``) with the relation rows it transformed (``relation``: shifts,
+    rows R and ambiguity rows V), and a dc plan also with the rows it
+    divided (``divided``); a zero-set plan is labelled ``zero_set``.  The
+    verdict's one residual is the estimate's miss of every relation row read
+    (``_relation_miss``).  Nothing is transformed or fitted twice.
     """
-    energy, notes = g.norm() ** 2, {"route": route}
+    notes = {"route": route, "tau_supp": tau_supp}
     if L is not None:
         notes.update({"L": L, "window_shift": shift})
-    if row0 is None:
-        corr, raw = _divide_full_rows(X, mask, (*complete, *unsolved))
-        eq_residual = 0.0
-    else:
-        corr, eq_residual = CorrelationData(g.d, {**(divided or {}), 0: row0[0]}), row0[1] / energy
-        if zero_set is not None:
-            notes["zero_set"] = zero_set
+    if zero_set is not None:
+        notes["zero_set"] = zero_set
+    if relation is None:
+        divided, relation = _divide_full_rows(X, mask, (*complete, *unsolved))
+    shifts, R, V = relation
     if partition is None:
-        partition = components_mod_d(support_from_magnitudes(corr.a[0], tau_supp), g.d, steps)
+        partition = components_mod_d(support_from_magnitudes(divided.rows[0], tau_supp), g.d, steps)
     if complete:
-        rows, in_s = dict(corr.a), _indicator(partition.universe, g.d)
+        rows, in_s = ({} if divided is None else divided.a), _indicator(partition.universe, g.d)
+        if row0 is not None:
+            rows[0] = row0
+        at = {k: i for i, k in enumerate(shifts.tolist())}
         for k in complete:
-            if k not in rows:  # a plan's completed row 0 is already in
-                rows[k], res = _complete_row(*raw[k], mask.mask[k], _meets(in_s, k))
-                eq_residual = max(eq_residual, res / energy)
-        if len(rows) > len(corr.a):
-            corr = CorrelationData(g.d, rows)
-        notes.update({"completed_rows": list(complete), "equation_residual": eq_residual})
-    outcome = propagate_phases(corr, partition, tau_supp)
-    notes.update(outcome.notes)
-    est = outcome.estimate.entries
-    for k in unsolved:
-        R_k, V_k = raw[k]
-        # est_j conj(est_{j-k}) is the estimate's row k
-        miss = np.fft.fft(est * np.conj(est[(np.arange(g.d) - k) % g.d])) * np.conj(V_k) - R_k
-        eq_residual = max(eq_residual, float(np.abs(np.fft.ifft(miss * mask.mask[k])).max()) / energy)
-    return _verdict(outcome.estimate, partition, notes, _peak(corr.a[0]), outcome.residual, eq_residual)
+            if k not in rows:
+                rows[k] = _complete_row(R[at[k]], V[at[k]], mask.mask[k], _meets(in_s, k))
+        divided = CorrelationData.from_dict(g.d, rows)
+        notes["completed_rows"] = list(complete)
+    estimate = propagate_phases(divided, partition)
+    return _verdict(estimate, partition, notes, _relation_miss(estimate.entries, shifts, R, V))
 
 
 def hole_classifier(
@@ -506,17 +488,14 @@ def hole_zero_set(b: MeasurementCoefficients, tau_rel: float = DEFAULT_TAU_REL) 
     return label, zeros
 
 
-def _complete_row(
-    R_k: np.ndarray, V_k: np.ndarray, divides: np.ndarray, allowed: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _complete_row(R_k: np.ndarray, V_k: np.ndarray, divides: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Autocorrelation row a_k from its relation row R_k = fft(a_k) * conj(V_k).
 
     V_k is the window's ambiguity row.  Where ``divides`` the row is divided,
     as on every other route.  The other frequencies, where V_k vanishes, are
     fitted by least squares so that a_k vanishes off ``allowed`` (a known zero
-    set of the signal pins them), and a_k is then set to zero there.  The residual
-    max|ifft(fft(a_k) * conj(V_k) - R_k)| flags data that no row vanishing off
-    ``allowed`` satisfies.
+    set of the signal pins them), and a_k is then set to zero there.  Data
+    that no such row satisfies shows in the estimate's miss of R_k.
     """
     d = R_k.size
     A = np.zeros(d, dtype=np.complex128)
@@ -527,7 +506,7 @@ def _complete_row(
         A[missing] = np.linalg.lstsq(_fit_basis(missing, zero, d), -np.fft.ifft(A)[zero], rcond=None)[0]
     a = np.fft.ifft(A)
     a[zero] = 0.0
-    return a, float(np.abs(np.fft.ifft(np.fft.fft(a) * np.conj(V_k) - R_k)).max())
+    return a
 
 
 def _indicator(support, d: int) -> np.ndarray:
@@ -556,9 +535,7 @@ def _pins(divides: np.ndarray, allowed: np.ndarray) -> bool:
     return enough and np.linalg.matrix_rank(_fit_basis(missing, zero, divides.size)) == missing.size
 
 
-def _row0_from_energy(
-    others: np.ndarray, R_0: np.ndarray, V_0: np.ndarray, divides: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _row0_from_energy(others: np.ndarray, R_0: np.ndarray, V_0: np.ndarray, divides: np.ndarray) -> np.ndarray:
     """Row 0 a_0 = |f|² from its relation row R_0 = fft(a_0) * conj(V_0) and every other row a_k (``others``).
 
     Summed over k ≠ 0, |a_k[j]|² = a_0[j] a_0[j-k] gives s_j = a_0[j] (E - a_0[j]),
@@ -569,8 +546,7 @@ def _row0_from_energy(
     candidate's miss comes from one inverse transform of the small roots' miss
     r, as ‖r‖² + n c_j² + 2 c_j Re(d ifft(r)[j]), with c_j the gap between the
     roots and n the divided frequencies.  All of it is worked in units of E,
-    so no square leaves the range of floats.  The residual is
-    ``_complete_row``'s: max|ifft(fft(a_0) * conj(V_0) - R_0)|.
+    so no square leaves the range of floats.
     """
     d = R_0.size
     A = np.zeros(d, dtype=np.complex128)
@@ -585,7 +561,7 @@ def _row0_from_energy(
     if miss[j] < 0.0:
         a0[j] += gap[j]
     a0 *= E
-    return a0, float(np.abs(np.fft.ifft(np.fft.fft(a0) * np.conj(V_0) - R_0)).max())
+    return a0
 
 
 def _dc_pair_violation(d: int, ls: int) -> PreconditionViolated | None:
@@ -645,7 +621,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     support further than D_g does; when they do, the plan names them
     (PreconditionViolated).  The plan hands the solver its partition of S,
     and row 0 completed when it completed it, with the relation rows it
-    transformed (a zero set) or the rows it divided (a dc pair).
+    transformed and, for a dc pair, the rows it divided.
     """
     d, dg, mask = report.window.d, report.dg, report.omega.mask
     rows = np.zeros(d, dtype=bool)
@@ -678,29 +654,31 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     if whole[0] and zero_set is None:
         supp, first, candidates = _row0_support(X, report.omega, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
     elif dc:
-        corr, raw = _divide_full_rows(X, report.omega, (0,))
-        a = np.stack(list(corr.a.values()))  # rows 1..d/2, whole; a[k-1] is a_k
+        divided, relation = _divide_full_rows(X, report.omega, (0,))
+        a = divided.rows  # rows 1..d/2, whole; a[k-1] is a_k
         k = np.arange(1, (d + 1) // 2)[:, None]  # each k whose mirror d-k is another row
         shifted = np.concatenate((a, a), axis=1)[k - 1, k + np.arange(d)]  # a_k[j+k], off a doubled copy
         others = np.concatenate((a, np.conj(shifted)))  # a_{d-k}[j] = conj(a_k[j+k])
-        row0 = _row0_from_energy(others, *raw[0], mask[0])
-        supp, first, candidates = support_from_magnitudes(row0[0], tau_supp), (0,), np.flatnonzero(~whole)
-        plan.update({"divided": corr.a, "row0": row0})
+        _, R, V = relation
+        row0 = _row0_from_energy(others, R[-1], V[-1], mask[0])  # row 0, the one partial row, is read last
+        supp, first, candidates = support_from_magnitudes(row0, tau_supp), (0,), np.flatnonzero(~whole)
+        plan.update({"divided": divided, "relation": relation, "row0": row0})
     else:
-        candidates = np.flatnonzero(rows[half])
-        raw = dict(zip(candidates.tolist(), zip(*_relation_rows(X, report.omega, candidates))))
+        candidates = np.flatnonzero(rows[half])  # row 0 first
+        R, V = _relation_rows(X, report.omega, candidates)
         if zero_set is None:
-            # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift
-            b = {k: np.roll(np.fft.ifft(raw[k][0]), report.canonical_shift) for k in range(band + 1)}
+            # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift;
+            # the rows k <= d/2 of a filled band's D_g are 0..L, so R[k] is row k
+            b = {k: np.roll(np.fft.ifft(R[k]), report.canonical_shift) for k in range(band + 1)}
             zero_set = hole_zero_set(MeasurementCoefficients(d, band, b), tau_rel)
             if zero_set is None:
                 return AnchorInvalid("row 0 has a hole, and the measurement shows no signal hole of length L or L+1")
         label, zeros = zero_set
         if not _pins(mask[0], ~zeros):
             return AnchorInvalid(f"the {label} zero set does not pin the vanished frequencies of row 0")
-        row0 = _complete_row(*raw[0], mask[0], ~zeros)
-        supp, first = support_from_magnitudes(row0[0], tau_supp), (0,)
-        plan.update({"zero_set": label, "raw": raw, "row0": row0})
+        row0 = _complete_row(R[0], V[0], mask[0], ~zeros)
+        supp, first = support_from_magnitudes(row0, tau_supp), (0,)
+        plan.update({"zero_set": label, "relation": (candidates, R, V), "row0": row0})
     in_s = _indicator(supp, d)
     complete = (*first, *(k for k in candidates.tolist() if k and _pins(mask[k], _meets(in_s, k))))
     partition = components_mod_d(supp, d, (*np.flatnonzero(whole).tolist(), *complete))

@@ -145,13 +145,12 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def loop_propagate_phases(a: dict, d: int, components, universe) -> tuple[np.ndarray, float]:
+def loop_propagate_phases(a: dict, d: int, components, universe) -> np.ndarray:
     """Breadth-first phase walk over every edge, one scalar at a time.
 
     ``a`` maps shift k to the row a[k][j] = f_j conj(f_{j-k}).  Each component's
     smallest index gets phase 0; the queue visits shifts ascending, forward
     before backward, and an index keeps the first phase an edge implies for it.
-    Returns (estimate, largest row residual).
     """
     mags = np.sqrt(np.clip(a[0].real, 0.0, None))
     support = set(universe)
@@ -174,10 +173,7 @@ def loop_propagate_phases(a: dict, d: int, components, universe) -> tuple[np.nda
     est = np.zeros(d, dtype=np.complex128)
     for j, phi in phases.items():
         est[j] = mags[j] * np.exp(1j * phi)
-    residual = 0.0
-    for k in sorted(a):
-        residual = max(residual, float(np.abs(a[k] - est * np.conj(np.roll(est, k))).max()))
-    return est, residual
+    return est
 
 
 def loop_hole_classifier(b: dict, d: int, L: int, tau_rel: float) -> list[int]:
@@ -214,3 +210,22 @@ def loop_banded_equation_residual(a, b_row, coef, k: int) -> float:
     for i, cf in enumerate(coef):
         predicted = predicted + cf * np.roll(a, -(k + i))
     return float(np.abs(predicted - np.asarray(b_row)).max())
+
+
+def dense_relation_miss(est, X, g) -> float:
+    """The estimate's largest miss of X's relation table over the rows k <= d/2 of D_g, over R[0, 0].
+
+    Builds both full d x d tables, R = relation of X (from exponent matrices)
+    and V_est * conj(V_gg) (every shift row transformed); D_g is the set of
+    differences of g's nonzero indices.
+    """
+    est = np.asarray(est, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    d = len(g)
+    F = _exponent_matrix(d)
+    R = (F @ np.asarray(X, dtype=np.float64) @ np.conj(F)).T / d
+    supp = np.flatnonzero(g)
+    rows = np.unique((supp[:, None] - supp[None, :]) % d)
+    rows = rows[2 * rows <= d]
+    miss = dense_stft(est, est)[rows] * np.conj(dense_stft(g, g)[rows]) - R[rows]
+    return float(np.abs(miss).max() / R[0, 0].real)

@@ -455,8 +455,13 @@ def test_the_window_ambiguity_is_built_once_per_certification(monkeypatch, case)
 def test_a_dc_item_builds_its_rows_once_in_the_plan_and_once_with_row0(monkeypatch):
     # the plan's divided rows, then those with the completed row 0; nothing new to add after that
     built = []
-    init = recovery.CorrelationData.__post_init__
-    monkeypatch.setattr(recovery.CorrelationData, "__post_init__", lambda self: built.append(len(self.a)) or init(self))
+    init = recovery.CorrelationData.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        built.append(self.shifts.size)
+
+    monkeypatch.setattr(recovery.CorrelationData, "__init__", counting)
     g = construct_punctured_dc_window(15, seed=1)
     X = measure(random_signal(rng_for("band-rows-dc-builds"), 15), g)
     assert recover(X, g).notes["completed_rows"] == [0]

@@ -1,8 +1,11 @@
-"""README's library layout table names only modules and attributes that exist."""
+"""README's library layout table names only modules and attributes that exist, and its
+library example prints what its comments say."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -33,3 +36,19 @@ def test_readme_module_table_names_what_exists():
             assert hasattr(module, ident.group()), f"README names {name}.{ident.group()}, which does not exist"
             checked += 1
     assert checked
+
+
+def test_readme_library_example_prints_its_commented_outputs():
+    # each print line's comment is its output; "~x" reads as "at most 1000 x"
+    block = re.search(r"## Library example\n+```python\n(.*?)```", README.read_text(), re.S).group(1)
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().split()
+    assert expected == ["True", "UniqueUpToGlobalPhase", "~1e-15"] and len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        if want.startswith("~"):
+            assert float(got) <= 1e3 * float(want[1:]), (got, want)
+        else:
+            assert got == want
