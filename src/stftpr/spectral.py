@@ -32,6 +32,8 @@ def _as_complex_vector(values, d: int | None = None) -> np.ndarray:
 class CyclicSignal:
     """A length-d complex signal on Z_d.
 
+    The signal owns a read-only copy of its entries, so it never changes
+    after it is built and the caller's array stays as it was.
     ``origin_offset`` is set only for signals produced by :func:`embed_line`
     and records which line index was mapped to cyclic index 0.
     """
@@ -43,7 +45,7 @@ class CyclicSignal:
     def __post_init__(self):
         if self.d < 2:
             raise DimensionMismatch(f"dimension must be >= 2, got {self.d}")
-        v = _as_complex_vector(self.entries, self.d)
+        v = _as_complex_vector(self.entries, self.d).copy()
         v.setflags(write=False)
         object.__setattr__(self, "entries", v)
 

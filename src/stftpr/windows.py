@@ -11,7 +11,7 @@ windows whose supports have all-distinct pairwise differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -373,7 +373,23 @@ def _anchor_index(supp: tuple[int, ...], d: int) -> int:
 
 
 def classify_window(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> WindowReport:
-    """Full certification report for a window."""
+    """Full certification report for a window, computed once per window and threshold.
+
+    The report is memoized on ``g`` itself, keyed by ``float(tau_rel)``: a
+    window owns read-only entries, so its certificate never goes stale, and
+    the memo lives exactly as long as the window.  It holds the report without
+    its window, so it forms no reference cycle, and each call returns it bound
+    to the caller's ``g``.  A call that raises stores nothing.
+    """
+    key = float(tau_rel)
+    memo = vars(g).setdefault("_certificates", {})
+    if key not in memo:
+        memo[key] = replace(_certify(g, key), window=None)
+    return replace(memo[key], window=g)
+
+
+def _certify(g: CyclicSignal, tau_rel: float) -> WindowReport:
+    """The certification ``classify_window`` memoizes: support scan, mask, D_g and flags."""
     d, supp = g.d, g.support(tau_rel)
     i = _anchor_index(supp, d)
     shift, span = supp[i], (supp[i - 1] - supp[i]) % d + 1  # the anchored support ends at supp[i-1]

@@ -24,6 +24,17 @@ from stftpr.spectral import (
 )
 
 
+def test_a_signal_owns_a_read_only_copy_of_its_entries():
+    # the caller's array stays writable, and writing through a view's base leaves the signal as built
+    a = np.ones(8, dtype=np.complex128)
+    CyclicSignal(8, a)
+    assert a.flags.writeable
+    b = np.zeros(16, dtype=np.complex128)
+    g = CyclicSignal(8, b[:8])
+    b[0] = 5.0
+    assert g.entries[0] == 0.0 and not g.entries.flags.writeable
+
+
 def test_dft_delta_is_flat():
     assert np.allclose(dft(CyclicSignal.delta(4).entries), np.ones(4))
 

@@ -1,14 +1,21 @@
+import gc
 import math
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from helpers import forced_zero_window, random_short_window, random_signal, random_sparse_window, rng_for
+import stftpr.windows as windows
+from helpers import forced_zero_window, random_entries, random_short_window, random_signal, random_sparse_window, rng_for
 from oracles import dense_omega_mask, dense_stft, loop_anchor_start
 from stftpr.errors import EmptySupport, StftprError
-from stftpr.spectral import CyclicSignal, ambiguity
+from stftpr.linemode import recover_line_block
+from stftpr.recovery import STATUS_UNIQUE, VERDICT_RETRIEVABLE, decide_retrievability, recover
+from stftpr.spectral import CyclicSignal, ambiguity, embed_line, measure
 from stftpr.windows import (
     DEFAULT_TAU_REL,
+    WindowReport,
     canonical_anchor,
     classify_window,
     construct_line_difference_window,
@@ -341,3 +348,119 @@ def test_one_support_scan_anchors_as_the_gap_loop_does():
             span = max((j - shift) % d for j in supp) + 1
             assert report.support == supp and report.canonical_shift == shift
             assert report.short_L == (span - 1 if 2 * (span - 1) < d else None), (d, supp)
+
+
+def _memo_windows():
+    """One window of each certified class: power, punctured center and dc, box, straddling box, dense, line."""
+    rng = rng_for("certificate-memo")
+    box = np.r_[np.ones(4), np.zeros(28)]
+    yield "power", construct_power_window(64, 3)
+    yield "center", construct_punctured_center_window(16)
+    yield "dc", construct_punctured_dc_window(15, seed=1)
+    yield "box", CyclicSignal(32, box)
+    yield "straddle", CyclicSignal(32, np.roll(box, -2))
+    yield "dense", random_signal(rng, 17)
+    f_map = {j: complex(z) for j, z in zip((0, 1, 3), random_entries(rng, 3))}
+    yield "line", embed_line(f_map, {j: complex(z) for j, z in enumerate(random_entries(rng, 3))})[1]
+
+
+def _assert_same_certificate(got, fresh):
+    for field in fields(WindowReport):
+        if field.name not in ("window", "omega"):
+            assert getattr(got, field.name) == getattr(fresh, field.name), field.name
+    assert (got.omega.d, got.omega.threshold, got.omega.threshold_rule) == (fresh.omega.d, fresh.omega.threshold, fresh.omega.threshold_rule)
+    assert got.omega.mask.tobytes() == fresh.omega.mask.tobytes()
+    for a, b in zip(got.omega.ambiguity, fresh.omega.ambiguity):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", _memo_windows(), ids=lambda case: case[0])
+def test_a_memoized_certificate_equals_a_fresh_one(case):
+    name, g = case
+    first = classify_window(g)
+    memoized = classify_window(g)
+    assert memoized.omega is first.omega and memoized.window is g
+    fresh = classify_window(CyclicSignal(g.d, g.entries.copy(), g.origin_offset))
+    assert fresh.omega is not first.omega
+    _assert_same_certificate(memoized, fresh)
+    assert memoized.is_full if name == "dense" else not memoized.is_full
+
+
+def test_each_threshold_keeps_its_own_certificate():
+    g = CyclicSignal(8, [1.0, 1e-6, 1.0, 0, 0, 0, 0, 0])
+    fine, coarse = classify_window(g, 1e-9), classify_window(g, 1e-3)
+    assert (fine.support, coarse.support) == ((0, 1, 2), (0, 2))
+    assert classify_window(g, 1e-9).omega is fine.omega and classify_window(g, 1e-3).omega is coarse.omega
+    assert classify_window(g, np.float64(1e-3)).omega is coarse.omega
+
+
+def test_a_certificate_is_never_memoized_from_an_error():
+    zero = CyclicSignal.zeros(8)
+    for _ in range(2):
+        with pytest.raises(EmptySupport):
+            classify_window(zero)
+    g = construct_power_window(8, 2)
+    for _ in range(2):
+        with pytest.raises(StftprError, match="tau_rel"):
+            classify_window(g, 0.0)
+        with pytest.raises(EmptySupport):
+            classify_window(g, 1.5)
+    assert classify_window(g).short_L == 2
+
+
+def test_a_certified_window_dies_with_its_last_reference():
+    # the memo holds its report without the window, so no cycle waits for the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = construct_power_window(64, 3)
+        report = classify_window(g)
+        assert classify_window(g).omega is report.omega
+        alive = weakref.ref(g)
+        del g, report
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def mask_builds(monkeypatch):
+    """Windows passed to the ``omega_mask`` that ``classify_window`` looks up, one entry a build."""
+    built, build = [], windows.omega_mask
+
+    def counting(g, tau_rel=DEFAULT_TAU_REL):
+        built.append(g)
+        return build(g, tau_rel)
+
+    monkeypatch.setattr(windows, "omega_mask", counting)
+    return built
+
+
+def test_recover_then_decide_certifies_the_window_once(mask_builds):
+    rng = rng_for("certify-once", "pair")
+    g = random_short_window(rng, 32, 3)
+    X = measure(random_signal(rng, 32), g)
+    assert recover(X, g).status == STATUS_UNIQUE
+    assert decide_retrievability(X, classify_window(g)).verdict == VERDICT_RETRIEVABLE
+    assert len(mask_builds) == 1 and mask_builds[0] is g
+
+
+def test_signals_sharing_a_window_certify_it_once(mask_builds):
+    rng = rng_for("certify-once", "shared")
+    g = construct_power_window(24, 5)
+    for _ in range(5):
+        X = measure(random_signal(rng, 24), g)
+        recover(X, g)
+        decide_retrievability(X, classify_window(g))
+    assert len(mask_builds) == 1 and mask_builds[0] is g
+
+
+def test_a_line_block_and_its_decision_certify_the_window_once(mask_builds):
+    rng = rng_for("certify-once", "line")
+    f_map = {j: complex(z) for j, z in zip((0, 1, 3, 5), random_entries(rng, 4))}
+    f_emb, g_emb, _ = embed_line(f_map, {j: complex(z) for j, z in enumerate(random_entries(rng, 3))})
+    X = measure(f_emb, g_emb)
+    assert recover_line_block(X, g_emb, 2).status == STATUS_UNIQUE
+    decide_retrievability(X, classify_window(g_emb))
+    assert len(mask_builds) == 1 and mask_builds[0] is g_emb
