@@ -19,6 +19,7 @@ from .errors import EmptySupport, RejectionLimit, StftprError
 from .spectral import CyclicSignal, meeting_shifts, stft_rows
 
 DEFAULT_TAU_REL = 1e-9
+MAX_DRAWS = 1000  # top-entry phase draws before construct_punctured_dc_window gives up
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,51 +249,64 @@ def _positive_coeffs(d: int, ls: int) -> np.ndarray:
     return coeffs
 
 
-def construct_punctured_dc_window(
-    d: int, seed: int, tau_rel: float = DEFAULT_TAU_REL, max_draws: int = 1000
-) -> CyclicSignal:
+def _excluded_tops(mags: np.ndarray, d: int) -> np.ndarray:
+    """Top-entry values t = g_m that zero V(k, l), for every shift 0 < k < d/2 and frequency l.
+
+    V(k, l) = tail(k, l) + t |g_{m-k}| e^(-2 pi i l m / d), where tail(k, l) is the
+    transform of the products |g_j| |g_{j-k}|, k <= j < m: one FFT gives every tail.
+    """
+    m = d // 2
+    ks = np.arange(1, (d + 1) // 2)[:, None]
+    lag = np.arange(m) - ks
+    tails = np.fft.fft(np.where(lag >= 0, mags[:m] * mags[np.maximum(lag, 0)], 0.0), d, axis=1)
+    return -np.exp(2j * np.pi * np.arange(d) * m / d) / mags[m - ks] * tails
+
+
+def construct_punctured_dc_window(d: int, seed: int, tau_rel: float = DEFAULT_TAU_REL) -> CyclicSignal:
     """Window supported on 0..floor(d/2) whose mask misses exactly (0, l*) and (0, -l*).
 
     The magnitudes are square roots of the positive polynomial coefficients; the
     top entry's phase is drawn from a seeded generator on its circle, rejecting
-    the finitely many values that would create extra ambiguity zeros.  The final
-    mask is certified before returning.
+    the finitely many values that would create extra ambiguity zeros: the four
+    axis points and, from one FFT (``_excluded_tops``), the value that zeroes each
+    entry off the dc row.  Row 0 of the mask, fft(|g|^2) against the energy,
+    depends on no phase: when it vanishes anywhere but +-l* at ``tau_rel`` (from
+    d = 36 at the default), no draw can succeed, and a ``StftprError`` names d,
+    ``tau_rel`` and those frequencies before any draw.  The final mask is
+    certified before returning.
     """
     if d < 5:
         raise StftprError(f"need d >= 5, got {d}")
+    if not (0.0 < tau_rel < 1.0):  # the row-0 check below reads the threshold before omega_mask does
+        raise StftprError(f"tau_rel must lie in (0, 1), got {tau_rel}")
     ls = lstar(d)
     m = d // 2
-    coeffs = _positive_coeffs(d, ls)
-    mags = np.sqrt(coeffs)
+    mags = np.sqrt(_positive_coeffs(d, ls))
 
     base = np.zeros(d, dtype=np.complex128)
     base[: m + 1] = mags
+    row0 = np.abs(np.fft.fft(mags**2, d))
+    zeros, pair = np.flatnonzero(row0 <= tau_rel * row0.max()).tolist(), [ls, d - ls]
+    if zeros != pair:
+        raise StftprError(
+            f"punctured-dc certificate not representable at d = {d} with tau_rel = {tau_rel:g}: "
+            f"row 0 vanishes at l = {zeros}, not only at +-l* = {pair}"
+        )
 
-    # finitely many top-entry values force an extra zero somewhere off the dc row
-    bad: list[complex] = [mags[m], -mags[m], 1j * mags[m], -1j * mags[m]]
-    j_idx = np.arange(d)
-    for k in range(1, (d + 1) // 2):
-        lo, hi = k, m  # products g_j conj(g_{j-k}) for j = k .. m-1
-        for l in range(d):
-            phases = np.exp(-2j * np.pi * j_idx[lo:hi] * l / d)
-            tail = np.sum(mags[lo:hi] * mags[lo - k : hi - k] * phases)
-            s = -np.exp(2j * np.pi * l * m / d) / mags[m - k] * tail
-            bad.append(complex(s))
-    bad_arr = np.array(bad, dtype=np.complex128)
-
-    expected = {(0, ls), (0, (d - ls) % d)}
+    bad = np.concatenate((mags[m] * np.array([1, -1, 1j, -1j]), _excluded_tops(mags, d).ravel()))
+    expected = {(0, l) for l in pair}
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         top = mags[m] * np.exp(1j * theta)
-        if np.abs(bad_arr - top).min() <= 1e-6 * mags[m]:
+        if np.abs(bad - top).min() <= 1e-6 * mags[m]:
             continue
         v = base.copy()
         v[m] = top
         g = CyclicSignal(d, v)
         if set(omega_mask(g, tau_rel).false_entries()) == expected:
             return g
-    raise RejectionLimit(f"no admissible top entry within {max_draws} draws (d={d})")
+    raise RejectionLimit(f"no admissible top entry within {MAX_DRAWS} draws (d={d})")
 
 
 def line_difference_positions(n_terms: int) -> list[int]:

@@ -59,6 +59,12 @@ def test_window_construct_punctured_center(workdir, capsys):
     assert doc["omega"]["mask_false"] == [[4, 4]]
 
 
+def test_window_construct_punctured_dc_out_of_range_is_a_data_error(workdir, capsys):
+    rc = main(["window", "construct", "--kind", "punctured-dc", "--d", "36", "--seed", "1"])
+    assert rc == 65
+    assert "punctured-dc certificate not representable at d = 36" in capsys.readouterr().err
+
+
 def test_window_analyze_reports_class(workdir, capsys):
     rng = rng_for("cli-analyze")
     g = random_short_window(rng, 10, 3)

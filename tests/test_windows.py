@@ -231,6 +231,79 @@ def test_punctured_dc_is_seed_deterministic():
     assert np.array_equal(a.entries, b.entries)
 
 
+def _excluded_tops_loop(mags, d):
+    """Reference for ``windows._excluded_tops``: one transform sum per shift k and frequency l."""
+    m = d // 2
+    j_idx = np.arange(d)
+    rows = []
+    for k in range(1, (d + 1) // 2):
+        row = []
+        for l in range(d):
+            phases = np.exp(-2j * np.pi * j_idx[k:m] * l / d)
+            tail = np.sum(mags[k:m] * mags[: m - k] * phases)
+            row.append(-np.exp(2j * np.pi * l * m / d) / mags[m - k] * tail)
+        rows.append(row)
+    return np.array(rows, dtype=np.complex128)
+
+
+def test_excluded_tops_match_the_loop_to_roundoff():
+    for d in range(5, 61):
+        m = d // 2
+        mags = np.sqrt(windows._positive_coeffs(d, lstar(d)))
+        fast, ref = windows._excluded_tops(mags, d), _excluded_tops_loop(mags, d)
+        assert fast.shape == ref.shape == ((d + 1) // 2 - 1, d)
+        for k in range(1, (d + 1) // 2):
+            scale = np.sum(mags[k:m] * mags[: m - k]) / mags[m - k]
+            assert np.abs(fast[k - 1] - ref[k - 1]).max() <= 1e-12 * scale, (d, k)
+
+
+class _FirstDraw:
+    """Stand-in generator: its first uniform draw is ``first`` (unless None), then ``rng``'s."""
+
+    def __init__(self, first, rng):
+        self.pending, self.rng = [] if first is None else [first], rng
+
+    def uniform(self, lo, hi):
+        return self.pending.pop() if self.pending else self.rng.uniform(lo, hi)
+
+
+def test_punctured_dc_windows_keep_their_bytes_against_the_loop(monkeypatch):
+    cases = [(d, seed, None) for d in range(5, 36) for seed in range(10)]
+    # the table decides a draw only within 1e-6 |g_m| of the top entry's circle; at d = 5 the
+    # excluded tops of row k = 1 lie on it, so a first draw 5e-7 rad past each must be refused
+    mags5 = np.sqrt(windows._positive_coeffs(5, lstar(5)))
+    near = [float(np.angle(s)) + 5e-7 for s in _excluded_tops_loop(mags5, 5)[0]]
+    cases += [(5, seed, first) for seed, first in enumerate(near)]
+    default_rng = np.random.default_rng
+
+    def build(d, seed, first):
+        monkeypatch.setattr(np.random, "default_rng", lambda s: _FirstDraw(first, default_rng(s)))
+        return construct_punctured_dc_window(d, seed).entries
+
+    built = [build(*case) for case in cases]
+    for entries, first in zip(built[-len(near) :], near):
+        assert abs(entries[2] - np.exp(1j * first)) > 1e-3  # |g_2| = 1 at d = 5
+    monkeypatch.setattr(windows, "_excluded_tops", _excluded_tops_loop)
+    for case, entries in zip(cases, built):
+        assert build(*case).tobytes() == entries.tobytes(), case
+
+
+def test_punctured_dc_refuses_an_unrepresentable_row0_before_drawing(monkeypatch):
+    calls = []
+    certify = windows.omega_mask
+    monkeypatch.setattr(windows, "omega_mask", lambda g, tau_rel=DEFAULT_TAU_REL: calls.append(g.d) or certify(g, tau_rel))
+    # row 0 is fft(|g|^2) against the energy, whatever the top entry's phase: at d = 36 it
+    # also vanishes at l = 18, between l* = 17 and d - l* = 19
+    with pytest.raises(StftprError, match=r"d = 36 with tau_rel = 1e-09: row 0 vanishes at l = \[17, 18, 19\]"):
+        construct_punctured_dc_window(36, seed=1)
+    with pytest.raises(StftprError, match=r"tau_rel must lie in \(0, 1\)"):
+        construct_punctured_dc_window(9, seed=1, tau_rel=1.0)
+    assert calls == []
+    for d, tau_rel in ((36, 1e-11), (40, 1e-11), (50, 1e-13)):
+        g = construct_punctured_dc_window(d, seed=1, tau_rel=tau_rel)
+        assert set(omega_mask(g, tau_rel).false_entries()) == {(0, lstar(d)), (0, d - lstar(d))}
+
+
 def test_line_difference_positions_prefix():
     assert line_difference_positions(9) == [0, 2, 3, 14, 18, 46, 51, 114, 120]
 
