@@ -103,6 +103,9 @@ def recover_line_limited(
     """
     if kstar < 1:
         raise StftprError(f"need kstar >= 1, got {kstar}")
+    for k, pts in corr_samples.items():
+        if not np.isfinite(np.array(pts, dtype=np.complex128)).all():
+            raise StftprError(f"row {k} holds a non-finite sample node or value")
     if 0 not in corr_samples:
         raise InsufficientSamples("the zero-shift row is required")
     for k in range(1, kstar + 1):

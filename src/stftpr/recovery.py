@@ -33,6 +33,7 @@ and the CLI's ``--mode`` choices (``MODES``) all go through it.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -621,16 +622,19 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     support further than D_g does; when they do, the plan names them
     (PreconditionViolated).  The plan hands the solver its partition of S,
     and row 0 completed when it completed it, with the relation rows it
-    transformed and, for a dc pair, the rows it divided.
+    transformed and, for a dc pair, the rows it divided.  A plan that read X
+    with no declared zero set is recorded on X while X lives, under ``_plan_key``
+    (which holds L) and a weak reference to the certificate read: its route,
+    zero-set label and partition, no array.  Only ``decide_retrievability`` reads it.
     """
-    d, dg, mask = report.window.d, report.dg, report.omega.mask
+    d, dg, mask, auto = report.window.d, report.dg, report.omega.mask, zero_set is None
     rows = np.zeros(d, dtype=bool)
     rows[list(dg.members)] = True
     whole = mask.all(axis=1)
     if (mask.any(axis=1) != rows).any() or (L is not None and not whole[rows].all()):
         error = WindowClassError if L is None else NonGenericWindow
         return error("window mask has a true entry off the rows of D_g, or (with an L) a partial row")
-    partial0 = zero_set is None and not whole[0]
+    partial0 = auto and not whole[0]
     dc = partial0 and whole[1:].all()  # every other row whole: row 0 from the energy identity
     band = _filled_band(report) if partial0 and not dg.covers_all else None
     if dc:
@@ -641,7 +645,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
             return why
     elif partial0 and band is None:
         return WindowClassError("row 0 has a hole, and no zero set of the signal is known for this window")
-    if zero_set is None and whole[rows].all():
+    if auto and whole[rows].all():
         if L is None and dg.covers_all:
             return {"mask": report.omega, "steps": dg, "route": "full"}
         reach = max(min(k, d - k) for k in dg.members)
@@ -651,7 +655,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
             return NonGenericWindow(f"mask does not equal the width-{L} band")
         return {"mask": report.omega, "steps": dg, "route": "known"}
     plan, half = {"mask": report.omega, "route": "known"}, slice(0, d // 2 + 1)
-    if whole[0] and zero_set is None:
+    if whole[0] and auto:
         supp, first, candidates = _row0_support(X, report.omega, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
     elif dc:
         divided, relation = _divide_full_rows(X, report.omega, (0,))
@@ -666,7 +670,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     else:
         candidates = np.flatnonzero(rows[half])  # row 0 first
         R, V = _relation_rows(X, report.omega, candidates)
-        if zero_set is None:
+        if auto:
             # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift;
             # the rows k <= d/2 of a filled band's D_g are 0..L, so R[k] is row k
             b = {k: np.roll(np.fft.ifft(R[k]), report.canonical_shift) for k in range(band + 1)}
@@ -686,7 +690,15 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     split = partition.n_components > 1  # one component cannot split further under D_g
     if stuck and split and partition.n_components > components_mod_d(supp, d, dg).n_components:
         return PreconditionViolated(f"rows {stuck} cannot be completed from the support, which splits without them")
+    if auto:  # X and the window are immutable, so the record never goes stale
+        summary = {k: v for k, v in plan.items() if k in ("route", "zero_set")} | {"partition": partition}
+        vars(X).setdefault("_plans", {})[_plan_key(report, L, tau_rel, tau_supp)] = (weakref.ref(report.omega), summary)
     return {**plan, "partition": partition, "complete": complete, "unsolved": stuck}
+
+
+def _plan_key(report: WindowReport, L, tau_rel, tau_supp) -> tuple:
+    """A recorded plan's key: the window's bytes, both thresholds and L."""
+    return report.window.entries.tobytes(), float(tau_rel), float(tau_supp), L
 
 
 def _row0_support(X: SpectrogramMeasurement, mask: OmegaMask, tau_supp: float) -> tuple[int, ...]:
@@ -784,7 +796,8 @@ def decide_retrievability(
     of its band, whose row 0 is partial and whose signal shows no hole to pin
     it, is NotRetrievable when comb translates reproduce the measurement.
     Outside every implemented uniqueness condition the honest answer is
-    Undecidable.
+    Undecidable.  A partition a plan of X already judged on this window,
+    thresholds and certificate is read off X's record (``_plan_known``).
     """
     g, d = report.window, X.d
     notes: dict = {"tau_rel": tau_rel, "tau_supp": tau_supp}
@@ -792,7 +805,8 @@ def decide_retrievability(
         notes["case"] = "zero-signal"
         return DecisionReport(VERDICT_RETRIEVABLE, ConnectivityPartition("empty", (), ()), notes)
 
-    plan = _plan_known(X, report, None, tau_rel, tau_supp)
+    certificate, plan = vars(X).get("_plans", {}).get(_plan_key(report, None, tau_rel, tau_supp), (lambda: None, None))
+    plan = plan if certificate() is report.omega else _plan_known(X, report, None, tau_rel, tau_supp)
     # the plan rejects a partial row 0 no zero set pins with AnchorInvalid, only on filled bands
     L = _filled_band(report) if isinstance(plan, AnchorInvalid) else None
     if L is not None:

@@ -62,8 +62,8 @@ def load_json(text: str):
 
 
 def measurement_to_csv(X: SpectrogramMeasurement) -> str:
-    lines = [",".join(format_float(x) for x in row) for row in X.sq_mag]
-    return "\n".join(lines) + "\n"
+    line = ",".join([_FMT] * X.d) + "\n"  # one format operation a row
+    return "".join(line % tuple(row) for row in X.sq_mag.tolist())
 
 
 def measurement_from_csv(text: str) -> SpectrogramMeasurement:
@@ -77,4 +77,5 @@ def measurement_from_csv(text: str) -> SpectrogramMeasurement:
     tiny = -1e-12 * max(1.0, float(np.abs(arr).max()))
     if arr.min() < tiny:
         raise ValueError("measurement CSV contains negative entries")
-    return SpectrogramMeasurement(d, np.clip(arr, 0.0, None))
+    np.clip(arr, 0.0, None, out=arr).setflags(write=False)  # handed over, not copied
+    return SpectrogramMeasurement(d, arr)

@@ -97,13 +97,16 @@ class ComplexTable:
 
 @dataclass(frozen=True)
 class SpectrogramMeasurement:
-    """Squared transform magnitudes ``sq_mag[k, l] = |V(k, l)|^2``."""
+    """Squared transform magnitudes ``sq_mag[k, l] = |V(k, l)|^2``, read-only bytes of its own: an array
+    handed in is copied unless it is read-only and owns its bytes, as those ``measure`` and the CSV
+    loader make are, so a measurement never changes and the caller's array stays as it was."""
 
     d: int
     sq_mag: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.sq_mag, dtype=np.float64)
+        m = m.copy() if m.flags.writeable or not m.flags.owndata else m
         if m.shape != (self.d, self.d):
             raise DimensionMismatch(f"expected shape ({self.d},{self.d}), got {m.shape}")
         if not np.isfinite(m).all():
@@ -174,8 +177,8 @@ def stft(f: CyclicSignal, g: CyclicSignal) -> ComplexTable:
 
 def measure(f: CyclicSignal, g: CyclicSignal) -> SpectrogramMeasurement:
     """Squared-magnitude measurement of the windowed transform."""
-    table = stft(f, g)
-    return SpectrogramMeasurement(f.d, np.abs(table.values) ** 2)
+    (sq_mag := np.abs(stft(f, g).values) ** 2).setflags(write=False)  # handed over, not copied
+    return SpectrogramMeasurement(f.d, sq_mag)
 
 
 def ambiguity(g: CyclicSignal) -> ComplexTable:

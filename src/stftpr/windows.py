@@ -366,18 +366,6 @@ def real_window_feasibility(d: int) -> FeasibilityVerdict:
     return FeasibilityVerdict(d, True, None, witness)
 
 
-def canonical_anchor(g: CyclicSignal, tau_rel: float = DEFAULT_TAU_REL) -> tuple[CyclicSignal, int]:
-    """Rotate a window so its support starts at index 0.
-
-    Returns the rotated window and the shift y with ``g = shifted(result, y)``.
-    The support block is placed after the largest cyclic gap; ties resolve to
-    the smallest start index.
-    """
-    supp = g.support(tau_rel)
-    shift = supp[_anchor_index(supp, g.d)]
-    return (g if shift == 0 else CyclicSignal(g.d, np.roll(g.entries, -shift))), shift
-
-
 def _anchor_index(supp: tuple[int, ...], d: int) -> int:
     """Position in the sorted support of the index after the largest cyclic gap, the first on ties."""
     if not supp:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_entries, rng_for
-from stftpr.errors import InconsistentData, InsufficientSamples
+from stftpr.errors import InconsistentData, InsufficientSamples, StftprError
 from stftpr.linemode import recover_line_block, recover_line_limited
 from stftpr.recovery import STATUS_INCONSISTENT, STATUS_PER_COMPONENT, STATUS_UNIQUE, compare_up_to_phase
 from stftpr.spectral import CyclicSignal, embed_line, measure
@@ -131,6 +131,21 @@ def test_line_limited_delta():
     f[0] = 2.0
     sig, _ = recover_line_limited(make_samples(f, 2, extent), 2, extent)
     assert set(sig) == {0} and abs(sig[0] - 2.0) < 1e-12
+
+
+def test_line_limited_rejects_non_finite_samples():
+    # at s = 1e155 the squared magnitudes overflow: the samples hold inf and must be refused, naming the row
+    rng = rng_for("ll-non-finite")
+    extent = 6
+    f = random_entries(rng, extent + 1) * 1e155
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = make_samples(f, 2, extent)
+    with pytest.raises(StftprError, match=r"row 0 holds a non-finite"):
+        recover_line_limited(samples, 2, extent)
+    samples = make_samples(f / 1e155, 2, extent)
+    samples[3][1] = (samples[3][1][0], complex(np.nan, 0.0))
+    with pytest.raises(StftprError, match=r"row 3 holds a non-finite"):
+        recover_line_limited(samples, 2, extent)
 
 
 def test_line_limited_requires_small_row_samples():

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_signal, rng_for
 from stftpr import serialize
-from stftpr.spectral import CyclicSignal, measure
+from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, measure
 
 
 def test_signal_json_round_trip():
@@ -43,3 +43,14 @@ def test_measurement_csv_round_trip_and_validation():
 
 def test_twelve_significant_digits():
     assert serialize.format_float(1.0 / 3.0) == "0.333333333333"
+
+
+def test_csv_rows_print_as_each_cell_alone():
+    # one format operation a row writes the bytes that formatting each cell alone writes
+    rng = rng_for("csv-rows")
+    for d in (1, 2, 17):
+        m = rng.random((d, d)) * 10.0 ** rng.integers(-300, 300, (d, d)).astype(float)
+        m.flat[:4] = [0.0, 5e-324, 1e-310, 1e300][: m.size]
+        X = SpectrogramMeasurement(d, m)
+        per_cell = "\n".join(",".join(serialize.format_float(x) for x in row) for row in X.sq_mag) + "\n"
+        assert serialize.measurement_to_csv(X) == per_cell

@@ -10,6 +10,7 @@ from oracles import (
     naive_stft,
     naive_stft_loops,
 )
+from stftpr import serialize
 from stftpr.errors import DimensionMismatch, EmptySupport
 from stftpr.spectral import (
     CyclicSignal,
@@ -33,6 +34,21 @@ def test_a_signal_owns_a_read_only_copy_of_its_entries():
     g = CyclicSignal(8, b[:8])
     b[0] = 5.0
     assert g.entries[0] == 0.0 and not g.entries.flags.writeable
+
+
+def test_a_measurement_owns_read_only_bytes():
+    # the caller's array stays writable, and writing through a view's base leaves the measurement as built
+    a = np.ones((8, 8))
+    SpectrogramMeasurement(8, a)
+    assert a.flags.writeable
+    b = np.zeros((8, 16))
+    X = SpectrogramMeasurement(8, b[:, :8])
+    b[0, 0] = 5.0
+    assert X.sq_mag[0, 0] == 0.0 and not X.sq_mag.flags.writeable
+    # measure and the CSV loader hand over the arrays they made, and another measurement may share them
+    X = measure(CyclicSignal.delta(8), CyclicSignal.delta(8))
+    assert X.sq_mag.flags.owndata and SpectrogramMeasurement(8, X.sq_mag).sq_mag is X.sq_mag
+    assert serialize.measurement_from_csv(serialize.measurement_to_csv(X)).sq_mag.flags.owndata
 
 
 def test_dft_delta_is_flat():

@@ -16,7 +16,6 @@ from stftpr.spectral import CyclicSignal, ambiguity, embed_line, measure
 from stftpr.windows import (
     DEFAULT_TAU_REL,
     WindowReport,
-    canonical_anchor,
     classify_window,
     construct_line_difference_window,
     construct_punctured_center_window,
@@ -390,7 +389,8 @@ def test_generic_short_check_equals_the_band_mask_comparison():
 def test_canonical_anchor_rotates_support_to_zero():
     rng = rng_for("anchor")
     g = random_signal(rng, 10, support=[4, 5, 6])
-    anchored, shift = canonical_anchor(g)
+    shift = classify_window(g).canonical_shift
+    anchored = CyclicSignal(10, np.roll(g.entries, -shift))
     assert shift == 4
     assert anchored.support() == (0, 1, 2)
     assert np.allclose(anchored.shifted(shift).entries, g.entries)
@@ -415,9 +415,9 @@ def test_one_support_scan_anchors_as_the_gap_loop_does():
             g = CyclicSignal(d, v)
             supp = tuple(int(j) for j in np.nonzero(v)[0])
             shift = loop_anchor_start(supp, d)
-            anchored, got = canonical_anchor(g)
-            assert got == shift and anchored.support() == tuple(sorted((j - shift) % d for j in supp))
             report = classify_window(g)
+            anchored = CyclicSignal(d, np.roll(g.entries, -report.canonical_shift))
+            assert anchored.support() == tuple(sorted((j - shift) % d for j in supp))
             span = max((j - shift) % d for j in supp) + 1
             assert report.support == supp and report.canonical_shift == shift
             assert report.short_L == (span - 1 if 2 * (span - 1) < d else None), (d, supp)
