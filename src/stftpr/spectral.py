@@ -82,13 +82,14 @@ class CyclicSignal:
 
 @dataclass(frozen=True)
 class ComplexTable:
-    """A d x d complex matrix indexed (time shift k, frequency l)."""
+    """A d x d complex matrix indexed (time shift k, frequency l), with read-only bytes of its own as a measurement has."""
 
     d: int
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
+        v = v.copy() if v.flags.writeable or not v.flags.owndata else v
         if v.shape != (self.d, self.d):
             raise DimensionMismatch(f"expected shape ({self.d},{self.d}), got {v.shape}")
         v.setflags(write=False)
@@ -143,10 +144,8 @@ def meeting_shifts(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.flatnonzero(np.fft.irfft(fa * np.conj(fb), a.shape[0]) > 0.5)
 
 
-def stft_rows(f: CyclicSignal, g: CyclicSignal, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The rows k of :func:`stft` where exact nonzeros of f and ``roll(g, k)`` meet, and their
-    values; every other row is exactly zero.  A non-finite entry meets every row (inf * 0 is NaN).
-    With ``half``, only the rows k <= d/2 among them."""
+def _row_blocks(f: CyclicSignal, g: CyclicSignal, step: int, half: bool = False):
+    """The rows k of :func:`stft_rows`, ``step`` at a time, each with its values in one buffer that the next reuses."""
     if f.d != g.d:
         raise DimensionMismatch(f"signal has d={f.d}, window has d={g.d}")
     d, fv, gv = f.d, f.entries, g.entries
@@ -155,11 +154,21 @@ def stft_rows(f: CyclicSignal, g: CyclicSignal, half: bool = False) -> tuple[np.
         rows = meeting_shifts(fv != 0, None if g is f else gv != 0)
     else:
         rows = np.arange(d)
-    if half:
-        rows = rows[2 * rows <= d]
-    # row k holds f[j] * conj(g[(j - k) mod d])
-    shifted = np.concatenate((gv, gv))[(d - rows)[:, None] + np.arange(d)]
-    return rows, np.fft.fft(fv[None, :] * np.conj(shifted), axis=1)
+    rows = rows[2 * rows <= d] if half else rows
+    shifted = np.ndarray((d + 1, d), np.complex128, np.concatenate((gv, gv)), 0, (16, 16))  # row d - k: roll(g, k)
+    buf = np.empty((min(step, rows.size), d), dtype=np.complex128)
+    for k in (rows[i : i + step] for i in range(0, max(rows.size, 1), step)):
+        # row k holds f[j] * conj(g[(j - k) mod d]); sorted rows without gaps are a reversed slice of the view
+        src = shifted[d - k[-1] : d - k[0] + 1][::-1] if k.size and k[-1] - k[0] < k.size else shifted[d - k]
+        block = np.conjugate(src, out=buf if k.size == len(buf) else buf[: k.size])
+        yield k, np.fft.fft(np.multiply(fv, block, out=block), axis=1, out=block)
+
+
+def stft_rows(f: CyclicSignal, g: CyclicSignal, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The rows k of :func:`stft` where exact nonzeros of f and ``roll(g, k)`` meet, and their
+    values; every other row is exactly zero.  A non-finite entry meets every row (inf * 0 is NaN).
+    With ``half``, only the rows k <= d/2 among them."""
+    return next(_row_blocks(f, g, f.d, half))
 
 
 def stft(f: CyclicSignal, g: CyclicSignal) -> ComplexTable:
@@ -167,17 +176,23 @@ def stft(f: CyclicSignal, g: CyclicSignal) -> ComplexTable:
 
     Computed row-wise: row k is the forward transform of ``f * conj(shift(g, k))``.
     """
-    rows, values = stft_rows(f, g)
-    if rows.size == f.d:
-        return ComplexTable(f.d, values)
-    table = np.zeros((f.d, f.d), dtype=np.complex128)
-    table[rows] = values
+    rows, table = stft_rows(f, g)
+    if rows.size < f.d:
+        table, values = np.zeros((f.d, f.d), dtype=np.complex128), table
+        table[rows] = values
+    table.setflags(write=False)  # handed over, not copied
     return ComplexTable(f.d, table)
 
 
 def measure(f: CyclicSignal, g: CyclicSignal) -> SpectrogramMeasurement:
-    """Squared-magnitude measurement of the windowed transform."""
-    (sq_mag := np.abs(stft(f, g).values) ** 2).setflags(write=False)  # handed over, not copied
+    """Squared-magnitude measurement of the windowed transform, 512 KiB of meeting rows at a time."""
+    sq_mag = np.zeros((f.d, f.d))
+    for k, spectra in _row_blocks(f, g, max(1, 2**15 // f.d)):  # 2**15 complex entries: cache-sized
+        if k.size and k[-1] - k[0] < k.size:  # rows are sorted: a block without gaps is a slice of the output
+            np.abs(spectra, out=sq_mag[k[0] : k[-1] + 1])
+        else:
+            sq_mag[k] = np.abs(spectra)
+    np.square(sq_mag, out=sq_mag).setflags(write=False)  # handed over, not copied
     return SpectrogramMeasurement(f.d, sq_mag)
 
 
@@ -221,10 +236,10 @@ def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | n
         cols = spectrum.T[back]  # a fresh (len(rows), d) block: conjugate it in place
         np.conjugate(cols, out=cols, where=(k <= d // 2)[:, None])
         return np.fft.fft(cols, axis=1, norm="forward")
-    # forward over the shift axis, inverse-sign over the frequency axis; the d
-    # and 1/d factors cancel against ifft's normalization
-    table = np.fft.ifft(np.fft.fft(X.sq_mag, axis=0), axis=1).T
-    return ComplexTable(d, table.copy()) if k is None else table[k]
+    # forward over the shift axis, then inverse-sign over the frequency axis in the same buffer;
+    # the d and 1/d factors cancel against ifft's normalization
+    table = np.fft.ifft(spectrum := np.fft.fft(X.sq_mag, axis=0), axis=1, out=spectrum).T
+    return ComplexTable(d, table) if k is None else table[k]  # the table copies the transposed view
 
 
 def embed_line(

@@ -80,6 +80,38 @@ def dense_stft(f, g) -> np.ndarray:
     return np.fft.fft(f[None, :] * np.conj(g[idx]), axis=1)
 
 
+def gather_stft_rows(f, g, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``stft_rows`` as one d x d index gather of the doubled window, then a separate conjugate, product
+    and FFT: the package's former kernel, which the one-buffer kernel must match bit for bit.
+
+    Rows are sought only where that kernel sought them, when nnz(f) * nnz(g) < d and every entry is
+    finite, and here by testing each shift's supports for a meeting directly.
+    """
+    f = np.asarray(f, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    d = len(f)
+    rows = np.arange(d)
+    if np.count_nonzero(f) * np.count_nonzero(g) < d and np.isfinite(f.sum() + g.sum()):
+        rows = np.array([k for k in range(d) if np.any((f != 0) & (np.roll(g, k) != 0))], dtype=np.intp)
+    if half:
+        rows = rows[2 * rows <= d]
+    shifted = np.concatenate((g, g))[(d - rows)[:, None] + np.arange(d)]
+    return rows, np.fft.fft(f[None, :] * np.conj(shifted), axis=1)
+
+
+def gather_stft(f, g) -> np.ndarray:
+    """The full table of :func:`gather_stft_rows`, its unmet rows exactly zero."""
+    rows, values = gather_stft_rows(f, g)
+    table = np.zeros((len(f), len(f)), dtype=np.complex128)
+    table[rows] = values
+    return table
+
+
+def gather_measure(f, g) -> np.ndarray:
+    """``np.abs(stft(f, g).values) ** 2`` over :func:`gather_stft`: the former ``measure``."""
+    return np.abs(gather_stft(f, g)) ** 2
+
+
 def dense_omega_mask(g, tau_rel: float) -> tuple[np.ndarray, float, str]:
     """(mask, threshold, rule) of the window certification folded over the full dense table."""
     mags = np.abs(dense_stft(g, g))

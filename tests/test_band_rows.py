@@ -5,7 +5,11 @@ of ``roll(g, k)``.  Every output is compared bit for bit with
 ``oracles.dense_stft``, which transforms all d rows.  ``relation_transform``
 with ``rows`` is compared with the rows of the full table, on both sides of its
 switch from a real product to a real FFT, and ``tracemalloc`` checks that a
-band's rows allocate no d x d block.  A counting wrapper
+band's rows allocate no d x d block.  A census compares ``measure``, ``stft``,
+``ambiguity``, ``stft_rows`` and the window certification byte for byte with
+``oracles.gather_stft_rows``, the former index-gather kernel, and
+``tracemalloc`` checks that ``measure`` holds little beyond its output while it
+transforms its rows a block at a time.  A counting wrapper
 on ``np.fft.fft`` checks, without timing anything, that a short window's
 ambiguity transforms only its band rows, that a generic decision builds no
 relation table, and that the short-window routes transform no more relation
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 
 from helpers import random_entries, random_short_window, random_signal, rng_for
-from oracles import dense_omega_mask, dense_stft
+from oracles import dense_omega_mask, dense_stft, gather_measure, gather_stft, gather_stft_rows
 from stftpr import recovery, spectral, windows
 from stftpr.linemode import recover_line_block
 from stftpr.recovery import (
@@ -124,6 +128,70 @@ def test_non_finite_entries_meet_every_row():
         got = stft(CyclicSignal(16, f), CyclicSignal(16, g)).values
     assert np.isnan(expected).all(axis=1).any()
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+CENSUS_DIMENSIONS = (2, 3, 5, 16, 17, 31, 64, 100, 256, 300, 1024)
+
+
+def _census_signals(d):
+    """Seeded dense, sparse (about one entry in ten) and short (three taps) vectors, and a dense one with
+    an infinite entry.  measure transforms 2**15 // d rows per block: at d = 300 the last of three blocks
+    is partial, and at d = 1024 a sparse signal against a short window meets hundreds of rows with gaps,
+    across many 32-row blocks."""
+    rng = rng_for("band-rows-census", d)
+    dense = rng.normal(size=d) + 1j * rng.normal(size=d)
+    sparse = np.where(rng.random(d) < 0.1, dense, 0.0)
+    sparse[int(rng.integers(d))] = 1.0
+    short = np.roll(np.where(np.arange(d) < 3, dense, 0.0), int(rng.integers(d)))
+    non_finite = dense.copy()
+    non_finite[int(rng.integers(d))] = np.inf
+    return (dense, sparse, short), non_finite
+
+
+def _assert_same_bytes(got, expected, label):
+    assert got.shape == expected.shape and got.dtype == expected.dtype, label
+    assert got.tobytes() == expected.tobytes(), label
+
+
+@pytest.mark.parametrize("d", CENSUS_DIMENSIONS)
+def test_transforms_match_the_index_gather_byte_for_byte(d):
+    signals, non_finite = _census_signals(d)
+    names = ("dense", "sparse", "short")
+    for gname, g in zip(names, signals):
+        G = CyclicSignal(d, g)
+        _assert_same_bytes(ambiguity(G).values, gather_stft(g, g), ("ambiguity", gname))
+        mask = omega_mask(G)
+        _assert_same_bytes(mask.mask, dense_omega_mask(g, DEFAULT_TAU_REL)[0], ("omega mask", gname))
+        for got, expected in zip(mask.ambiguity, gather_stft_rows(g, g, half=True)):
+            _assert_same_bytes(got, expected, ("omega rows", gname))
+        for fname, f in zip(names, signals):
+            F = G if f is g else CyclicSignal(d, f)  # g is f: the window meets itself
+            label = (fname, gname)
+            _assert_same_bytes(measure(F, G).sq_mag, gather_measure(f, g), ("measure", *label))
+            _assert_same_bytes(stft(F, G).values, gather_stft(f, g), ("stft", *label))
+            for got, expected in zip(stft_rows(F, G, half=True), gather_stft_rows(f, g, half=True)):
+                _assert_same_bytes(got, expected, ("stft_rows half", *label))
+    for gname, g in zip(names, signals):
+        F, G = CyclicSignal(d, non_finite), CyclicSignal(d, g)
+        with np.errstate(invalid="ignore"):
+            for got, expected in zip(stft_rows(F, G), gather_stft_rows(non_finite, g)):
+                _assert_same_bytes(got, expected, ("non-finite stft_rows", gname))
+            with pytest.raises(ValueError, match="finite"):
+                measure(F, G)
+
+
+def test_measure_holds_little_beyond_its_output():
+    # the rows are transformed a cache-sized block at a time, not through a d x d complex table
+    rng = rng_for("band-rows-measure-peak")
+    f, g = random_signal(rng, 512), random_signal(rng, 512)
+    measure(f, g)  # warm numpy's caches outside the traced call
+    tracemalloc.start()
+    try:
+        X = measure(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * X.sq_mag.nbytes
 
 
 def test_row0_support_matches_the_dense_tables():

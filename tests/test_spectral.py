@@ -13,6 +13,7 @@ from oracles import (
 from stftpr import serialize
 from stftpr.errors import DimensionMismatch, EmptySupport
 from stftpr.spectral import (
+    ComplexTable,
     CyclicSignal,
     SpectrogramMeasurement,
     ambiguity,
@@ -49,6 +50,21 @@ def test_a_measurement_owns_read_only_bytes():
     X = measure(CyclicSignal.delta(8), CyclicSignal.delta(8))
     assert X.sq_mag.flags.owndata and SpectrogramMeasurement(8, X.sq_mag).sq_mag is X.sq_mag
     assert serialize.measurement_from_csv(serialize.measurement_to_csv(X)).sq_mag.flags.owndata
+
+
+def test_a_table_owns_read_only_bytes():
+    # the caller's array stays writable, and writing through a view's base leaves the table as built
+    a = np.ones((4, 4), dtype=np.complex128)
+    ComplexTable(4, a)
+    assert a.flags.writeable
+    b = np.zeros((8, 4), dtype=np.complex128)
+    T = ComplexTable(4, b[:4])
+    b[0, 0] = 5.0
+    assert T.values[0, 0] == 0.0 and not T.values.flags.writeable
+    # stft, ambiguity and relation_transform hand over the arrays they made, dense or not
+    f, spike = random_signal(rng_for("table-bytes"), 8), CyclicSignal.delta(8, 3)
+    for T in (stft(f, f), stft(spike, spike), ambiguity(f), relation_transform(measure(f, f))):
+        assert T.values.flags.owndata and ComplexTable(8, T.values).values is T.values
 
 
 def test_dft_delta_is_flat():
