@@ -71,7 +71,7 @@ def recover_line_block(
     plan = _plan_known(X, classify_window(g, tau_rel), None, tau_rel, tau_supp, ("span", zeros))
     if isinstance(plan, StftprError):
         raise plan
-    outcome = _solve_known(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
+    outcome = _solve_known(X, **plan, tau_supp=tau_supp)
     notes = {**outcome.notes, "L": L, "f_span_bound": f_span_bound}
     return replace(outcome, components=components_line(outcome.components.universe, L), notes=notes)
 

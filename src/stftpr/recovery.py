@@ -27,7 +27,8 @@ consistency tolerance.  Otherwise the support partition decides between one
 global phase and one phase per component.
 
 ``_plan_known`` is the one dispatch: ``recover``, ``decide_retrievability``
-and the CLI's ``--mode`` choices (``MODES``) all go through it.
+and the CLI's ``--mode`` choices (``MODES``) all go through it.  It is also
+the one reader of S, so both entry points judge the same partition.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ class CorrelationData:
 
 
 @dataclass(frozen=True)
-class MeasurementCoefficients:
-    """Demodulated band rows b[k], each the window-weighted smoothing of a[k]."""
-
-    d: int
-    L: int
-    b: dict[int, np.ndarray]
-
-
-@dataclass(frozen=True)
 class RecoveryOutcome:
     status: str
     estimate: CyclicSignal | None
@@ -160,13 +152,11 @@ def compare_up_to_phase(f: CyclicSignal, f_est: CyclicSignal) -> tuple[complex, 
     return gamma, err
 
 
-def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> MeasurementCoefficients:
-    """Band rows b[k] = inverse transform of the k-th relation-product row; only rows 0..L are transformed."""
+def measurement_coeffs(X: SpectrogramMeasurement, L: int) -> np.ndarray:
+    """Band rows b[k] = ifft of relation row k for k = 0..L, as one (L+1) x d array; only those rows are transformed."""
     if not (0 <= L < X.d):
         raise StftprError(f"invalid band width L={L} for d={X.d}")
-    R = relation_transform(X, range(L + 1))
-    b = {k: np.fft.ifft(R[k]) for k in range(L + 1)}
-    return MeasurementCoefficients(X.d, L, b)
+    return np.fft.ifft(relation_transform(X, range(L + 1)), axis=1)
 
 
 def _relation_rows(X: SpectrogramMeasurement, mask: OmegaMask, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,15 +386,14 @@ def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
     return keep, parent, sign, sign * (pos[keep] - pos[parent]) % d, level[keep]
 
 
-def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=None, L=None, shift=None,
-                 partition=None, complete=(), unsolved=(), zero_set=None, relation=None, divided=None, row0=None):
-    """Divide every whole row, complete the planned rows, split the support under the steps, then propagate.
+def _solve_known(X, mask: OmegaMask, route: str, tau_supp, partition, L=None, shift=None,
+                 complete=(), unsolved=(), zero_set=None, relation=None, divided=None, row0=None):
+    """Divide every whole row, complete the planned rows, then propagate over the plan's partition.
 
-    ``partition`` is the split of the support S the plan judged when the mask
-    has partial rows or the signal a zero set; otherwise S is read off the
-    divided shift-0 row and split under ``steps``.  Each completed row k
-    other than 0 is completed off S ∩ (S+k).  The ``unsolved`` partial rows
-    take no part in the walk.  A plan that completed row 0 hands it over
+    ``partition`` is the split of the support S the plan judged; the solver
+    reads no support of its own.  Each completed row k other than 0 is
+    completed off S ∩ (S+k).  The ``unsolved`` partial rows take no part in
+    the walk.  A plan that completed row 0 hands it over
     (``row0``) with the relation rows it transformed (``relation``: shifts,
     rows R and ambiguity rows V), and a dc plan also with the rows it
     divided (``divided``); a zero-set plan is labelled ``zero_set``.  The
@@ -419,36 +408,33 @@ def _solve_known(X, g, mask: OmegaMask, route: str, tau_rel, tau_supp, steps=Non
     if relation is None:
         divided, relation = _divide_full_rows(X, mask, (*complete, *unsolved))
     shifts, R, V = relation
-    if partition is None:
-        partition = components_mod_d(support_from_magnitudes(divided.rows[0], tau_supp), g.d, steps)
     if complete:
-        rows, in_s = ({} if divided is None else divided.a), _indicator(partition.universe, g.d)
+        rows, in_s = ({} if divided is None else divided.a), _indicator(partition.universe, X.d)
         if row0 is not None:
             rows[0] = row0
         at = {k: i for i, k in enumerate(shifts.tolist())}
         for k in complete:
             if k not in rows:
                 rows[k] = _complete_row(R[at[k]], V[at[k]], mask.mask[k], _meets(in_s, k))
-        divided = CorrelationData.from_dict(g.d, rows)
+        divided = CorrelationData.from_dict(X.d, rows)
         notes["completed_rows"] = list(complete)
     estimate = propagate_phases(divided, partition)
     return _verdict(estimate, partition, notes, _relation_miss(estimate.entries, shifts, R, V))
 
 
-def hole_classifier(
-    b: MeasurementCoefficients, L: int | None = None, tau_rel: float = DEFAULT_TAU_REL
-) -> list[int]:
+def hole_classifier(b: np.ndarray, L: int | None = None, tau_rel: float = DEFAULT_TAU_REL) -> list[int]:
     """Anchors j* with a nonzero at j*, exactly L zeros after it, and mass within L before.
 
-    Detected purely from the band rows: all rows k = 1..L vanish on the index
-    range j*+1-k .. j*+k, while some row k is nonzero at j*-k.
+    Detected purely from the band rows ``b`` (row k is b[k], k = 0..L by
+    default): all rows k = 1..L vanish on the index range j*+1-k .. j*+k,
+    while some row k is nonzero at j*-k.
     """
     if L is None:
-        L = b.L
+        L = b.shape[0] - 1
     if L < 1:
         return []
-    d = b.d
-    rows = np.abs(np.array([b.b[k] for k in range(1, L + 1)]))  # rows[k - 1] is band row k
+    d = b.shape[1]
+    rows = np.abs(b[1 : L + 1])  # rows[k - 1] is band row k
     scale = max(rows.max(axis=1).tolist())
     if not scale > 0.0:
         return []
@@ -466,26 +452,27 @@ def hole_classifier(
     return anchors[before].tolist()
 
 
-def hole_zero_set(b: MeasurementCoefficients, tau_rel: float = DEFAULT_TAU_REL) -> tuple[str, np.ndarray] | None:
-    """The signal's first hole, read off its window-anchored band rows, as a zero set.
+def hole_zero_set(b: np.ndarray, tau_rel: float = DEFAULT_TAU_REL) -> tuple[str, np.ndarray] | None:
+    """The signal's first hole, read off its window-anchored band rows b[0..L], as a zero set.
 
     A zero of band row 0 at j* is the run j*..j*+L (``hole-L+1``): row 0 is
     a positive-weight sum of |f|² over j..j+L.  Else the first exact-L anchor
     j* (``hole_classifier``) gives the run j*+1..j*+L (``hole-L``).  Returns
     the label and a mask of the run, or None when the rows show no hole.
     """
-    b0 = np.abs(b.b[0])
+    L, d = b.shape[0] - 1, b.shape[1]
+    b0 = np.abs(b[0])
     peak = float(b0.max())
     runs = np.flatnonzero(b0 <= tau_rel * peak) if peak > 0.0 else ()
     if len(runs):
-        label, start, length = "hole-L+1", int(runs[0]), b.L + 1
+        label, start, length = "hole-L+1", int(runs[0]), L + 1
     else:
-        anchors = hole_classifier(b, b.L, tau_rel)
+        anchors = hole_classifier(b, L, tau_rel)
         if not anchors:
             return None
-        label, start, length = "hole-L", anchors[0] + 1, b.L
-    zeros = np.zeros(b.d, dtype=bool)
-    zeros[(start + np.arange(length)) % b.d] = True
+        label, start, length = "hole-L", anchors[0] + 1, L
+    zeros = np.zeros(d, dtype=bool)
+    zeros[(start + np.arange(length)) % d] = True
     return label, zeros
 
 
@@ -594,17 +581,18 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     """The rows with a true entry are exactly those of the window's difference set D_g, and row 0
     is whole, pinned by a zero set of the signal, or punctured at a dc pair ±l* with every other row whole.
 
+    The plan is the one reader of the support S, on every route: S is read
+    off row 0, and a row k vanishes off S ∩ (S+k).  A whole row 0 gives S
+    off X's row sums (``_row0_support``), whose transform is relation row 0.
     When every D_g row is whole and no zero set is declared, the mask is
-    D_g x Z_d and the plan does not read X.  Its notes keep the two classic
+    D_g x Z_d and nothing is completed; the route keeps the two classic
     cases' names: ``full`` when D_g is all of Z_d, ``generic`` with the band
     width L when D_g is a band {-L..L} (an explicit L must name that band),
-    ``known`` for any other D_g.
+    and ``known`` for any other D_g.
 
-    Otherwise (route ``known``) the support S is read off row 0, and a row k
-    vanishes off S ∩ (S+k).  A whole row 0 is divided, and each partial row
-    k <= d/2 is completed where S ∩ (S+k) pins its vanished frequencies (row
-    d-k is its mirror and is neither completed nor named).  A partial
-    row 0 needs a zero set Z of the signal that pins its own: on a short
+    Otherwise (route ``known``) each partial row k <= d/2 is completed
+    where S ∩ (S+k) pins its vanished frequencies (row d-k is its mirror
+    and is neither completed nor named).  A partial row 0 needs a zero set Z of the signal that pins its own: on a short
     window nonzero on all of its band 0..L with 2L+1 < d, the first hole
     the measurement shows (``hole_zero_set``; AnchorInvalid when there is
     none).  When every other row is whole and row 0 misses only a conjugate
@@ -622,10 +610,11 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     support further than D_g does; when they do, the plan names them
     (PreconditionViolated).  The plan hands the solver its partition of S,
     and row 0 completed when it completed it, with the relation rows it
-    transformed and, for a dc pair, the rows it divided.  A plan that read X
-    with no declared zero set is recorded on X while X lives, under ``_plan_key``
+    transformed and, for a dc pair, the rows it divided.  Every plan with no
+    declared zero set is recorded on X while X lives, under ``_plan_key``
     (which holds L) and a weak reference to the certificate read: its route,
-    zero-set label and partition, no array.  Only ``decide_retrievability`` reads it.
+    L, zero-set label and partition, no array.  Only ``decide_retrievability``
+    reads it; errors are not recorded.
     """
     d, dg, mask, auto = report.window.d, report.dg, report.omega.mask, zero_set is None
     rows = np.zeros(d, dtype=bool)
@@ -645,16 +634,15 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
             return why
     elif partial0 and band is None:
         return WindowClassError("row 0 has a hole, and no zero set of the signal is known for this window")
-    if auto and whole[rows].all():
-        if L is None and dg.covers_all:
-            return {"mask": report.omega, "steps": dg, "route": "full"}
-        reach = max(min(k, d - k) for k in dg.members)
-        if 2 * reach < d and len(dg.members) == 2 * reach + 1 and L in (None, reach):
-            return {"mask": report.omega, "steps": reach, "route": "generic", "L": reach, "shift": report.canonical_shift}
-        if L is not None:
-            return NonGenericWindow(f"mask does not equal the width-{L} band")
-        return {"mask": report.omega, "steps": dg, "route": "known"}
     plan, half = {"mask": report.omega, "route": "known"}, slice(0, d // 2 + 1)
+    if auto and whole[rows].all():  # the classic cases keep their names
+        reach = int(np.flatnonzero(rows[half])[-1])  # D_g = -D_g, so its widest cyclic step is at most d/2
+        if L is None and dg.covers_all:
+            plan["route"] = "full"
+        elif 2 * reach < d and len(dg.members) == 2 * reach + 1 and L in (None, reach):
+            plan.update({"route": "generic", "L": reach, "shift": report.canonical_shift})
+        elif L is not None:
+            return NonGenericWindow(f"mask does not equal the width-{L} band")
     if whole[0] and auto:
         supp, first, candidates = _row0_support(X, report.omega, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
     elif dc:
@@ -673,8 +661,8 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
         if auto:
             # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift;
             # the rows k <= d/2 of a filled band's D_g are 0..L, so R[k] is row k
-            b = {k: np.roll(np.fft.ifft(R[k]), report.canonical_shift) for k in range(band + 1)}
-            zero_set = hole_zero_set(MeasurementCoefficients(d, band, b), tau_rel)
+            b = np.roll(np.fft.ifft(R[: band + 1], axis=1), report.canonical_shift, axis=1)
+            zero_set = hole_zero_set(b, tau_rel)
             if zero_set is None:
                 return AnchorInvalid("row 0 has a hole, and the measurement shows no signal hole of length L or L+1")
         label, zeros = zero_set
@@ -691,7 +679,7 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     if stuck and split and partition.n_components > components_mod_d(supp, d, dg).n_components:
         return PreconditionViolated(f"rows {stuck} cannot be completed from the support, which splits without them")
     if auto:  # X and the window are immutable, so the record never goes stale
-        summary = {k: v for k, v in plan.items() if k in ("route", "zero_set")} | {"partition": partition}
+        summary = {k: v for k, v in plan.items() if k in ("route", "L", "zero_set")} | {"partition": partition}
         vars(X).setdefault("_plans", {})[_plan_key(report, L, tau_rel, tau_supp)] = (weakref.ref(report.omega), summary)
     return {**plan, "partition": partition, "complete": complete, "unsolved": stuck}
 
@@ -702,7 +690,7 @@ def _plan_key(report: WindowReport, L, tau_rel, tau_supp) -> tuple:
 
 
 def _row0_support(X: SpectrogramMeasurement, mask: OmegaMask, tau_supp: float) -> tuple[int, ...]:
-    """Support read off the divided shift-0 row, which the known route's masks keep whole."""
+    """Support read off the divided shift-0 row, from X's row sums, when the mask keeps row 0 whole."""
     # relation row 0 transforms the row sums of X; the certified ambiguity rows start at row 0, fft(|g|^2)
     r0 = np.fft.fft(X.sq_mag.sum(axis=1)) / X.d
     a0 = np.fft.ifft(r0 / np.conj(mask.ambiguity[1][0]))
@@ -752,7 +740,7 @@ def recover(
             raise plan
         notes = _open_case(plan, {"route": "auto", "reason": "window class matches no implemented solver"})
         return RecoveryOutcome(STATUS_UNDECIDABLE, None, ConnectivityPartition("unknown", (), ()), 0, float("nan"), notes)
-    return _solve_known(X, g, **plan, tau_rel=tau_rel, tau_supp=tau_supp)
+    return _solve_known(X, **plan, tau_supp=tau_supp)
 
 
 def _comb_witnesses(X: SpectrogramMeasurement, g: CyclicSignal, L: int) -> tuple[CyclicSignal, ...]:
@@ -796,8 +784,9 @@ def decide_retrievability(
     of its band, whose row 0 is partial and whose signal shows no hole to pin
     it, is NotRetrievable when comb translates reproduce the measurement.
     Outside every implemented uniqueness condition the honest answer is
-    Undecidable.  A partition a plan of X already judged on this window,
-    thresholds and certificate is read off X's record (``_plan_known``).
+    Undecidable.  The partition is the plan's own, the one support read of
+    X; a plan of X already made on this window, thresholds and certificate
+    is read off X's record (``_plan_known``) rather than made again.
     """
     g, d = report.window, X.d
     notes: dict = {"tau_rel": tau_rel, "tau_supp": tau_supp}
@@ -822,8 +811,7 @@ def decide_retrievability(
     if isinstance(plan, StftprError):
         notes.update(_open_case(plan, {"route": "none", "reason": "window class matches no implemented uniqueness condition"}))
         return DecisionReport(VERDICT_UNDECIDABLE, None, notes)
-    # the plan's own partition when it read the support, else the support split under D_g
-    partition = plan["partition"] if "partition" in plan else components_mod_d(_row0_support(X, report.omega, tau_supp), d, plan["steps"])
+    partition = plan["partition"]
     notes["route"] = plan["route"]
     notes.update({k: plan[k] for k in ("L", "zero_set") if k in plan})
     verdict = VERDICT_RETRIEVABLE if partition.is_connected else VERDICT_NOT_RETRIEVABLE

@@ -208,13 +208,14 @@ def loop_propagate_phases(a: dict, d: int, components, universe) -> np.ndarray:
     return est
 
 
-def loop_hole_classifier(b: dict, d: int, L: int, tau_rel: float) -> list[int]:
+def loop_hole_classifier(b: np.ndarray, tau_rel: float) -> list[int]:
     """Exact-L hole anchors by the defining conditions, one index and one shift at a time.
 
-    ``b`` maps shift k = 0..L to its band row.  An anchor j* has every row
+    ``b`` holds the band rows b[k], k = 0..L, as an (L+1) x d array.  An anchor j* has every row
     k = 1..L at most ``tau_rel`` times the rows' peak on j*+1-k .. j*+k, and
     some row k above it at j*-k.
     """
+    L, d = b.shape[0] - 1, b.shape[1]
     rows = [np.abs(b[k]) for k in range(L + 1)]
     scale = max(float(rows[k].max()) for k in range(1, L + 1)) if L >= 1 else 0.0
     if scale <= 0.0:
