@@ -87,13 +87,15 @@ def components_mod_d(support: Iterable[int], d: int, L) -> ConnectivityPartition
     if supp and (supp[0] < 0 or supp[-1] >= d):
         raise StftprError(f"support must lie in 0..{d - 1}")
     if not isinstance(L, Integral):
-        steps = {int(k) % d for k in getattr(L, "members", L)} - {0}
-        steps |= {d - k for k in steps}
-        if len(steps) == d - 1:
+        on = np.zeros(d, dtype=bool)  # the steps as a mask, closed under k -> d - k
+        on[np.fromiter(getattr(L, "members", L), dtype=np.int64) % d] = True
+        on |= on[-np.arange(d)]
+        if on[1:].all():
             return ConnectivityPartition("all-shifts", (tuple(supp),) if supp else (), tuple(supp))
-        L = max((min(k, d - k) for k in steps), default=0)
-        if 2 * L >= d or len(steps) != 2 * L:
-            steps = sorted(k for k in steps if 2 * k <= d)
+        on[0] = False
+        steps = np.flatnonzero(on[: d // 2 + 1]).tolist()
+        L = steps[-1] if steps else 0
+        if 2 * L >= d or np.count_nonzero(on) != 2 * L:
             return ConnectivityPartition(f"g-mod-d(d={d},D={steps})", _step_components(supp, steps, d), tuple(supp))
     if not (0 <= L < d / 2):
         raise StftprError(f"gap bound out of range: need 0 <= L < d/2, got L={L}, d={d}")

@@ -28,7 +28,12 @@ global phase and one phase per component.
 
 ``_plan_known`` is the one dispatch: ``recover``, ``decide_retrievability``
 and the CLI's ``--mode`` choices (``MODES``) all go through it.  It is also
-the one reader of S, so both entry points judge the same partition.
+the one reader of S, so both entry points judge the same partition.  Each
+plan transforms the relation rows it reads in one pass over X and hands
+them to the solver, except a plan with a whole row 0 and more rows than
+``relation_transform``'s twiddle product takes (``twiddle_product``; full
+and center windows at d >= 20, wide bands): that plan reads S off X's row
+sums, and the solver transforms the rows with one real FFT of X.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .errors import (
     StftprError,
     WindowClassError,
 )
-from .spectral import CyclicSignal, SpectrogramMeasurement, measure, relation_transform
+from .spectral import CyclicSignal, SpectrogramMeasurement, measure, relation_transform, twiddle_product
 from .windows import (
     DEFAULT_TAU_REL,
     OmegaMask,
@@ -170,22 +175,25 @@ def _relation_rows(X: SpectrogramMeasurement, mask: OmegaMask, shifts: np.ndarra
 
 
 def _divide_full_rows(
-    X: SpectrogramMeasurement, mask: OmegaMask, extra=()
+    X: SpectrogramMeasurement, mask: OmegaMask, extra=(), relation=None
 ) -> tuple[CorrelationData, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Rows ifft(R[k] / conj(V_gg[k])) for every k <= d/2 whose mask row is all true, in one
     batch, and the relation rows read, (shifts, R, V): those rows, then each partial k in
     ``extra`` (each k <= d/2), undivided, with their ambiguity rows.  Each row is transformed
-    once.  Row d-k is the mirror of row k, a_{d-k}[j] = conj(a_k[j+k]), and adds no equation."""
+    once: rows a plan already transformed, in that order, are handed over (``relation``) and
+    only divided.  Row d-k is the mirror of row k, a_{d-k}[j] = conj(a_k[j+k]), and adds no equation."""
     full = mask.mask.all(axis=1)
     whole = np.flatnonzero(full[: X.d // 2 + 1])
-    shifts = np.concatenate((whole, np.array([k for k in extra if not full[k]], dtype=np.intp)))
-    R, V = _relation_rows(X, mask, shifts)
+    if relation is None:
+        shifts = np.concatenate((whole, np.array([k for k in extra if not full[k]], dtype=np.intp)))
+        relation = (shifts, *_relation_rows(X, mask, shifts))
+    _, R, V = relation
     divisors = np.conj(V[: whole.size])
     vanished = (divisors == 0.0).any(axis=1)  # guard: mask said "true" but the value is zero
     if vanished.any():
         raise StftprError(f"internal: ambiguity row {whole[vanished][0]} vanishes under a true mask")
     table = np.fft.ifft(np.divide(R[: whole.size], divisors, out=divisors), axis=1, out=divisors)
-    return CorrelationData(X.d, whole, table), (shifts, R, V)
+    return CorrelationData(X.d, whole, table), relation
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -396,7 +404,9 @@ def _solve_known(X, mask: OmegaMask, route: str, tau_supp, partition, L=None, sh
     the walk.  A plan that completed row 0 hands it over
     (``row0``) with the relation rows it transformed (``relation``: shifts,
     rows R and ambiguity rows V), and a dc plan also with the rows it
-    divided (``divided``); a zero-set plan is labelled ``zero_set``.  The
+    divided (``divided``); a zero-set plan is labelled ``zero_set``.  A plan
+    with a whole row 0 hands over the relation rows when it transformed
+    them, and the whole ones are divided here.  The
     verdict's one residual is the estimate's miss of every relation row read
     (``_relation_miss``).  Nothing is transformed or fitted twice.
     """
@@ -405,8 +415,8 @@ def _solve_known(X, mask: OmegaMask, route: str, tau_supp, partition, L=None, sh
         notes.update({"L": L, "window_shift": shift})
     if zero_set is not None:
         notes["zero_set"] = zero_set
-    if relation is None:
-        divided, relation = _divide_full_rows(X, mask, (*complete, *unsolved))
+    if row0 is None:  # a whole row 0: divide the whole rows, transformed here unless the plan did
+        divided, relation = _divide_full_rows(X, mask, (*complete, *unsolved), relation)
     shifts, R, V = relation
     if complete:
         rows, in_s = ({} if divided is None else divided.a), _indicator(partition.universe, X.d)
@@ -583,7 +593,12 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
 
     The plan is the one reader of the support S, on every route: S is read
     off row 0, and a row k vanishes off S ∩ (S+k).  A whole row 0 gives S
-    off X's row sums (``_row0_support``), whose transform is relation row 0.
+    off relation row 0.  When the rows the solver reads (the whole rows
+    k <= d/2, then the partial candidates) take the twiddle product
+    (``twiddle_product``), the plan transforms them in one read of X and
+    hands them on (``relation``); otherwise S comes off X's row sums
+    (``_row0_support``), whose transform is relation row 0, and the solver
+    transforms the rows.
     When every D_g row is whole and no zero set is declared, the mask is
     D_g x Z_d and nothing is completed; the route keeps the two classic
     cases' names: ``full`` when D_g is all of Z_d, ``generic`` with the band
@@ -644,7 +659,14 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
         elif L is not None:
             return NonGenericWindow(f"mask does not equal the width-{L} band")
     if whole[0] and auto:
-        supp, first, candidates = _row0_support(X, report.omega, tau_supp), (), np.flatnonzero((rows & ~whole)[half])
+        first, candidates = (), np.flatnonzero((rows & ~whole)[half])
+        shifts = np.concatenate((np.flatnonzero(whole[half]), candidates))
+        if twiddle_product(shifts.size, d):  # one read of X gives S and every row the solver divides
+            R, V = _relation_rows(X, report.omega, shifts)
+            supp = support_from_magnitudes(np.fft.ifft(R[0] / np.conj(V[0])), tau_supp)
+            plan["relation"] = (shifts, R, V)
+        else:
+            supp = _row0_support(X, report.omega, tau_supp)
     elif dc:
         divided, relation = _divide_full_rows(X, report.omega, (0,))
         a = divided.rows  # rows 1..d/2, whole; a[k-1] is a_k

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySupport
 
+BLOCK_ENTRIES = 2**15  # X is written and read this many entries of rows at a time: cache-sized
+
 
 def _as_complex_vector(values, d: int | None = None) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
@@ -187,7 +189,7 @@ def stft(f: CyclicSignal, g: CyclicSignal) -> ComplexTable:
 def measure(f: CyclicSignal, g: CyclicSignal) -> SpectrogramMeasurement:
     """Squared-magnitude measurement of the windowed transform, 512 KiB of meeting rows at a time."""
     sq_mag = np.zeros((f.d, f.d))
-    for k, spectra in _row_blocks(f, g, max(1, 2**15 // f.d)):  # 2**15 complex entries: cache-sized
+    for k, spectra in _row_blocks(f, g, max(1, BLOCK_ENTRIES // f.d)):
         if k.size and k[-1] - k[0] < k.size:  # rows are sorted: a block without gaps is a slice of the output
             np.abs(spectra, out=sq_mag[k[0] : k[-1] + 1])
         else:
@@ -199,6 +201,14 @@ def measure(f: CyclicSignal, g: CyclicSignal) -> SpectrogramMeasurement:
 def ambiguity(g: CyclicSignal) -> ComplexTable:
     """Transform of the window against itself; its support governs recoverability."""
     return stft(g, g)
+
+
+def twiddle_product(columns: int, d: int) -> bool:
+    """Whether ``relation_transform`` takes m = ``columns`` distinct folded columns of X's transform
+    from one real product with m twiddle columns, rather than from one real FFT of every row of X."""
+    # the product's cost grows with m, the FFT's with log d: timed at d = 64..2048 on
+    # a 2-vCPU Xeon with one BLAS thread, they cross at m of 2 to 3.5 bit_length(d)
+    return columns <= 2 * d.bit_length()
 
 
 def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | np.ndarray:
@@ -213,9 +223,12 @@ def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | n
     alone, within roundoff of the table: each needs one frequency column of X's
     transform, column min(k, d-k) of its real FFT, so the m distinct columns
     come from one real matrix product with m twiddle columns while m is at
-    most 2 * bit_length(d), else from one real FFT over the frequency axis, and
-    then each row takes one FFT.  From d/2 + 2 rows on, the table is built and
-    sliced, so the values are its exact bits.
+    most 2 * bit_length(d) (``twiddle_product``), else from one real FFT over
+    the frequency axis, and then each row takes one FFT.  The product reads X
+    a cache-sized block of rows at a time, as ``measure`` writes it, into one
+    d x 2m output; when one block holds all of X (d <= 181) it is one product.
+    From d/2 + 2 rows on, the table is built and sliced, so the values are its
+    exact bits.
     """
     d = X.d
     k = None if rows is None else np.asarray(rows, dtype=np.intp) % d
@@ -224,13 +237,15 @@ def relation_transform(X: SpectrogramMeasurement, rows=None) -> ComplexTable | n
         # of the forward one; X is real, so forward column d-k is conj(column k)
         fold = np.minimum(k, d - k)
         c, back = np.unique(fold, return_inverse=True)
-        # the product's cost grows with m, the FFT's with log d: timed at d = 64..2048 on
-        # a 2-vCPU Xeon with one BLAS thread, they cross at m of 2 to 3.5 bit_length(d)
-        if c.size <= 2 * d.bit_length():
+        if twiddle_product(c.size, d):
             # forward column c is X @ w[(l * c) mod d]; the complex twiddles viewed as
-            # interleaved reals make it one real product
+            # interleaved reals make it one real product, written a block of rows at a time
             w = np.exp(-2j * np.pi * np.arange(d) / d)
-            spectrum = (X.sq_mag @ w[np.outer(np.arange(d), c) % d].view(np.float64)).view(np.complex128)
+            tw = w[np.outer(np.arange(d), c) % d].view(np.float64)
+            spectrum, step = np.empty((d, 2 * c.size)), max(1, BLOCK_ENTRIES // d)
+            for i in range(0, d, step):
+                np.matmul(X.sq_mag[i : i + step], tw, out=spectrum[i : i + step])
+            spectrum = spectrum.view(np.complex128)
         else:
             spectrum, back = np.fft.rfft(X.sq_mag, axis=1), fold
         cols = spectrum.T[back]  # a fresh (len(rows), d) block: conjugate it in place

@@ -153,6 +153,22 @@ def union_find_components(support, d: int | None, L) -> tuple[tuple[int, ...], .
     return tuple(sorted((tuple(sorted(c)) for c in groups.values()), key=lambda c: c[0]))
 
 
+def set_components_mod_d(support, d: int, L) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """Relation label and components of ``components_mod_d`` under a step set, as the former
+    set-based code read them: the steps folded into a Python set of every shift, then the
+    all-shifts case, a band {-L..L} (gap runs joined across the wrap), or union-find."""
+    supp = sorted({int(j) for j in support})
+    steps = {int(k) % d for k in getattr(L, "members", L)} - {0}
+    steps |= {d - k for k in steps}
+    if len(steps) == d - 1:
+        return "all-shifts", (tuple(supp),) if supp else ()
+    L = max((min(k, d - k) for k in steps), default=0)
+    if 2 * L >= d or len(steps) != 2 * L:
+        steps = sorted(k for k in steps if 2 * k <= d)
+        return f"g-mod-d(d={d},D={steps})", union_find_components(supp, d, steps)
+    return f"L-mod-d(d={d},L={L})", union_find_components(supp, d, L)
+
+
 def naive_relation(sq_mag) -> np.ndarray:
     """Entrywise double sum (1/d) sum X[k',l'] e^(-2 pi i k'l/d) e^(+2 pi i l'k/d)."""
     X = np.asarray(sq_mag, dtype=np.float64)

@@ -242,16 +242,17 @@ def test_generic_decision_builds_no_relation_table(monkeypatch):
     X = measure(random_signal(rng, 1024), g)
     calls = []
 
-    def counting(X):
-        calls.append(X.d)
-        return relation_transform(X)
+    def counting(X, rows=None):
+        calls.append(rows)
+        return relation_transform(X, rows)
 
     monkeypatch.setattr(spectral, "relation_transform", counting)
     monkeypatch.setattr(recovery, "relation_transform", counting)
     report = classify_window(g)
     decision = decide_retrievability(X, report)
     assert report.is_generic_short and decision.notes["route"] == "generic"
-    assert calls == []
+    # the plan reads its band rows 0..3 once, to read the support off row 0, and never the table
+    assert [rows is None for rows in calls] == [False]
 
 
 def test_each_public_call_scans_for_a_zero_measurement_once(monkeypatch):
@@ -284,7 +285,7 @@ def test_only_an_exact_zero_measurement_is_the_zero_signal():
     assert decide_retrievability(zero, report).notes["case"] == "zero-signal"
 
 
-@pytest.mark.parametrize("d", (2, 3, 16, 17, 511, 1024))
+@pytest.mark.parametrize("d", (2, 3, 16, 17, 511, 1024, 2048))
 def test_relation_rows_match_the_table(d):
     rng = rng_for("relation-rows", d)
     L = min(3, d - 1)
@@ -572,9 +573,12 @@ def test_known_plan_reads_no_measurement_without_a_zero_set_source(monkeypatch):
     # a punctured-dc window whose l* shares a factor with d fits no theorem, and
     # its band is all of Z_d: no zero-set reader, so the plan rejects it unread.
     # A punctured center keeps row 0 whole: the plan reads the support off it,
-    # but no relation row and no hole.
+    # and no hole.  At d=16 its 9 rows k <= d/2 take the twiddle product, so the
+    # plan transforms them once and hands them on; at d=40 its 21 rows would take
+    # the real FFT, and the plan reads X's row sums and no relation row.
     read = []
-    monkeypatch.setattr(recovery, "relation_transform", lambda *a, **k: read.append("relation_transform"))
+    transform = recovery.relation_transform
+    monkeypatch.setattr(recovery, "relation_transform", lambda X, rows=None: read.append(X.d) or transform(X, rows))
     monkeypatch.setattr(recovery, "hole_zero_set", lambda *a, **k: read.append("hole_zero_set"))
     for d, ls in ((9, 3), (10, 4)):
         monkeypatch.setattr("stftpr.windows.lstar", lambda d: ls)
@@ -582,11 +586,13 @@ def test_known_plan_reads_no_measurement_without_a_zero_set_source(monkeypatch):
         assert not report.omega.mask[0].all()
         plan = recovery._plan_known(_Unread(d), report, None, DEFAULT_TAU_REL, DEFAULT_TAU_SUPP)
         assert isinstance(plan, PreconditionViolated), plan
-    for d in (16, 40):
+    assert read == []
+    for d, reads in ((16, [16]), (40, [])):
         g = construct_punctured_center_window(d)
         report = classify_window(g)
         assert report.omega.mask[0].all() and not report.omega.mask[d // 2].all()
         X = measure(random_signal(rng_for("band-rows-center-plan", d), d), g)
         plan = recovery._plan_known(X, report, None, DEFAULT_TAU_REL, DEFAULT_TAU_SUPP)
         assert [*plan["complete"], *plan["unsolved"]] == [d // 2] and "zero_set" not in plan
-    assert read == []
+        assert read == reads and ("relation" in plan) == bool(reads)
+        read.clear()

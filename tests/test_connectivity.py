@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import rng_for
-from oracles import union_find_components
+from oracles import set_components_mod_d, union_find_components
 from stftpr.connectivity import components_line, components_mod_d
 from stftpr.errors import StftprError
 from stftpr.windows import DifferenceSet
@@ -168,3 +168,27 @@ def test_step_set_labels():
     assert components_mod_d({0, 5}, 16, range(16)).relation == "all-shifts"
     # step 3 joins 13 to 0 across the wrap, and 0 to 3
     assert components_mod_d({0, 3, 13}, 16, {3, 5}).components == ((0, 3, 13),)
+
+
+def test_step_sets_read_as_the_set_based_code_read_them():
+    # full (every shift, in any order, as a tuple, an array or a difference set), band and sparse
+    # step sets: the same relation label and the same components as the set-based fold
+    rng = rng_for("step-set-fold")
+    for trial in range(150):
+        d = int(rng.integers(2, 40))
+        supp = sorted({int(j) for j in rng.choice(d, size=int(rng.integers(0, d + 1)))})
+        band = int(rng.integers(0, d // 2 + 1))
+        step_sets = [
+            tuple(range(d)),
+            rng.permutation(d),
+            DifferenceSet(d, frozenset(range(-d + 1, d))),
+            tuple(range(1, d // 2 + 1)),  # one side of every shift
+            range(-band, band + 1),
+            [k % d for k in range(-band, band + 1) if k] + [d // 2],
+            rng.choice(d, size=int(rng.integers(1, 6))).tolist(),
+            [0],
+            [],
+        ]
+        for steps in step_sets:
+            part = components_mod_d(supp, d, steps)
+            assert (part.relation, part.components) == set_components_mod_d(supp, d, steps), (d, supp, steps)

@@ -181,34 +181,75 @@ def test_the_record_holds_no_array_and_no_error():
     assert decide_retrievability(X, classify_window(g)).notes == decide_retrievability(_fresh(X), classify_window(g)).notes
 
 
+def _counting_reads(monkeypatch) -> tuple[list, list]:
+    """The ``rows`` of every relation transform, and every row-sum support read, as the plan and solver call them."""
+    return _counting(monkeypatch, "relation_transform", lambda args: args[1]), _counting(monkeypatch, "_row0_support")
+
+
 def test_a_decision_after_recover_reads_the_support_no_more(monkeypatch):
-    # on a generic L=3 window at d=1024, recover reads the support once, off X's row sums, and
-    # the decision after it reads the partition recover's plan judged: no plan, no support read
+    # on a generic L=3 window at d=1024, recover reads X once: its plan transforms rows 0..3,
+    # reads the support off row 0 and hands the rows to the solver.  The decision after it
+    # reads the partition recover's plan judged: no plan, no transform, no support read
     rng = rng_for("plan-record-generic-1024")
     g = construct_power_window(1024, 3)
     X = measure(random_signal(rng, 1024), g)
     plans = _counting_plans(monkeypatch)
-    reads = _counting(monkeypatch, "_row0_support")
+    transforms, reads = _counting_reads(monkeypatch)
     outcome = recover(X, g)
-    assert outcome.notes["route"] == "generic" and (len(plans), len(reads)) == (1, 1)
+    assert outcome.notes["route"] == "generic" and (len(plans), len(transforms), len(reads)) == (1, 1, 0)
     plans.clear()
-    reads.clear()
+    transforms.clear()
     decision = decide_retrievability(X, classify_window(g))
-    assert (plans, reads) == ([], [])
+    assert (plans, transforms, reads) == ([], [], [])
     assert decision.partition == outcome.components and decision.notes["L"] == 3
 
 
-@pytest.mark.parametrize("window", ("power", "random"))
-def test_recover_and_decide_agree_at_every_support_threshold(window):
-    # generic L=3 windows at d=64 and signals that vanish on 10..13 and 40..43: the divided
-    # row 0 there is roundoff, so thresholds from 1e-17 to 1e-13 cut through it.  Both entry
-    # points read one support, so on a fresh X each they return the same components, and
-    # one component is exactly Retrievable
-    rng = rng_for("plan-record-threshold", window)
-    d, L = 64, 3
-    for _ in range(6):
+def test_each_short_route_reads_x_once(monkeypatch):
+    # the band-short shapes: generic L=3 and a box L=7 with a hole at d=1024, and the line
+    # shape (an L=7 window embedded in d=511).  Each solve transforms its relation rows in
+    # one call and reads no row sums; a decision after recover transforms nothing
+    rng = rng_for("plan-record-one-read")
+    generic, box = construct_power_window(1024, 3), _box(1024, 7)
+    items = {
+        "generic": (measure(random_signal(rng, 1024), generic), generic, recover),
+        "box-hole": (measure(_with_zero_runs(rng, 1024, [(300, 8)]), box), box, recover),
+        "line": (*_line_item(rng), lambda X, g: recover_line_block(X, g, 7)),
+    }
+    transforms, reads = _counting_reads(monkeypatch)
+    for name, (X, g, solve) in items.items():
+        outcome = solve(X, g)
+        assert outcome.status == "UniqueUpToGlobalPhase" and (len(transforms), reads) == (1, []), name
+        transforms.clear()
+        if solve is recover:
+            decide_retrievability(X, classify_window(g))
+            assert (transforms, reads) == ([], []), name
+    # the rows of a full window at d=256 or a punctured center at d=40 take the real FFT, so a
+    # fresh decision reads the support off X's row sums; it never builds the relation table
+    for g in (random_signal(rng, 256), construct_punctured_center_window(40)):
+        X = measure(random_signal(rng, g.d), g)
+        assert decide_retrievability(X, classify_window(g)).verdict == VERDICT_RETRIEVABLE
+        assert all(rows is not None for rows in transforms) and len(reads) == 1
+        reads.clear()
+
+
+@pytest.mark.parametrize(
+    "window, d, runs, signals",
+    [
+        pytest.param("power", 64, [(10, 4), (40, 4)], 6, id="power"),
+        pytest.param("random", 64, [(10, 4), (40, 4)], 6, id="random"),
+        pytest.param("random", 512, [(100, 4), (300, 4)], 3, id="random-512"),
+    ],
+)
+def test_recover_and_decide_agree_at_every_support_threshold(window, d, runs, signals):
+    # generic L=3 windows and signals that vanish on two runs of 4: the divided row 0 there
+    # is roundoff, so thresholds from 1e-17 to 1e-13 cut through it.  Both entry points read
+    # one support, so on a fresh X each they return the same components, and one component
+    # is exactly Retrievable.  At d=512 the twiddle product reads X in 8 blocks of rows
+    rng = rng_for("plan-record-threshold", window, *([d] if d != 64 else []))
+    L = 3
+    for _ in range(signals):
         g = construct_power_window(d, L) if window == "power" else random_short_window(rng, d, L)
-        X = measure(_with_zero_runs(rng, d, [(10, 4), (40, 4)]), g)
+        X = measure(_with_zero_runs(rng, d, runs), g)
         for tau_supp in np.geomspace(1e-17, 1e-13, 25):
             outcome = recover(_fresh(X), g, tau_supp=tau_supp)
             decision = decide_retrievability(_fresh(X), classify_window(g), tau_supp=tau_supp)
