@@ -3,37 +3,30 @@
 Every measurement goes through one route, the known route: turn the
 squared-magnitude measurement into shift-autocorrelation data
 ``a[k][j] = f_j * conj(f_{j-k})`` for whichever shifts the window's ambiguity
-support makes available, partition the recovered support under the matching
-gap relation, then fix one phase per component and propagate.  Only the
-rows k <= d/2 are transformed, divided, completed and checked: X is real, so
-row d-k is the mirror of row k, a_{d-k}[j] = conj(a_k[j+k]), and adds no
-equation.  Rows are divided by the window ambiguity where the mask is
-true, read off the window's certification (``OmegaMask.ambiguity``).  A row whose
-ambiguity vanishes at a few frequencies is completed from a known zero set of
-the signal (``_complete_row``).  The support S is read off row 0, and row k
-is completed off S ∩ (S+k), where it must vanish.  Row 0 itself is divided
-when whole.  Otherwise it is completed off a zero set of the signal (a hole
-read off the measurement for short windows filled on their band,
-``hole_zero_set``, or everything off the signal's span in line mode), or,
-when every other row is whole and row 0 misses only a conjugate pair ±l*
-(a punctured dc row), in closed form from the energy identity
-(``_row0_from_energy``).
+support makes available, partition the recovered support S under the
+matching gap relation, then fix one phase per component and propagate.  Only
+the rows k <= d/2 are read: X is real, so row d-k is the mirror of row k,
+a_{d-k}[j] = conj(a_k[j+k]), and adds no equation.
 
-Every outcome returns through one verdict, ``_verdict``, on one residual
+The one plan (``_plan_known``, behind ``recover``, ``decide_retrievability``
+and the CLI's ``MODES``) settles each relation row k <= d/2 of the window's
+difference set D_g by the first rung of one ladder that pins it:
+
+* divide: a whole row is divided by the window's ambiguity row, read off its
+  certification (``OmegaMask.ambiguity``);
+* energy: row 0 punctured at a dc pair ±l*, every other row whole, is
+  completed in closed form from the energy identity (``_row0_from_energy``);
+* zeros: a row is completed off a zero set of the signal (``_complete_row``),
+  row 0 off a declared set or a hole the measurement shows
+  (``hole_zero_set``), row k off S ∩ (S+k), where a_k must vanish.
+
+Rows no rung pins are left unsolved.  The plan is the one reader of S, read
+off row 0, so both entry points judge the same partition.  Every outcome
+returns through one verdict, ``_verdict``, on one residual
 (``_relation_miss``): the estimate's largest miss of the relation rows the
-route read, in the units of the measurement and relative to its peak
-R[0, 0] = ΣX/d.  The data is Inconsistent when that miss exceeds the
-consistency tolerance.  Otherwise the support partition decides between one
-global phase and one phase per component.
-
-``_plan_known`` is the one dispatch: ``recover``, ``decide_retrievability``
-and the CLI's ``--mode`` choices (``MODES``) all go through it.  It is also
-the one reader of S, so both entry points judge the same partition.  Each
-plan transforms the relation rows it reads in one pass over X and hands
-them to the solver, except a plan with a whole row 0 and more rows than
-``relation_transform``'s twiddle product takes (``twiddle_product``; full
-and center windows at d >= 20, wide bands): that plan reads S off X's row
-sums, and the solver transforms the rows with one real FFT of X.
+route read, relative to their peak R[0, 0] = ΣX/d.  The data is Inconsistent
+when that miss exceeds the consistency tolerance; otherwise the partition
+decides between one global phase and one phase per component.
 """
 
 from __future__ import annotations
@@ -174,26 +167,15 @@ def _relation_rows(X: SpectrogramMeasurement, mask: OmegaMask, shifts: np.ndarra
     return relation_transform(X, shifts), amb[at[0] : at[-1] + 1] if run else amb[at]
 
 
-def _divide_full_rows(
-    X: SpectrogramMeasurement, mask: OmegaMask, extra=(), relation=None
-) -> tuple[CorrelationData, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Rows ifft(R[k] / conj(V_gg[k])) for every k <= d/2 whose mask row is all true, in one
-    batch, and the relation rows read, (shifts, R, V): those rows, then each partial k in
-    ``extra`` (each k <= d/2), undivided, with their ambiguity rows.  Each row is transformed
-    once: rows a plan already transformed, in that order, are handed over (``relation``) and
-    only divided.  Row d-k is the mirror of row k, a_{d-k}[j] = conj(a_k[j+k]), and adds no equation."""
-    full = mask.mask.all(axis=1)
-    whole = np.flatnonzero(full[: X.d // 2 + 1])
-    if relation is None:
-        shifts = np.concatenate((whole, np.array([k for k in extra if not full[k]], dtype=np.intp)))
-        relation = (shifts, *_relation_rows(X, mask, shifts))
-    _, R, V = relation
-    divisors = np.conj(V[: whole.size])
+def _divide_full_rows(shifts: np.ndarray, R: np.ndarray, V: np.ndarray, n: int) -> CorrelationData:
+    """Rows a_k = ifft(R[i] / conj(V[i])), k = shifts[i], of the leading n rows of a relation block,
+    in one batch: the whole rows, which a plan puts first.  Row d-k is their mirror, a_{d-k}[j] = conj(a_k[j+k])."""
+    divisors = np.conj(V[:n])
     vanished = (divisors == 0.0).any(axis=1)  # guard: mask said "true" but the value is zero
     if vanished.any():
-        raise StftprError(f"internal: ambiguity row {whole[vanished][0]} vanishes under a true mask")
-    table = np.fft.ifft(np.divide(R[: whole.size], divisors, out=divisors), axis=1, out=divisors)
-    return CorrelationData(X.d, whole, table), relation
+        raise StftprError(f"internal: ambiguity row {shifts[:n][vanished][0]} vanishes under a true mask")
+    table = np.fft.ifft(np.divide(R[:n], divisors, out=divisors), axis=1, out=divisors)
+    return CorrelationData(R.shape[1], shifts[:n], table)
 
 
 def support_from_magnitudes(a0: np.ndarray, tau_supp: float = DEFAULT_TAU_SUPP) -> tuple[int, ...]:
@@ -394,19 +376,17 @@ def _band_tree(pos: np.ndarray, d: int, L: int) -> tuple[np.ndarray, ...]:
     return keep, parent, sign, sign * (pos[keep] - pos[parent]) % d, level[keep]
 
 
-def _solve_known(X, mask: OmegaMask, route: str, tau_supp, partition, L=None, shift=None,
-                 complete=(), unsolved=(), zero_set=None, relation=None, divided=None, row0=None):
-    """Divide every whole row, complete the planned rows, then propagate over the plan's partition.
+def _solve_known(X, mask: OmegaMask, route: str, tau_supp, partition, shifts, divide=0, relation=None, L=None,
+                 shift=None, complete=(), unsolved=(), zero_set=None, divided=None, row0=None):
+    """Divide the plan's whole rows, complete the rows it pinned, then propagate over its partition.
 
-    ``partition`` is the split of the support S the plan judged; the solver
-    reads no support of its own.  Each completed row k other than 0 is
-    completed off S ∩ (S+k).  The ``unsolved`` partial rows take no part in
-    the walk.  A plan that completed row 0 hands it over
-    (``row0``) with the relation rows it transformed (``relation``: shifts,
-    rows R and ambiguity rows V), and a dc plan also with the rows it
-    divided (``divided``); a zero-set plan is labelled ``zero_set``.  A plan
-    with a whole row 0 hands over the relation rows when it transformed
-    them, and the whole ones are divided here.  The
+    The plan hands over its relation rows: ``shifts``, the ``divide`` whole
+    rows leading, and their rows R and ambiguity rows V (``relation``).  They
+    are transformed here only when the plan did not read them (the divide
+    rung on the real-FFT path).  A plan that completed row 0 hands it over
+    (``row0``), the energy rung with the whole rows it divided (``divided``).  Each
+    other ``complete`` row k is completed off S ∩ (S+k), S the support of
+    ``partition``; the ``unsolved`` rows take no part in the walk.  The
     verdict's one residual is the estimate's miss of every relation row read
     (``_relation_miss``).  Nothing is transformed or fitted twice.
     """
@@ -415,9 +395,9 @@ def _solve_known(X, mask: OmegaMask, route: str, tau_supp, partition, L=None, sh
         notes.update({"L": L, "window_shift": shift})
     if zero_set is not None:
         notes["zero_set"] = zero_set
-    if row0 is None:  # a whole row 0: divide the whole rows, transformed here unless the plan did
-        divided, relation = _divide_full_rows(X, mask, (*complete, *unsolved), relation)
-    shifts, R, V = relation
+    R, V = _relation_rows(X, mask, shifts) if relation is None else relation
+    if divided is None and divide:
+        divided = _divide_full_rows(shifts, R, V, divide)
     if complete:
         rows, in_s = ({} if divided is None else divided.a), _indicator(partition.universe, X.d)
         if row0 is not None:
@@ -588,48 +568,46 @@ def _filled_band(report: WindowReport) -> int | None:
 
 
 def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
-    """The rows with a true entry are exactly those of the window's difference set D_g, and row 0
-    is whole, pinned by a zero set of the signal, or punctured at a dc pair ±l* with every other row whole.
+    """Settle each relation row k <= d/2 of the window's difference set D_g by the first rung that pins it.
 
-    The plan is the one reader of the support S, on every route: S is read
-    off row 0, and a row k vanishes off S ∩ (S+k).  A whole row 0 gives S
-    off relation row 0.  When the rows the solver reads (the whole rows
-    k <= d/2, then the partial candidates) take the twiddle product
-    (``twiddle_product``), the plan transforms them in one read of X and
-    hands them on (``relation``); otherwise S comes off X's row sums
-    (``_row0_support``), whose transform is relation row 0, and the solver
-    transforms the rows.
-    When every D_g row is whole and no zero set is declared, the mask is
-    D_g x Z_d and nothing is completed; the route keeps the two classic
-    cases' names: ``full`` when D_g is all of Z_d, ``generic`` with the band
-    width L when D_g is a band {-L..L} (an explicit L must name that band),
-    and ``known`` for any other D_g.
+    The rows with a true entry must be exactly those of D_g.  Row 0's rung is
+    picked before X is read:
 
-    Otherwise (route ``known``) each partial row k <= d/2 is completed
-    where S ∩ (S+k) pins its vanished frequencies (row d-k is its mirror
-    and is neither completed nor named).  A partial row 0 needs a zero set Z of the signal that pins its own: on a short
-    window nonzero on all of its band 0..L with 2L+1 < d, the first hole
-    the measurement shows (``hole_zero_set``; AnchorInvalid when there is
-    none).  When every other row is whole and row 0 misses only a conjugate
-    pair ±l* (a punctured-dc window), the whole rows k <= d/2 are divided
-    once and row 0 is completed in closed form (``_row0_from_energy``) from
-    them and their mirrors, gathered in one indexing step;
-    every shift is then a step.  A (d, l*) outside the dc-pair theorem
-    (``_dc_pair_violation``) is PreconditionViolated, and any other window
-    with a partial row 0 is rejected, both before X is read.  The caller
-    may declare Z instead (``zero_set``, a label and a mask of Z; line
-    mode declares everything off the signal's span).  With a zero set, row 0
-    is completed off Z even when whole, and every row 0 < k <= d/2 of D_g
-    off S ∩ (S+k); row d-k holds the same data, a_{d-k}[j] = conj(a_k[j+k]).
-    The rows that cannot be completed (``unsolved``) must not split the
-    support further than D_g does; when they do, the plan names them
-    (PreconditionViolated).  The plan hands the solver its partition of S,
-    and row 0 completed when it completed it, with the relation rows it
-    transformed and, for a dc pair, the rows it divided.  Every plan with no
-    declared zero set is recorded on X while X lives, under ``_plan_key``
-    (which holds L) and a weak reference to the certificate read: its route,
-    L, zero-set label and partition, no array.  Only ``decide_retrievability``
-    reads it; errors are not recorded.
+    * divide, when row 0 is whole and no zero set is declared;
+    * energy, when row 0 misses exactly a conjugate pair ±l* and every other
+      row is whole (a punctured dc row): row 0 is completed from the divided
+      rows and their mirrors (``_row0_from_energy``), and a (d, l*) outside
+      the dc-pair theorem (``_dc_pair_violation``) is PreconditionViolated;
+    * zeros, off a zero set Z of the signal that pins row 0's vanished
+      frequencies (AnchorInvalid otherwise), even when row 0 is whole: one the
+      caller declares (``zero_set``, a label and a mask of Z; line mode
+      declares everything off the signal's span), or, on a short window
+      nonzero on all of its band 0..L with 2L+1 < d, the first hole the
+      measurement shows (``hole_zero_set``; AnchorInvalid when there is none).
+
+    Any other partial row 0 is a WindowClassError.  The plan then reads X
+    once, for one list of shifts: D_g's rows k <= d/2, the rows to divide
+    first, then the rest.  S is read off row 0.  Every other row is divided
+    if whole (unless a zero set is in force), else completed where S ∩ (S+k)
+    pins its vanished frequencies, else left ``unsolved``; unsolved rows must
+    not split the support further than D_g does (PreconditionViolated).
+
+    The divide rung reads its rows only when they take the twiddle product
+    (``twiddle_product``).  With more rows (full and center windows at d >= 20,
+    wide bands) it reads S off X's row sums (``_row0_support``), and the
+    solver transforms the rows with one real FFT of X.  That keeps a fresh
+    decision on a dense window cheap: 0.36 ms at d=256 and 1.6 ms at d=1024,
+    against 1.1 and 18 ms with every row read (medians of 15 on a 2-vCPU
+    Xeon, one BLAS thread).
+
+    When every D_g row is whole and no zero set is declared, the route keeps
+    the classic names: ``full`` when D_g is all of Z_d, ``generic`` with the
+    band width L when D_g is a band {-L..L} (an explicit L must name that
+    band), ``known`` otherwise.  Every plan with no declared zero set is
+    recorded on X while X lives, under ``_plan_key`` (which holds L) and a
+    weak reference to the certificate read: its route, L, zero-set label and
+    partition, no array.  Only ``decide_retrievability`` reads it; errors are
+    not recorded.
     """
     d, dg, mask, auto = report.window.d, report.dg, report.omega.mask, zero_set is None
     rows = np.zeros(d, dtype=bool)
@@ -638,17 +616,19 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
     if (mask.any(axis=1) != rows).any() or (L is not None and not whole[rows].all()):
         error = WindowClassError if L is None else NonGenericWindow
         return error("window mask has a true entry off the rows of D_g, or (with an L) a partial row")
-    partial0 = auto and not whole[0]
-    dc = partial0 and whole[1:].all()  # every other row whole: row 0 from the energy identity
-    band = _filled_band(report) if partial0 and not dg.covers_all else None
-    if dc:
-        ls = np.flatnonzero(~mask[0])
+    band = None if dg.covers_all else _filled_band(report)  # whose hole can pin row 0
+    if auto and whole[0]:
+        rung = "divide"
+    elif auto and whole[1:].all():
+        rung, ls = "energy", np.flatnonzero(~mask[0])
         if ls.size != 2 or ls[0] == 0 or ls[1] != d - ls[0]:
             return WindowClassError("row 0 is not punctured at exactly a conjugate pair ±l*, and no zero set of the signal is known")
         if (why := _dc_pair_violation(d, int(ls[0]))) is not None:
             return why
-    elif partial0 and band is None:
+    elif auto and band is None:
         return WindowClassError("row 0 has a hole, and no zero set of the signal is known for this window")
+    else:
+        rung = "zeros"
     plan, half = {"mask": report.omega, "route": "known"}, slice(0, d // 2 + 1)
     if auto and whole[rows].all():  # the classic cases keep their names
         reach = int(np.flatnonzero(rows[half])[-1])  # D_g = -D_g, so its widest cyclic step is at most d/2
@@ -658,52 +638,47 @@ def _plan_known(X, report: WindowReport, L, tau_rel, tau_supp, zero_set=None):
             plan.update({"route": "generic", "L": reach, "shift": report.canonical_shift})
         elif L is not None:
             return NonGenericWindow(f"mask does not equal the width-{L} band")
-    if whole[0] and auto:
-        first, candidates = (), np.flatnonzero((rows & ~whole)[half])
-        shifts = np.concatenate((np.flatnonzero(whole[half]), candidates))
-        if twiddle_product(shifts.size, d):  # one read of X gives S and every row the solver divides
-            R, V = _relation_rows(X, report.omega, shifts)
-            supp = support_from_magnitudes(np.fft.ifft(R[0] / np.conj(V[0])), tau_supp)
-            plan["relation"] = (shifts, R, V)
+    divide = whole[half] & (rung != "zeros")  # the whole rows, unless a zero set is in force; read first
+    shifts = np.concatenate((np.flatnonzero(divide), np.flatnonzero(rows[half] & ~divide)))
+    n = int(divide.sum())
+    if rung == "divide" and not twiddle_product(shifts.size, d):
+        supp = _row0_support(X, report.omega, tau_supp)  # the solver transforms the rows
+    else:  # one read of X gives S and every row the solver reads
+        R, V = plan["relation"] = _relation_rows(X, report.omega, shifts)
+        if rung == "divide":
+            row0 = np.fft.ifft(R[0] / np.conj(V[0]))
+        elif rung == "energy":
+            divided = plan["divided"] = _divide_full_rows(shifts, R, V, n)
+            a = divided.rows  # rows 1..d/2, whole; a[k-1] is a_k
+            k = np.arange(1, (d + 1) // 2)[:, None]  # each k whose mirror d-k is another row
+            shifted = np.concatenate((a, a), axis=1)[k - 1, k + np.arange(d)]  # a_k[j+k], off a doubled copy
+            others = np.concatenate((a, np.conj(shifted)))  # a_{d-k}[j] = conj(a_k[j+k])
+            row0 = plan["row0"] = _row0_from_energy(others, R[-1], V[-1], mask[0])  # row 0 is read last
         else:
-            supp = _row0_support(X, report.omega, tau_supp)
-    elif dc:
-        divided, relation = _divide_full_rows(X, report.omega, (0,))
-        a = divided.rows  # rows 1..d/2, whole; a[k-1] is a_k
-        k = np.arange(1, (d + 1) // 2)[:, None]  # each k whose mirror d-k is another row
-        shifted = np.concatenate((a, a), axis=1)[k - 1, k + np.arange(d)]  # a_k[j+k], off a doubled copy
-        others = np.concatenate((a, np.conj(shifted)))  # a_{d-k}[j] = conj(a_k[j+k])
-        _, R, V = relation
-        row0 = _row0_from_energy(others, R[-1], V[-1], mask[0])  # row 0, the one partial row, is read last
-        supp, first, candidates = support_from_magnitudes(row0, tau_supp), (0,), np.flatnonzero(~whole)
-        plan.update({"divided": divided, "relation": relation, "row0": row0})
-    else:
-        candidates = np.flatnonzero(rows[half])  # row 0 first
-        R, V = _relation_rows(X, report.omega, candidates)
-        if auto:
-            # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift;
-            # the rows k <= d/2 of a filled band's D_g are 0..L, so R[k] is row k
-            b = np.roll(np.fft.ifft(R[: band + 1], axis=1), report.canonical_shift, axis=1)
-            zero_set = hole_zero_set(b, tau_rel)
-            if zero_set is None:
-                return AnchorInvalid("row 0 has a hole, and the measurement shows no signal hole of length L or L+1")
-        label, zeros = zero_set
-        if not _pins(mask[0], ~zeros):
-            return AnchorInvalid(f"the {label} zero set does not pin the vanished frequencies of row 0")
-        row0 = _complete_row(R[0], V[0], mask[0], ~zeros)
-        supp, first = support_from_magnitudes(row0, tau_supp), (0,)
-        plan.update({"zero_set": label, "relation": (candidates, R, V), "row0": row0})
-    in_s = _indicator(supp, d)
-    complete = (*first, *(k for k in candidates.tolist() if k and _pins(mask[k], _meets(in_s, k))))
+            if auto:
+                # band row k of the window-anchored problem is ifft(R_k) rolled by the window's shift;
+                # the rows k <= d/2 of a filled band's D_g are 0..L, so R[k] is row k
+                b = np.roll(np.fft.ifft(R[: band + 1], axis=1), report.canonical_shift, axis=1)
+                zero_set = hole_zero_set(b, tau_rel)
+                if zero_set is None:
+                    return AnchorInvalid("row 0 has a hole, and the measurement shows no signal hole of length L or L+1")
+            label, zeros = zero_set
+            if not _pins(mask[0], ~zeros):
+                return AnchorInvalid(f"the {label} zero set does not pin the vanished frequencies of row 0")
+            plan["zero_set"] = label
+            row0 = plan["row0"] = _complete_row(R[0], V[0], mask[0], ~zeros)
+        supp = support_from_magnitudes(row0, tau_supp)
+    in_s, rest = _indicator(supp, d), shifts[n:].tolist()
+    complete = tuple(k for k in rest if k == 0 or _pins(mask[k], _meets(in_s, k)))  # row 0 is settled by now
     partition = components_mod_d(supp, d, (*np.flatnonzero(whole).tolist(), *complete))
-    stuck = sorted(set(candidates.tolist()) - set(complete))
+    stuck = sorted(set(rest) - set(complete))
     split = partition.n_components > 1  # one component cannot split further under D_g
     if stuck and split and partition.n_components > components_mod_d(supp, d, dg).n_components:
         return PreconditionViolated(f"rows {stuck} cannot be completed from the support, which splits without them")
     if auto:  # X and the window are immutable, so the record never goes stale
         summary = {k: v for k, v in plan.items() if k in ("route", "L", "zero_set")} | {"partition": partition}
         vars(X).setdefault("_plans", {})[_plan_key(report, L, tau_rel, tau_supp)] = (weakref.ref(report.omega), summary)
-    return {**plan, "partition": partition, "complete": complete, "unsolved": stuck}
+    return {**plan, "shifts": shifts, "divide": n, "partition": partition, "complete": complete, "unsolved": stuck}
 
 
 def _plan_key(report: WindowReport, L, tau_rel, tau_supp) -> tuple:

@@ -73,9 +73,8 @@ def measurement_from_csv(text: str) -> SpectrogramMeasurement:
     if any(len(row) != d for row in values):
         raise ValueError("measurement CSV must be square")
     arr = np.array(values, dtype=np.float64)
-    # values straddling zero at printed precision are clipped, real negatives rejected
-    tiny = -1e-12 * max(1.0, float(np.abs(arr).max()))
-    if arr.min() < tiny:
+    # values straddling zero at printed precision are clipped, real negatives rejected, against the CSV's own peak
+    if arr.min() < -1e-12 * np.abs(arr).max():
         raise ValueError("measurement CSV contains negative entries")
     np.clip(arr, 0.0, None, out=arr).setflags(write=False)  # handed over, not copied
     return SpectrogramMeasurement(d, arr)

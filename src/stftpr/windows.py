@@ -175,41 +175,16 @@ def construct_punctured_center_window(d: int) -> CyclicSignal:
         # below the default certification threshold past this point
         raise StftprError(f"punctured-center certificate not representable beyond d = 50 (got {d})")
     h = d // 2
-    v = np.zeros(d, dtype=np.complex128)
-    for j in range(h):
-        v[j] = 2.0**j
-    if d <= 14 and d % 4 == 0:
-        # center-row products g_j conj(g_{j+h}) = c - i sqrt(2^(4j+d) - c^2) with
-        # c = (1,1,2,...,2): even-l rows telescope to 2(-1 - e^(-2 pi i l / d))
-        for j in range(h, d):
-            scale = 2.0 ** (h - j)
-            t = 2.0 ** (4 * j - d)
-            if j in (h, h + 1):
-                v[j] = scale * complex(1.0, math.sqrt(t - 1.0))
-            else:
-                v[j] = scale * complex(2.0, math.sqrt(t - 4.0))
-    elif d <= 14:
-        # d/2 odd: constant pattern on the imaginary parts instead, so the odd-l
-        # center row becomes 2i (1 + e^(-2 pi i l / d)) while the even-l row is
-        # dominated by its top real term
-        for j in range(h, h + 2):
-            scale = 2.0 ** (h - j)
-            t = 2.0 ** (4 * j - d)
-            v[j] = scale * complex(math.sqrt(t - 1.0), -1.0)
-        for j in range(h + 2, d):
-            v[j] = 2.0**j
-    else:
-        # larger d: constant patterns would sink below the relative threshold, so
-        # balance the center-row products u_j = g_j conj(g_{j+h}): the punctured
-        # parity class carries the coefficients of 2^(h-1) (1 + w) sum_i 4^i w^i
-        # (sole unimodular root at l = d/2), the other class keeps last-term
-        # dominance; |u_j| = 4^j 2^h preserves the off-center row growth
-        q = np.exp2(h - 1) * np.exp2(2.0 * np.arange(h - 1))
-        p = np.convolve(q, [1.0, 1.0])
-        mag_u = np.exp2(2.0 * np.arange(h) + h)
-        other = np.sqrt(mag_u**2 - p**2)
-        u = p - 1j * other if d % 4 == 0 else other + 1j * p
-        v[h:] = np.conj(u) / np.exp2(np.arange(h, dtype=np.float64))
+    # balance the center-row products u_j = g_j conj(g_{j+h}): the punctured
+    # parity class carries the coefficients of 2^(h-1) (1 + w) sum_i 4^i w^i
+    # (sole unimodular root at l = d/2), the other class keeps last-term
+    # dominance; |u_j| = 4^j 2^h preserves the off-center row growth
+    q = np.exp2(h - 1) * np.exp2(2.0 * np.arange(h - 1))
+    p = np.convolve(q, [1.0, 1.0])
+    mag_u = np.exp2(2.0 * np.arange(h) + h)
+    other = np.sqrt(mag_u**2 - p**2)
+    u = p - 1j * other if d % 4 == 0 else other + 1j * p
+    v = np.concatenate((np.exp2(np.arange(h)), np.conj(u) / np.exp2(np.arange(h))))
     if d > 48:
         v = v / np.abs(v).max()  # scaled certificate; mask is scale-invariant
     g = CyclicSignal(d, v)

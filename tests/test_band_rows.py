@@ -17,8 +17,9 @@ rows than they read.  A counting wrapper on the all-zero check checks that
 ``recover`` and ``decide_retrievability`` each scan the measurement once (and
 only an exact zero measurement reads as the zero signal), and
 one on ``relation_transform`` that each public call on a hole or line item
-transforms once, and that the known plan reads no measurement on a window
-with a partial row 0 and no zero-set reader.  A counting wrapper on
+transforms once, that ``recover`` reads X once whichever rung settles row 0
+(the dense routes with one row-sum read besides), and that the known plan
+reads no measurement on a window with a partial row 0 and no zero-set reader.  A counting wrapper on
 ``np.linalg.lstsq`` checks that row completion fits only the frequencies
 where the window's ambiguity row vanishes, never a whole row.
 """
@@ -54,6 +55,7 @@ from stftpr.errors import PreconditionViolated
 from stftpr.windows import (
     DEFAULT_TAU_REL,
     classify_window,
+    construct_power_window,
     construct_punctured_center_window,
     construct_punctured_dc_window,
     difference_set,
@@ -596,3 +598,38 @@ def test_known_plan_reads_no_measurement_without_a_zero_set_source(monkeypatch):
         assert [*plan["complete"], *plan["unsolved"]] == [d // 2] and "zero_set" not in plan
         assert read == reads and ("relation" in plan) == bool(reads)
         read.clear()
+
+
+def _one_read_items():
+    """One item per rung that settles row 0: name, X, window, solve, and the row-sum reads allowed."""
+    rng = rng_for("band-rows-one-read")
+    box, generic, full = _box(256, 3), construct_power_window(256, 3), random_signal(rng, 256)
+    center, dc = construct_punctured_center_window(40), construct_punctured_dc_window(31, seed=1)
+    yield "dc", measure(random_signal(rng, 31), dc), dc, recover, 0
+    yield "hole-L+1", measure(_with_zero_runs(rng, 256, [(40, 4)]), box), box, recover, 0
+    yield "hole-L", measure(_with_zero_runs(rng, 256, [(40, 3)]), box), box, recover, 0
+    yield "span", *_line_item(rng), lambda X, g: recover_line_block(X, g, 7), 0
+    yield "generic", measure(random_signal(rng, 256), generic), generic, recover, 0
+    # rows past the twiddle product: the plan reads S off X's row sums, the solver transforms the rows
+    yield "full", measure(random_signal(rng, 256), full), full, recover, 1
+    yield "center", measure(random_signal(rng, 40), center), center, recover, 1
+
+
+@pytest.mark.parametrize("case", _one_read_items(), ids=lambda case: case[0])
+def test_every_route_reads_x_once(monkeypatch, case):
+    # recover transforms its relation rows in one call whichever rung settles row 0; a
+    # decision after it reads the plan's record and transforms nothing
+    name, X, g, solve, row_sums = case
+    transforms, sums = [], []
+    transform, support = recovery.relation_transform, recovery._row0_support
+    monkeypatch.setattr(recovery, "relation_transform", lambda X, rows=None: transforms.append(rows) or transform(X, rows))
+    monkeypatch.setattr(recovery, "_row0_support", lambda *args: sums.append(args) or support(*args))
+    outcome = solve(X, g)
+    assert outcome.status == "UniqueUpToGlobalPhase", outcome.notes
+    assert outcome.notes.get("zero_set", name) == name
+    assert (len(transforms), len(sums)) == (1, row_sums)
+    transforms.clear()
+    sums.clear()
+    if solve is recover:
+        decide_retrievability(X, classify_window(g))
+        assert (transforms, sums) == ([], [])

@@ -51,7 +51,7 @@ from stftpr.recovery import (
     propagate_phases,
     recover,
 )
-from stftpr.recovery import _complete_row, _divide_full_rows, _relation_miss, _row0_from_energy
+from stftpr.recovery import _complete_row, _divide_full_rows, _relation_miss, _relation_rows, _row0_from_energy
 from stftpr.spectral import CyclicSignal, SpectrogramMeasurement, embed_line, measure, relation_transform, stft_rows
 from stftpr.windows import (
     classify_window,
@@ -114,6 +114,12 @@ def _with_mirrors(corr):
     return rows
 
 
+def _divided(X, mask):
+    """The whole rows k <= d/2 of X, divided as the divide rung divides them: read first, in one block."""
+    shifts = np.flatnonzero(mask.mask.all(axis=1)[: X.d // 2 + 1])
+    return _divide_full_rows(shifts, *_relation_rows(X, mask, shifts), shifts.size)
+
+
 def _assert_rows_match(corr, f, whole):
     """The divided rows are the whole rows k <= d/2, and with their mirrors every whole row is f's."""
     d = corr.d
@@ -131,7 +137,7 @@ def test_recover_autocorrelations_full_window():
     mask = omega_mask(g)
     assert mask.all_true
     f = random_signal(rng, d)
-    _assert_rows_match(_divide_full_rows(measure(f, g), mask)[0], f, range(d))
+    _assert_rows_match(_divided(measure(f, g), mask), f, range(d))
 
 
 def test_recover_autocorrelations_generic_band():
@@ -140,7 +146,7 @@ def test_recover_autocorrelations_generic_band():
     g = random_short_window(rng, d, L)
     assert omega_mask(g).same_mask(omega_L_d(d, L))
     f = random_signal(rng, d)
-    _assert_rows_match(_divide_full_rows(measure(f, g), omega_mask(g))[0], f, (0, 1, 2, 3, 7, 8, 9))
+    _assert_rows_match(_divided(measure(f, g), omega_mask(g)), f, (0, 1, 2, 3, 7, 8, 9))
 
 
 def test_recover_autocorrelations_skips_center_row():
@@ -148,7 +154,7 @@ def test_recover_autocorrelations_skips_center_row():
     g = construct_punctured_center_window(d)
     rng = rng_for("center-rows")
     f = random_signal(rng, d)
-    _assert_rows_match(_divide_full_rows(measure(f, g), omega_mask(g))[0], f, [k for k in range(d) if k != 4])
+    _assert_rows_match(_divided(measure(f, g), omega_mask(g)), f, [k for k in range(d) if k != 4])
 
 
 def _hermitian_residual(corr):
@@ -165,7 +171,7 @@ def test_correlation_hermitian_pairing():
         assert _hermitian_residual(corr) < 1e-12
         # rows k <= d/2 extracted from a self-consistent measurement determine the rest by the pairing
         g = random_signal(rng, d)
-        _assert_rows_match(_divide_full_rows(measure(f, g), omega_mask(g))[0], f, range(d))
+        _assert_rows_match(_divided(measure(f, g), omega_mask(g)), f, range(d))
 
 
 # ------------------------------------------------------------- phase assembly

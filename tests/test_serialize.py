@@ -41,6 +41,20 @@ def test_measurement_csv_round_trip_and_validation():
         serialize.measurement_from_csv("1.0,2.0\n3.0\n")
 
 
+def test_measurement_csv_negative_check_is_scale_free():
+    # an entry of -1e-6 of the peak is a real negative at every scale, and a written
+    # measurement is accepted at every scale, down to subnormal entries
+    rng = rng_for("meas-csv-scale")
+    X = measure(random_signal(rng, 5), random_signal(rng, 5))
+    for p in range(-1000, 1001, 50):
+        scale = 2.0**p
+        with pytest.raises(ValueError):
+            serialize.measurement_from_csv(f"{scale!r},0\n{-1e-6 * scale!r},0\n")
+        scaled = SpectrogramMeasurement(5, X.sq_mag * (scale / X.sq_mag.max()))
+        back = serialize.measurement_from_csv(serialize.measurement_to_csv(scaled))
+        assert np.abs(back.sq_mag - scaled.sq_mag).max() <= 1e-11 * scale, p
+
+
 def test_twelve_significant_digits():
     assert serialize.format_float(1.0 / 3.0) == "0.333333333333"
 

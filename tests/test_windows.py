@@ -164,12 +164,16 @@ def test_punctured_center_single_hole_even_range():
 
 
 def test_punctured_center_d8_row_identity():
-    # even-l entries of the center row collapse to 2(-1 - e^(-2 pi i l/8)), l not in {0, 4}
-    A = ambiguity(construct_punctured_center_window(8)).values
-    for l in (2, 6):
-        expected = 2 * (-1 - np.exp(-2j * np.pi * l / 8))
-        assert abs(A[4, l] - expected) < 1e-9
-    assert abs(A[4, 4]) < 1e-9 * np.abs(A).max()
+    # on the parity of l matching h = d/2 the center row is 2^h (1 + w) sum_{i < h-1} 4^i w^i,
+    # w = e^(-2 pi i l/d), times i when h is odd: its one unimodular root is l = h
+    for d, factor in ((8, 1.0), (10, 1j)):
+        h = d // 2
+        A = ambiguity(construct_punctured_center_window(d)).values
+        for l in range(h % 2, d, 2):
+            w = np.exp(-2j * np.pi * l / d)
+            expected = factor * 2.0**h * (1 + w) * sum(4.0**i * w**i for i in range(h - 1))
+            assert abs(A[h, l] - expected) < 1e-12 * np.abs(A).max(), (d, l)
+        assert abs(A[h, h]) < 1e-12 * np.abs(A).max()
 
 
 def test_punctured_center_rejects_odd():
